@@ -72,13 +72,15 @@
 // Exit codes distinguish failure classes for scripting:
 //
 //	0  success
-//	1  discovery failure (worker fault, load limit, -check not holding)
+//	1  discovery failure (worker fault, load limit, -check not holding,
+//	   result not written to stdout in full)
 //	2  usage error (bad flags, unknown variant or format)
 //	3  input parse failure (malformed N-Triples, unreadable file)
 //	4  timeout (-timeout exceeded before discovery finished)
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -332,6 +334,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	reportSkipped(stderr, runStats)
 
+	var werr error // the first failed write of the result to stdout
 	switch {
 	case *explain:
 		opt.WriteExplain(stdout, runStats.Dataflow.Spans(), runStats.Optimizer, *workers)
@@ -350,24 +353,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitDiscovery
 		}
-		stdout.Write(data)
-		fmt.Fprintln(stdout)
+		werr = writeLine(stdout, data)
 	case *format == "json":
 		data, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitDiscovery
 		}
-		stdout.Write(data)
-		fmt.Fprintln(stdout)
+		werr = writeLine(stdout, data)
 	default:
-		fmt.Fprint(stdout, res.Format(dict))
+		out := bufio.NewWriterSize(stdout, 64<<10) // ~1 000 result lines per write
+		if _, werr = res.WriteTo(out, dict); werr == nil {
+			werr = out.Flush()
+		}
+	}
+	if werr != nil {
+		fmt.Fprintln(stderr, "rdfind: writing the result:", werr)
+		return exitDiscovery
 	}
 
 	if *stats {
 		printStats(stderr, runStats)
 	}
 	return exitOK
+}
+
+// writeLine writes data and a newline to w in one call.
+func writeLine(w io.Writer, data []byte) error {
+	_, err := w.Write(append(data, '\n'))
+	return err
 }
 
 // classifyInputErr maps a DiscoverSource or Resolve failure to an exit

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -569,5 +570,28 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-query", "SELECT ?s WHERE { ?s ?p ?o }", "-cluster", "2", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("-query -cluster exit %d, want %d", code, exitUsage)
+	}
+}
+
+// failingWriter is a standard output that cannot be written to: a full disk
+// or a pipe whose reader has gone.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestStdoutWriteErrorFailsRun: a result that could not be written in full is
+// a failed run in every output format, reported on stderr, not exit 0 with a
+// truncated file.
+func TestStdoutWriteErrorFailsRun(t *testing.T) {
+	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}} {
+		args := append([]string{"-support", "2", "-workers", "1"}, format...)
+		var stderr bytes.Buffer
+		code := run(append(args, "testdata/museums.nt"), failingWriter{}, &stderr)
+		if code != exitDiscovery {
+			t.Errorf("%v: exit %d, want %d", format, code, exitDiscovery)
+		}
+		if !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("%v: stderr does not name the write error: %q", format, stderr.String())
+		}
 	}
 }

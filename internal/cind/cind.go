@@ -10,8 +10,11 @@
 package cind
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"cmp"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -89,14 +92,25 @@ func (c Condition) Key() uint64 {
 	return mix(uint64(c.A1)<<34 | uint64(c.A2)<<32 | uint64(c.V1)<<1 | 1).rotadd(mix(uint64(c.V2)))
 }
 
-// Format renders the condition against a dictionary, e.g.
-// "p=memberOf ∧ o=csd".
-func (c Condition) Format(dict *rdf.Dictionary) string {
-	s := fmt.Sprintf("%s=%s", c.A1, dict.Decode(c.V1))
+// AppendFormat appends the condition's rendering against a dictionary, e.g.
+// "p=memberOf ∧ o=csd", to dst and returns the extended slice. Like the other
+// AppendFormat methods it allocates only when dst must grow.
+func (c Condition) AppendFormat(dst []byte, dict *rdf.Dictionary) []byte {
+	dst = append(dst, c.A1.String()...)
+	dst = append(dst, '=')
+	dst = append(dst, dict.Decode(c.V1)...)
 	if c.IsBinary() {
-		s += fmt.Sprintf(" ∧ %s=%s", c.A2, dict.Decode(c.V2))
+		dst = append(dst, " ∧ "...)
+		dst = append(dst, c.A2.String()...)
+		dst = append(dst, '=')
+		dst = append(dst, dict.Decode(c.V2)...)
 	}
-	return s
+	return dst
+}
+
+// Format renders the condition as a string (see AppendFormat).
+func (c Condition) Format(dict *rdf.Dictionary) string {
+	return string(c.AppendFormat(nil, dict))
 }
 
 // Capture pairs a projection attribute with a condition that must not use it
@@ -121,9 +135,19 @@ func (c Capture) Key() uint64 {
 	return mix(uint64(c.Proj) + 0x9E3779B97F4A7C15).rotadd(mix(c.Cond.Key()))
 }
 
-// Format renders the capture, e.g. "(s, p=memberOf ∧ o=csd)".
+// AppendFormat appends the capture's rendering, e.g.
+// "(s, p=memberOf ∧ o=csd)", to dst.
+func (c Capture) AppendFormat(dst []byte, dict *rdf.Dictionary) []byte {
+	dst = append(dst, '(')
+	dst = append(dst, c.Proj.String()...)
+	dst = append(dst, ", "...)
+	dst = c.Cond.AppendFormat(dst, dict)
+	return append(dst, ')')
+}
+
+// Format renders the capture as a string (see AppendFormat).
 func (c Capture) Format(dict *rdf.Dictionary) string {
-	return fmt.Sprintf("(%s, %s)", c.Proj, c.Cond.Format(dict))
+	return string(c.AppendFormat(nil, dict))
 }
 
 // Inclusion is a CIND statement c ⊆ c′ between a dependent and a referenced
@@ -154,10 +178,17 @@ func (i Inclusion) Implies(o Inclusion) bool {
 		o.Dep.Cond.Implies(i.Dep.Cond) && i.Ref.Cond.Implies(o.Ref.Cond)
 }
 
-// Format renders the inclusion, e.g.
-// "(s, p=memberOf) ⊆ (s, p=rdf:type ∧ o=gradStudent)".
+// AppendFormat appends the inclusion's rendering, e.g.
+// "(s, p=memberOf) ⊆ (s, p=rdf:type ∧ o=gradStudent)", to dst.
+func (i Inclusion) AppendFormat(dst []byte, dict *rdf.Dictionary) []byte {
+	dst = i.Dep.AppendFormat(dst, dict)
+	dst = append(dst, " ⊆ "...)
+	return i.Ref.AppendFormat(dst, dict)
+}
+
+// Format renders the inclusion as a string (see AppendFormat).
 func (i Inclusion) Format(dict *rdf.Dictionary) string {
-	return i.Dep.Format(dict) + " ⊆ " + i.Ref.Format(dict)
+	return string(i.AppendFormat(nil, dict))
 }
 
 // CIND is an inclusion together with its support, the number of distinct
@@ -167,9 +198,22 @@ type CIND struct {
 	Support int
 }
 
-// Format renders the CIND with its support.
+// AppendFormat appends the CIND's rendering, the inclusion followed by
+// "  [support=N]", to dst.
+func (c CIND) AppendFormat(dst []byte, dict *rdf.Dictionary) []byte {
+	return appendSupport(c.Inclusion.AppendFormat(dst, dict), c.Support)
+}
+
+// Format renders the CIND with its support as a string (see AppendFormat).
 func (c CIND) Format(dict *rdf.Dictionary) string {
-	return fmt.Sprintf("%s  [support=%d]", c.Inclusion.Format(dict), c.Support)
+	return string(c.AppendFormat(nil, dict))
+}
+
+// appendSupport appends the "  [support=N]" suffix of CIND and AR renderings.
+func appendSupport(dst []byte, support int) []byte {
+	dst = append(dst, "  [support="...)
+	dst = strconv.AppendInt(dst, int64(support), 10)
+	return append(dst, ']')
 }
 
 // AR is an exact association rule If → Then with confidence 1 over triples
@@ -199,9 +243,18 @@ func (r AR) ImpliedCIND() CIND {
 	}
 }
 
-// Format renders the rule, e.g. "o=gradStudent → p=rdf:type [support=2]".
+// AppendFormat appends the rule's rendering, e.g.
+// "o=gradStudent → p=rdf:type  [support=2]", to dst.
+func (r AR) AppendFormat(dst []byte, dict *rdf.Dictionary) []byte {
+	dst = r.If.AppendFormat(dst, dict)
+	dst = append(dst, " → "...)
+	dst = r.Then.AppendFormat(dst, dict)
+	return appendSupport(dst, r.Support)
+}
+
+// Format renders the rule as a string (see AppendFormat).
 func (r AR) Format(dict *rdf.Dictionary) string {
-	return fmt.Sprintf("%s → %s  [support=%d]", r.If.Format(dict), r.Then.Format(dict), r.Support)
+	return string(r.AppendFormat(nil, dict))
 }
 
 // Result is the output of a discovery run: the pertinent CINDs and the
@@ -211,32 +264,131 @@ type Result struct {
 	ARs   []AR
 }
 
-// Sort orders both result lists by descending support, then lexicographically
-// by rendered form, giving deterministic output.
+// Sort orders both result lists by descending support, then by the bytes of
+// the rendered statement (AppendFormat, the text Format prints), giving
+// deterministic output. Statements that render identically — distinct ids a
+// dictionary decodes to the same text, such as "?" for every id it never
+// issued — are ordered by their fields: dependent before referenced capture
+// and Proj, A1, A2, V1, V2 within each for CINDs, If before Then for rules.
+// The order is therefore total and independent of the order Sort found the
+// lists in. Every statement is rendered once, into one key arena of the
+// output's size that lives for the duration of the call; the comparisons
+// themselves allocate nothing.
 func (r *Result) Sort(dict *rdf.Dictionary) {
-	sort.Slice(r.CINDs, func(i, j int) bool {
-		if r.CINDs[i].Support != r.CINDs[j].Support {
-			return r.CINDs[i].Support > r.CINDs[j].Support
-		}
-		return r.CINDs[i].Format(dict) < r.CINDs[j].Format(dict)
-	})
-	sort.Slice(r.ARs, func(i, j int) bool {
-		if r.ARs[i].Support != r.ARs[j].Support {
-			return r.ARs[i].Support > r.ARs[j].Support
-		}
-		return r.ARs[i].Format(dict) < r.ARs[j].Format(dict)
-	})
+	sortRendered(r.CINDs,
+		func(c CIND) int { return c.Support },
+		func(dst []byte, c CIND) []byte { return c.AppendFormat(dst, dict) },
+		func(a, b CIND) int {
+			return cmp.Or(compareCaptures(a.Dep, b.Dep), compareCaptures(a.Ref, b.Ref))
+		})
+	sortRendered(r.ARs,
+		func(a AR) int { return a.Support },
+		func(dst []byte, a AR) []byte { return a.AppendFormat(dst, dict) },
+		func(a, b AR) int {
+			return cmp.Or(compareConditions(a.If, b.If), compareConditions(a.Then, b.Then))
+		})
 }
 
-// Format renders the whole result, one statement per line.
-func (r *Result) Format(dict *rdf.Dictionary) string {
-	var b strings.Builder
+// lineGuess is the rendered length Sort and Format reserve per statement
+// before they know it; longer statements grow the buffer as append does.
+const lineGuess = 64
+
+// sortKey is one statement of a list being sorted: its support, its rendered
+// key arena[lo:hi], and its position in the unsorted list.
+type sortKey struct {
+	support, lo, hi, idx int
+}
+
+// sortRendered sorts xs by (support descending, rendered bytes, tie). It
+// renders each element once into a shared arena, sorts the keys — never the
+// elements — and then moves every element to its place along the cycles of
+// the resulting permutation.
+func sortRendered[T any](xs []T, support func(T) int, render func([]byte, T) []byte, tie func(a, b T) int) {
+	if len(xs) < 2 {
+		return
+	}
+	keys := make([]sortKey, len(xs))
+	arena := make([]byte, 0, len(xs)*lineGuess)
+	for i, x := range xs {
+		lo := len(arena)
+		arena = render(arena, x)
+		keys[i] = sortKey{support: support(x), lo: lo, hi: len(arena), idx: i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.support != b.support {
+			return cmp.Compare(b.support, a.support)
+		}
+		if c := bytes.Compare(arena[a.lo:a.hi], arena[b.lo:b.hi]); c != 0 {
+			return c
+		}
+		return tie(xs[a.idx], xs[b.idx])
+	})
+	// keys[j].idx is the element that belongs at j. Follow each cycle once,
+	// marking visited positions with -1.
+	for i := range keys {
+		if keys[i].idx < 0 || keys[i].idx == i {
+			continue
+		}
+		first := xs[i]
+		j := i
+		for {
+			src := keys[j].idx
+			keys[j].idx = -1
+			if src == i {
+				xs[j] = first
+				break
+			}
+			xs[j] = xs[src]
+			j = src
+		}
+	}
+}
+
+// compareConditions orders conditions by A1, A2, V1, V2.
+func compareConditions(a, b Condition) int {
+	return cmp.Or(cmp.Compare(a.A1, b.A1), cmp.Compare(a.A2, b.A2),
+		cmp.Compare(a.V1, b.V1), cmp.Compare(a.V2, b.V2))
+}
+
+// compareCaptures orders captures by projection, then condition.
+func compareCaptures(a, b Capture) int {
+	return cmp.Or(cmp.Compare(a.Proj, b.Proj), compareConditions(a.Cond, b.Cond))
+}
+
+// WriteTo renders the whole result to w, one statement per line — the rules
+// as "AR   <rule>", then the CINDs as "CIND <cind>" — and returns the number
+// of bytes written and the first error w returned. It makes one Write per
+// line from a buffer it reuses; a caller writing to a file or pipe should
+// hand it a bufio.Writer.
+func (r *Result) WriteTo(w io.Writer, dict *rdf.Dictionary) (int64, error) {
+	var written int64
+	var line []byte
+	write := func() error {
+		line = append(line, '\n')
+		n, err := w.Write(line)
+		written += int64(n)
+		return err
+	}
 	for _, ar := range r.ARs {
-		fmt.Fprintf(&b, "AR   %s\n", ar.Format(dict))
+		line = ar.AppendFormat(append(line[:0], "AR   "...), dict)
+		if err := write(); err != nil {
+			return written, err
+		}
 	}
 	for _, c := range r.CINDs {
-		fmt.Fprintf(&b, "CIND %s\n", c.Format(dict))
+		line = c.AppendFormat(append(line[:0], "CIND "...), dict)
+		if err := write(); err != nil {
+			return written, err
+		}
 	}
+	return written, nil
+}
+
+// Format renders the whole result as a string (see WriteTo).
+func (r *Result) Format(dict *rdf.Dictionary) string {
+	var b strings.Builder
+	b.Grow((len(r.ARs) + len(r.CINDs)) * lineGuess)
+	r.WriteTo(&b, dict) // a strings.Builder never fails a write
 	return b.String()
 }
 

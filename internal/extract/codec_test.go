@@ -2,7 +2,10 @@ package extract
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bloom"
@@ -159,6 +162,121 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 	}
 	if depB.bits.Count() != len(shared) {
 		t.Error("merging one dependent cleared a sibling's bits")
+	}
+
+	// bits ∩ bits on seeded random universe pairs of every relative shape,
+	// with bits cleared on both sides: the merge that walks the two sorted
+	// universes together keeps what intersecting the map forms keeps, and
+	// writes to neither universe nor to a sibling's selection.
+	rng := rand.New(rand.NewSource(3))
+	pool := capturePool(6000)
+	pick := func(from []cind.Capture, n int) []cind.Capture {
+		out := make([]cind.Capture, 0, n)
+		for _, i := range rng.Perm(len(from))[:n] {
+			out = append(out, from[i])
+		}
+		return out
+	}
+	nested := pick(pool, 900)
+	for _, shape := range []struct {
+		name string
+		a, b []cind.Capture
+	}{
+		{"disjoint", pool[:300], pool[300:700]},
+		{"identical", pool[:500], pool[:500]},
+		{"nested", nested[:200], nested},
+		{"empty", nil, pick(pool, 100)},
+		{"both empty", nil, nil},
+		{"single in", pool[7:8], pool[:64]},
+		{"single out", pool[100:101], pool[:64]},
+		{"overlapping", pick(pool[:1500], 700), pick(pool[:1500], 700)},
+		{"a much smaller", pick(pool, 16), pick(pool, 4096)},
+		{"a much larger", pick(pool, 4096), pick(pool, 16)},
+		{"small inside large", pool[2000:2016], pool},
+	} {
+		for _, live := range [][2]float64{{1, 1}, {0.5, 1}, {1, 0.1}, {0.3, 0.7}, {0, 1}} {
+			t.Run(fmt.Sprintf("%s/%v", shape.name, live), func(t *testing.T) {
+				some := func(u []cind.Capture, share float64) []cind.Capture {
+					var out []cind.Capture
+					for _, c := range u {
+						if rng.Float64() < share {
+							out = append(out, c)
+						}
+					}
+					return out
+				}
+				liveA, liveB := some(shape.a, live[0]), some(shape.b, live[1])
+				a, b := bitsSet(shape.a, liveA...), bitsSet(shape.b, liveB...)
+				sibA := &candSet{refs: a.refs, bits: dataflow.NewBitmap(len(a.refs)), count: 1}
+				sibB := &candSet{refs: b.refs, bits: dataflow.NewBitmap(len(b.refs)), count: 1}
+				sibA.bits.SetAll()
+				sibB.bits.SetAll()
+				refsA := append([]cind.Capture(nil), a.refs...)
+				refsB := append([]cind.Capture(nil), b.refs...)
+
+				exp := liveMap(mergeCandSets(mapSet(liveA...), mapSet(liveB...)))
+				got := mergeCandSets(a, b)
+				if !reflect.DeepEqual(liveMap(got), exp) {
+					t.Errorf("bitmap merge kept %d captures, map merge %d", got.liveLen(), len(exp))
+				}
+				if got.count != 2 || got.lineage {
+					t.Errorf("merge bookkeeping: count=%d lineage=%v", got.count, got.lineage)
+				}
+				if !slices.Equal(sibA.refs, refsA) || !slices.Equal(sibB.refs, refsB) {
+					t.Error("merge wrote to a shared universe slice")
+				}
+				if sibA.bits.Count() != len(refsA) || sibB.bits.Count() != len(refsB) {
+					t.Error("merge cleared a sibling's bits")
+				}
+			})
+		}
+	}
+}
+
+// capturePool returns n distinct captures in a seeded random order, mixing
+// projections and unary and binary conditions so that every field of
+// captureLess decides some comparison.
+func capturePool(n int) []cind.Capture {
+	rng := rand.New(rand.NewSource(29))
+	seen := map[cind.Capture]bool{}
+	var pool []cind.Capture
+	for len(pool) < n {
+		proj := rdf.Attr(rng.Intn(3))
+		a1, a2 := proj.Others()
+		c := cind.Capture{Proj: proj, Cond: cind.Unary(a1, rdf.Value(rng.Intn(100)))}
+		switch rng.Intn(3) {
+		case 1:
+			c.Cond = cind.Unary(a2, rdf.Value(rng.Intn(100)))
+		case 2:
+			c.Cond = cind.Binary(a1, rdf.Value(rng.Intn(100)), a2, rdf.Value(rng.Intn(100)))
+		}
+		if !seen[c] {
+			seen[c] = true
+			pool = append(pool, c)
+		}
+	}
+	return pool
+}
+
+// BenchmarkMergeIntoBits times the bitmap x bitmap intersection of a sparse
+// (16 live) and a dense (2 048 live) selection with a fully live set over
+// another, overlapping 4 096-capture universe: the two ends of what the
+// reduce of ext/candidates-exact meets.
+func BenchmarkMergeIntoBits(b *testing.B) {
+	pool := capturePool(6000)
+	other := bitsSet(pool[1904:], pool[1904:]...)
+	for _, live := range []int{16, 2048} {
+		b.Run(fmt.Sprintf("%dx4096", live), func(b *testing.B) {
+			proto := bitsSet(pool[:4096], pool[:live]...)
+			a := &candSet{refs: proto.refs, bits: dataflow.NewBitmap(len(proto.refs))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.bits.ClearAll()
+				a.bits.Or(proto.bits)
+				mergeIntoBits(a, other)
+			}
+		})
 	}
 }
 

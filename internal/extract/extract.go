@@ -561,7 +561,7 @@ func mergeCandSets(a, b *candSet) *candSet {
 }
 
 // mergeIntoBits intersects when at least one side is bitmap-backed: the
-// bitmap side (the smaller-cardinality one if both are) probes each live
+// bitmap side (the smaller-cardinality one if both are) tests each live
 // capture against the other representation and clears misses. Clearing bits
 // never touches the shared universe slice, so siblings of the originating
 // group are unaffected. The caller overwrites count/lineage.
@@ -571,8 +571,13 @@ func mergeIntoBits(a, b *candSet) *candSet {
 	}
 	switch {
 	case b.refs != nil:
+		// Both universes are sorted and a's live bits come in ascending
+		// order, so one cursor into b.refs only ever moves forward.
+		pos := 0
 		a.bits.ForEach(func(i int) {
-			if !b.containsRef(a.refs[i]) {
+			c := a.refs[i]
+			pos = gallopCapture(b.refs, pos, c)
+			if pos == len(b.refs) || b.refs[pos] != c || !b.bits.Get(pos) {
 				a.bits.Clear(i)
 			}
 		})
@@ -590,6 +595,31 @@ func mergeIntoBits(a, b *candSet) *candSet {
 		})
 	}
 	return a
+}
+
+// gallopCapture returns the first index i ≥ from with !captureLess(refs[i], c)
+// in a sorted universe, given that every entry before from is less than c:
+// searchCapture resumed from a previous hit. It doubles its step from `from`
+// until it overshoots c, then binary-searches the last step, so a run of
+// lookups with ascending c costs O(log gap) each and O(|refs|) at most in
+// total, however unequal the two sides are.
+func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
+	lo, step := from, 1
+	for lo+step <= len(refs) && captureLess(refs[lo+step-1], c) {
+		lo += step
+		step <<= 1
+	}
+	// refs[lo-1] < c (or lo == from) and the answer is at most lo+step-1.
+	hi := min(lo+step-1, len(refs))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if captureLess(refs[mid], c) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // sortedUniverse filters a group's captures by the referenced arity and
