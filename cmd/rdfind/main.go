@@ -7,7 +7,8 @@
 //	rdfind [-support N] [-workers N] [-ingest-workers N] [-variant rdfind|de|nf|mf]
 //	       [-input GLOBS] [-input-format auto|nt|turtle] [-partition hash|subject]
 //	       [-pred-only-conditions] [-no-columnar] [-no-optimizer] [-profile-dir DIR]
-//	       [-explain] [-lenient] [-timeout D] [-stats] [-json] [file.nt ...]
+//	       [-explain] [-lenient] [-timeout D] [-stats] [-json]
+//	       [-cpuprofile FILE] [-memprofile FILE] [file.nt ...]
 //	rdfind -query 'SELECT ...' [-query-reps N] [flags] file.nt
 //	rdfind -cluster N [-cluster-network tcp|unix] [-chaos SPEC] [flags] file.nt
 //	rdfind worker -addr ADDR -rank N [-network tcp|unix]
@@ -54,6 +55,10 @@
 // -profile-dir persists per-stage span statistics across runs so later runs
 // plan against observed behavior instead of defaults.
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of this process (a
+// -cluster coordinator's, not its workers'). CPU samples carry the label
+// phase = ingest, fcdetect, capture, extract or consolidate.
+//
 // -cluster N runs discovery as a coordinator with N worker processes: the
 // process listens on a socket, spawns N copies of itself in worker mode, and
 // supervises them with heartbeats; a worker process that dies is respawned
@@ -90,6 +95,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,7 +122,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	if len(args) > 0 && args[0] == "worker" {
 		return runWorker(args[1:], stdout, stderr)
 	}
@@ -146,9 +153,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clusterN := fs.Int("cluster", 0, "run as coordinator of N worker processes (0 = single-process); overrides -workers")
 	clusterNet := fs.String("cluster-network", "unix", "coordinator listen network: unix or tcp")
 	chaos := fs.String("chaos", "", "inject process faults, comma-separated kind:rank@seq entries (kinds kill, drop, dup, delay:DUR), e.g. 'kill:1@4'")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to `file`; samples carry a phase label (ingest, fcdetect, capture, extract, consolidate)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of this process to `file` when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "rdfind:", err)
+		return exitDiscovery
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == exitOK {
+			fmt.Fprintln(stderr, "rdfind:", err)
+			code = exitDiscovery
+		}
+	}()
 
 	inputs := fs.Args()
 	for _, in := range strings.Split(*input, ",") {
@@ -334,10 +354,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	reportSkipped(stderr, runStats)
 
-	var werr error // the first failed write of the result to stdout
+	out := newResultWriter(stdout)
 	switch {
 	case *explain:
-		opt.WriteExplain(stdout, runStats.Dataflow.Spans(), runStats.Optimizer, *workers)
+		opt.WriteExplain(out, runStats.Dataflow.Spans(), runStats.Optimizer, *workers)
 	case *jsonDump:
 		resJSON, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
@@ -353,23 +373,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitDiscovery
 		}
-		werr = writeLine(stdout, data)
+		out.Write(append(data, '\n'))
 	case *format == "json":
 		data, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitDiscovery
 		}
-		werr = writeLine(stdout, data)
+		out.Write(append(data, '\n'))
 	default:
-		out := bufio.NewWriterSize(stdout, 64<<10) // ~1 000 result lines per write
-		if _, werr = res.WriteTo(out, dict); werr == nil {
-			werr = out.Flush()
-		}
+		res.WriteTo(out, dict)
 	}
-	if werr != nil {
-		fmt.Fprintln(stderr, "rdfind: writing the result:", werr)
-		return exitDiscovery
+	if code := flushResult(out, stderr); code != exitOK {
+		return code
 	}
 
 	if *stats {
@@ -378,10 +394,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// writeLine writes data and a newline to w in one call.
-func writeLine(w io.Writer, data []byte) error {
-	_, err := w.Write(append(data, '\n'))
-	return err
+// startProfiles starts the CPU profile, if asked for, and returns the
+// function that ends it and writes the allocation profile, if asked for.
+// With both paths empty neither does anything.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var first error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			first = cpu.Close()
+		}
+		if memPath != "" {
+			mem, err := os.Create(memPath)
+			if err == nil {
+				runtime.GC() // the profile is as of the last collection
+				err = pprof.Lookup("allocs").WriteTo(mem, 0)
+				if cerr := mem.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if first == nil {
+				first = err
+			}
+		}
+		return first
+	}, nil
+}
+
+// newResultWriter buffers everything a run prints to standard output, about
+// a thousand result lines per write. A bufio.Writer keeps the first error of
+// its destination and drops what is written after it, so the writes in
+// between go unchecked and flushResult reports the failure once.
+func newResultWriter(stdout io.Writer) *bufio.Writer { return bufio.NewWriterSize(stdout, 64<<10) }
+
+// flushResult ends the output: a result that did not reach standard output in
+// full is a failed run, not exit 0 with a truncated file.
+func flushResult(out *bufio.Writer, stderr io.Writer) int {
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(stderr, "rdfind: writing the result:", err)
+		return exitDiscovery
+	}
+	return exitOK
 }
 
 // classifyInputErr maps a DiscoverSource or Resolve failure to an exit
@@ -731,6 +794,7 @@ func runQuery(ctx context.Context, ds *rdfind.Dataset, res *rdfind.Result, runSt
 	}
 	engStats := eng.Stats()
 
+	out := newResultWriter(stdout)
 	if asJSON {
 		doc := struct {
 			Vars   []string           `json:"vars"`
@@ -742,17 +806,19 @@ func runQuery(ctx context.Context, ds *rdfind.Dataset, res *rdfind.Result, runSt
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitDiscovery
 		}
-		stdout.Write(data)
-		fmt.Fprintln(stdout)
+		out.Write(append(data, '\n'))
 	} else {
 		header := make([]string, len(last.Vars))
 		for i, v := range last.Vars {
 			header[i] = "?" + v
 		}
-		fmt.Fprintln(stdout, strings.Join(header, "\t"))
+		fmt.Fprintln(out, strings.Join(header, "\t"))
 		for _, row := range last.Render(ds.Dict) {
-			fmt.Fprintln(stdout, strings.Join(row, "\t"))
+			fmt.Fprintln(out, strings.Join(row, "\t"))
 		}
+	}
+	if code := flushResult(out, stderr); code != exitOK {
+		return code
 	}
 
 	if showStats {

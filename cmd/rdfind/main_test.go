@@ -583,7 +583,8 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space
 // a failed run in every output format, reported on stderr, not exit 0 with a
 // truncated file.
 func TestStdoutWriteErrorFailsRun(t *testing.T) {
-	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}} {
+	query := []string{"-query", "SELECT ?m WHERE { ?m <http://example.org/located> ?c }"}
+	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}, {"-explain"}, query, append(query, "-json")} {
 		args := append([]string{"-support", "2", "-workers", "1"}, format...)
 		var stderr bytes.Buffer
 		code := run(append(args, "testdata/museums.nt"), failingWriter{}, &stderr)
@@ -592,6 +593,30 @@ func TestStdoutWriteErrorFailsRun(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), "no space left on device") {
 			t.Errorf("%v: stderr does not name the write error: %q", format, stderr.String())
+		}
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof files
+// next to an unchanged result, and a profile that cannot be created fails the
+// run instead of being dropped silently.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "-cpuprofile", cpu, "-memprofile", mem, "testdata/museums.nt")
+	if code != exitOK {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	goldenCompare(t, "museums_text", []byte(out))
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, _, stderr := runCLI(t, "-support", "2", flag, filepath.Join(dir, "missing", "p.pb"), "testdata/museums.nt")
+		if code != exitDiscovery || !strings.Contains(stderr, "missing") {
+			t.Errorf("%s into a missing directory: exit %d, stderr %q", flag, code, stderr)
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// Package capture implements RDFind's Capture Groups Creator (§6, Alg. 2):
-// it turns the pruned triple stream into capture groups, the compact
-// representation from which all broad CINDs can be extracted (Lemma 3,
-// Theorem 1).
+// Package capture implements RDFind's Capture Groups Creator (§6, Alg. 2): it
+// turns the pruned triple stream into capture groups, the compact form from
+// which all broad CINDs can be extracted (Lemma 3, Theorem 1).
 //
 // A capture evidence states that a value belongs to a capture's
 // interpretation. Per triple and projection attribute, Algorithm 2 emits
@@ -10,127 +9,208 @@
 // unary ones) or the evidences of the frequent unary conditions. Evidences
 // with equal values are then grouped, deduplicated, and the value dropped:
 // the remaining capture set is the capture group.
+//
+// The frequent conditions admit few captures, so these are interned once, in
+// capture order, and an evidence is value<<32 | capture id (DESIGN.md,
+// "Dense-id scan path"): sorting evidences deduplicates them, groups them by
+// value and orders each group's members.
 package capture
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"repro/internal/cind"
 	"repro/internal/dataflow"
 	"repro/internal/fcdetect"
 	"repro/internal/rdf"
 )
 
-// Group is a set of captures whose interpretations share one value. The
-// member order is arbitrary but duplicate-free. Binary members subsume their
-// unary relaxations (§6.1); the extractor expands that closure when needed.
+// Group is a set of captures whose interpretations share one value, duplicate-
+// free and in capture order (cind.CompareCaptures). Binary members subsume
+// their unary relaxations (§6.1); Close expands that closure when needed. A
+// partition's groups share one backing array: do not append to or reorder one.
 type Group struct {
 	Captures []cind.Capture
 }
 
-// evidence pairs a value with one capture containing it.
-type evidence struct {
-	Value   rdf.Value
-	Capture cind.Capture
+// evidence is value<<32 | capture id.
+type evidence uint64
+
+// table interns the captures the frequent conditions admit. A capture's id
+// is its index in captures, which is in capture order: per projection α with
+// other attributes β < γ, the captures on β ∧ γ, then on β, then on γ, each
+// run in condition-value order. binary holds the id of every frequent binary
+// condition that embeds no association rule; unaryBase[α][β] is the id of
+// the first capture (α, β = ·), to which a condition's rank on β adds.
+type table struct {
+	fc         *fcdetect.Output
+	noPredProj bool
+	captures   []cind.Capture
+	binary     map[fcdetect.BinaryKey]uint32
+	unaryBase  [3][3]uint32
 }
 
-// BuildGroups runs Algorithm 2 over the triples and groups the evidences by
-// value. The frequent-condition Bloom filters and the AR set from the
-// FCDetector are broadcast into the per-worker closures.
-func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *dataflow.Dataset[Group] {
-	// On an already-failed engine (worker fault, cancellation) schedule
-	// nothing: the caller observes the failure via Context.Err.
-	if triples.Context().Err() != nil {
-		return dataflow.Parallelize(triples.Context(), "cgc/aborted", []Group(nil))
+func newTable(fc *fcdetect.Output, noPredProj bool) (*table, error) {
+	t := &table{fc: fc, noPredProj: noPredProj, binary: map[fcdetect.BinaryKey]uint32{}}
+	embedsAR := make(map[fcdetect.BinaryKey]struct{}, len(fc.ARs))
+	for _, r := range fc.ARs {
+		embedsAR[fcdetect.PackBinary(cind.Binary(r.If.A1, r.If.V1, r.Then.A1, r.Then.V1))] = struct{}{}
 	}
-	bu := fc.UnaryBloom
-	bb := fc.BinaryBloom
-	ars := fc.ARSet()
-
-	evidences := dataflow.FlatMap(triples, "cgc/evidences",
-		func(t rdf.Triple, emit func(dataflow.Pair[evidence, struct{}])) {
-			emitEvidences(t, bu, bb, ars, opts.PredicatesOnlyInConditions,
-				func(e evidence) {
-					emit(dataflow.Pair[evidence, struct{}]{Key: e})
-				})
-		})
-
-	// Deduplicate evidences with early aggregation (the same value/capture
-	// pair arises once per matching triple), then group by value and drop it.
-	distinct := dataflow.ReduceByKey(evidences, "cgc/dedup",
-		func(a, _ struct{}) struct{} { return a })
-	byValue := dataflow.Map(distinct, "cgc/key-by-value",
-		func(p dataflow.Pair[evidence, struct{}]) dataflow.Pair[rdf.Value, cind.Capture] {
-			return dataflow.Pair[rdf.Value, cind.Capture]{Key: p.Key.Value, Val: p.Key.Capture}
-		})
-	grouped := dataflow.GroupByKey(byValue, "cgc/group")
-	groups := dataflow.Map(grouped, "cgc/strip-value",
-		func(p dataflow.Pair[rdf.Value, []cind.Capture]) Group {
-			return Group{Captures: p.Val}
-		})
-	triples.Context().Stats().Metrics().Counter("capture.groups").Add(int64(groups.Len()))
-	return groups
+	for _, proj := range rdf.Attrs {
+		if noPredProj && proj == rdf.Predicate {
+			continue
+		}
+		beta, gamma := proj.Others()
+		for _, p := range fc.Binary {
+			key := fcdetect.PackBinary(p.Key)
+			if _, ar := embedsAR[key]; p.Key.A1 != beta || p.Key.A2 != gamma || ar {
+				continue
+			}
+			t.binary[key] = uint32(len(t.captures))
+			t.captures = append(t.captures, cind.Capture{Proj: proj, Cond: p.Key})
+		}
+		for _, a := range [2]rdf.Attr{beta, gamma} {
+			t.unaryBase[proj][a] = uint32(len(t.captures))
+			for _, p := range fc.Unary {
+				if p.Key.A1 == a {
+					t.captures = append(t.captures, cind.Capture{Proj: proj, Cond: p.Key})
+				}
+			}
+		}
+	}
+	if len(t.captures) >= math.MaxUint32 {
+		return nil, fmt.Errorf("capture: %d captures exceed the 32-bit capture id space", len(t.captures))
+	}
+	return t, nil
 }
 
-// emitEvidences is the per-triple body of Algorithm 2. With noPredProj set
+// appendEvidences is the per-triple body of Algorithm 2. With noPredProj set
 // (§8.3: "predicates only in conditions"), the predicate element never
 // serves as a projection attribute.
-func emitEvidences(
-	t rdf.Triple,
-	bu, bb interface{ Test(uint64) bool },
-	ars map[[2]cind.Condition]struct{},
-	noPredProj bool,
-	emit func(evidence),
-) {
+func (t *table) appendEvidences(dst []evidence, tr rdf.Triple) []evidence {
+	var rank [3]uint32
+	var frequent [3]bool
+	for _, a := range rdf.Attrs {
+		r, ok := t.fc.UnaryRank(a, tr.Get(a))
+		rank[a], frequent[a] = uint32(r), ok
+	}
 	for _, alpha := range rdf.Attrs {
-		if noPredProj && alpha == rdf.Predicate {
+		if t.noPredProj && alpha == rdf.Predicate {
 			continue
 		}
 		beta, gamma := alpha.Others()
-		vAlpha, vBeta, vGamma := t.Get(alpha), t.Get(beta), t.Get(gamma)
-
-		condBeta := cind.Unary(beta, vBeta)
-		condGamma := cind.Unary(gamma, vGamma)
-		betaFrequent := bu.Test(condBeta.Key())
-		gammaFrequent := bu.Test(condGamma.Key())
-		switch {
-		case betaFrequent && gammaFrequent:
-			binary := cind.Binary(beta, vBeta, gamma, vGamma)
-			_, arBG := ars[[2]cind.Condition{condBeta, condGamma}]
-			_, arGB := ars[[2]cind.Condition{condGamma, condBeta}]
-			if bb.Test(binary.Key()) && !arBG && !arGB {
+		value := evidence(tr.Get(alpha)) << 32
+		if frequent[beta] && frequent[gamma] {
+			if id, ok := t.binary[fcdetect.PackBinary(cind.Binary(beta, tr.Get(beta), gamma, tr.Get(gamma)))]; ok {
 				// The binary evidence subsumes both unary ones (line 11).
-				emit(evidence{Value: vAlpha, Capture: cind.Capture{Proj: alpha, Cond: binary}})
-			} else {
-				emit(evidence{Value: vAlpha, Capture: cind.Capture{Proj: alpha, Cond: condBeta}})
-				emit(evidence{Value: vAlpha, Capture: cind.Capture{Proj: alpha, Cond: condGamma}})
+				dst = append(dst, value|evidence(id))
+				continue
 			}
-		case betaFrequent:
-			emit(evidence{Value: vAlpha, Capture: cind.Capture{Proj: alpha, Cond: condBeta}})
-		case gammaFrequent:
-			emit(evidence{Value: vAlpha, Capture: cind.Capture{Proj: alpha, Cond: condGamma}})
+		}
+		if frequent[beta] {
+			dst = append(dst, value|evidence(t.unaryBase[alpha][beta]+rank[beta]))
+		}
+		if frequent[gamma] {
+			dst = append(dst, value|evidence(t.unaryBase[alpha][gamma]+rank[gamma]))
 		}
 	}
+	return dst
+}
+
+// BuildGroups runs Algorithm 2 over the triples and groups the evidences by
+// value; all workers share the FCDetector's unary index and the capture table.
+func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *dataflow.Dataset[Group] {
+	ctx := triples.Context()
+	t, err := newTable(fc, opts.PredicatesOnlyInConditions)
+	if err != nil {
+		ctx.Fail("cgc/captures", err)
+	}
+	// On a failed engine (worker fault, cancellation) schedule nothing: the
+	// caller observes the failure via Context.Err.
+	if ctx.Err() != nil {
+		return dataflow.Parallelize(ctx, "cgc/aborted", []Group(nil))
+	}
+
+	// The same value/capture pair arises once per matching triple: sort and
+	// deduplicate within the partition before anything moves.
+	local := dataflow.MapPartitions(triples, "cgc/evidences",
+		func(_ int, ts []rdf.Triple, emit func(evidence)) {
+			evs := make([]evidence, 0, 3*len(ts))
+			for _, tr := range ts {
+				evs = t.appendEvidences(evs, tr)
+			}
+			slices.Sort(evs)
+			for _, e := range slices.Compact(evs) {
+				emit(e)
+			}
+		})
+	byValue := dataflow.PartitionBy(local, "cgc/exchange", func(e evidence) int { return int(e >> 32) })
+	groups := dataflow.MapPartitions(byValue, "cgc/cut-groups",
+		func(_ int, evs []evidence, emit func(Group)) {
+			if err := cutGroups(evs, t.captures, emit); err != nil {
+				ctx.Fail("cgc/cut-groups", err)
+			}
+		})
+	ctx.Stats().Metrics().Counter("capture.groups").Add(int64(groups.Len()))
+	return groups
+}
+
+// cutGroups turns the evidences that met in one partition into its groups:
+// sorted and deduplicated once more they are the groups laid end to end, so
+// the ids are translated into one arena (an id the table never issued can
+// only come off the wire), which is cut where the value changes. Groups are
+// emitted from the largest value down: terms are numbered by first occurrence,
+// so frequent values, whose groups are the large ones, have small ids, and
+// Algorithm 3 intersects cheaply when a candidate set meets small groups first.
+func cutGroups(in []evidence, captures []cind.Capture, emit func(Group)) error {
+	evs := slices.Clone(in)
+	slices.Sort(evs)
+	evs = slices.Compact(evs)
+	arena := make([]cind.Capture, len(evs))
+	for i, e := range evs {
+		if int(uint32(e)) >= len(captures) {
+			return fmt.Errorf("%w: capture evidence %#x", dataflow.ErrCorruptRecord, uint64(e))
+		}
+		arena[i] = captures[uint32(e)]
+	}
+	for end, i := len(evs), len(evs)-1; i >= 0; i-- {
+		if i == 0 || evs[i-1]>>32 != evs[i]>>32 {
+			emit(Group{Captures: arena[i:end:end]})
+			end = i
+		}
+	}
+	return nil
 }
 
 // Close expands a group to its implication closure: every binary member also
 // asserts membership of its two unary relaxations (with the same projection
-// attribute), because a binary capture evidence subsumes the unary ones.
-// The result is duplicate-free.
+// attribute), because a binary capture evidence subsumes the unary ones. The
+// result is again a Group; one without binary members is returned as it is.
 func Close(g Group) Group {
-	seen := make(map[cind.Capture]struct{}, len(g.Captures)*2)
-	out := make([]cind.Capture, 0, len(g.Captures)*2)
-	add := func(c cind.Capture) {
-		if _, ok := seen[c]; !ok {
-			seen[c] = struct{}{}
-			out = append(out, c)
-		}
-	}
+	binaries := 0
 	for _, c := range g.Captures {
-		add(c)
 		if c.Cond.IsBinary() {
-			for _, u := range c.Cond.UnaryParts() {
-				add(cind.Capture{Proj: c.Proj, Cond: u})
-			}
+			binaries++
 		}
 	}
-	return Group{Captures: out}
+	if binaries == 0 {
+		return g
+	}
+	out := append(make([]cind.Capture, 0, len(g.Captures)+2*binaries), g.Captures...)
+	for _, c := range g.Captures {
+		if c.Cond.IsBinary() {
+			out = append(out,
+				cind.Capture{Proj: c.Proj, Cond: cind.Unary(c.Cond.A1, c.Cond.V1)},
+				cind.Capture{Proj: c.Proj, Cond: cind.Unary(c.Cond.A2, c.Cond.V2)})
+		}
+	}
+	slices.SortFunc(out, cind.CompareCaptures)
+	return Group{Captures: slices.Compact(out)}
 }
+
+// Evidences cross processes in the cgc/exchange of a distributed run. Bytes
+// that are no evidence decode to the all-ones one, whose capture id no table
+// issues (newTable): cutGroups fails the run on it as on any unknown id.
+func init() { dataflow.RegisterUint64Record[evidence]() }

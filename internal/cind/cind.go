@@ -279,7 +279,7 @@ func (r *Result) Sort(dict *rdf.Dictionary) {
 		func(c CIND) int { return c.Support },
 		func(dst []byte, c CIND) []byte { return c.AppendFormat(dst, dict) },
 		func(a, b CIND) int {
-			return cmp.Or(compareCaptures(a.Dep, b.Dep), compareCaptures(a.Ref, b.Ref))
+			return cmp.Or(CompareCaptures(a.Dep, b.Dep), CompareCaptures(a.Ref, b.Ref))
 		})
 	sortRendered(r.ARs,
 		func(a AR) int { return a.Support },
@@ -350,8 +350,9 @@ func compareConditions(a, b Condition) int {
 		cmp.Compare(a.V1, b.V1), cmp.Compare(a.V2, b.V2))
 }
 
-// compareCaptures orders captures by projection, then condition.
-func compareCaptures(a, b Capture) int {
+// CompareCaptures orders captures by projection, then condition: the capture
+// order.
+func CompareCaptures(a, b Capture) int {
 	return cmp.Or(cmp.Compare(a.Proj, b.Proj), compareConditions(a.Cond, b.Cond))
 }
 

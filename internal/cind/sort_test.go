@@ -169,7 +169,7 @@ func TestSortTotalOrder(t *testing.T) {
 			continue
 		}
 		ties++
-		if c := compareCaptures(a.Dep, b.Dep); c > 0 || (c == 0 && compareCaptures(a.Ref, b.Ref) > 0) {
+		if c := CompareCaptures(a.Dep, b.Dep); c > 0 || (c == 0 && CompareCaptures(a.Ref, b.Ref) > 0) {
 			t.Fatalf("CINDs %d and %d render alike and are not in field order: %+v, %+v", i-1, i, a, b)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
-	"repro/internal/fixtures"
 	"repro/internal/metrics"
 )
 
@@ -155,7 +154,7 @@ func TestDifferentialColumnarFaultReplay(t *testing.T) {
 func TestSpillDifferentialColumnar(t *testing.T) {
 	t.Setenv("DATAFLOW_FUSION", "on")
 	t.Setenv("DATAFLOW_COLUMNAR", "on")
-	ds := fixtures.University()
+	ds := skewedDataset(400, 7) // large enough for every worker of three to spill
 	for _, v := range []Variant{Standard, NoFrequentConditions} {
 		for _, w := range []int{1, 3} {
 			label := fmt.Sprintf("%v w=%d", v, w)

@@ -236,6 +236,21 @@ func TestLoadLimit(t *testing.T) {
 	Discover(ds, Config{Support: 2, Workers: 2, LoadLimit: 10})
 }
 
+// TestIDSpaceErrorSurfaces: a triple whose term id the packed keys cannot
+// hold ends every variant's run with the typed error, not a panic and not a
+// result computed from colliding keys.
+func TestIDSpaceErrorSurfaces(t *testing.T) {
+	ds := fixtures.University()
+	ds.Triples = append(ds.Triples, rdf.Triple{S: 0, P: 1, O: rdf.MaxValue + 7})
+	for _, v := range []Variant{Standard, DirectExtraction, NoFrequentConditions, MinimalFirst} {
+		res, stats, err := TryDiscover(ds, Config{Support: 2, Workers: 2, Variant: v})
+		var ide *rdf.IDSpaceError
+		if !errors.As(err, &ide) || ide.ID != rdf.MaxValue+7 || res != nil || stats == nil {
+			t.Errorf("%v: res=%v err=%v, want an *rdf.IDSpaceError for id %d", v, res, err, rdf.MaxValue+7)
+		}
+	}
+}
+
 func TestVariantString(t *testing.T) {
 	names := map[Variant]string{
 		Standard: "RDFind", DirectExtraction: "RDFind-DE",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bloom"
 	"repro/internal/capture"
 	"repro/internal/cind"
 	"repro/internal/dataflow"
@@ -127,6 +126,3 @@ func depRelaxedIn(inc cind.Inclusion, set map[cind.Inclusion]struct{}) bool {
 	}
 	return false
 }
-
-// saturatedFilter returns an always-true membership filter.
-func saturatedFilter() *bloom.Filter { return bloom.Saturated() }

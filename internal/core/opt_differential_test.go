@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dataflow/opt"
 	"repro/internal/datagen"
-	"repro/internal/fixtures"
 )
 
 // The optimizer differential layer: the cost-based planner rewrites plans
@@ -209,7 +208,7 @@ func TestOptimizerWarmProfileDifferential(t *testing.T) {
 // the output is byte-identical to the optimizer-off result.
 func TestSpillDifferentialOptimizer(t *testing.T) {
 	t.Setenv("DATAFLOW_OPTIMIZER", "on")
-	ds := fixtures.University()
+	ds := skewedDataset(400, 7) // large enough for every worker of three to spill
 	for _, w := range []int{1, 3} {
 		label := fmt.Sprintf("w=%d", w)
 		base := Config{Support: 2, Workers: w}

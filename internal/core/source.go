@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime/pprof"
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
@@ -79,6 +80,8 @@ func DiscoverSource(ctx context.Context, spec source.Spec, cfg Config) (*cind.Re
 		part = source.HashPartitioner{}
 	}
 	h := newHarness(ctx, cfg)
+	defer pprof.SetGoroutineLabels(h.ctx)
+	h.phase("ingest")
 	ing := &IngestStats{Files: len(resolved.Files), Partitioner: part.Name()}
 	h.stats.Ingest = ing
 

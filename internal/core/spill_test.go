@@ -10,8 +10,8 @@ import (
 )
 
 // TestSpillDifferential: a memory budget far below the working set must not
-// change a single bit of the output. Every variant — including NF, whose
-// saturated frequent-condition filters ride through the capture codecs — is
+// change a single bit of the output. Every variant — including NF, where
+// every condition is frequent and the binary counters are at their widest — is
 // run budgeted and unbudgeted at several worker counts; results are compared
 // with DeepEqual on the sorted CIND and AR slices, i.e. byte-identical.
 func TestSpillDifferential(t *testing.T) {
@@ -41,7 +41,11 @@ func TestSpillDifferential(t *testing.T) {
 				if !reflect.DeepEqual(got.ARs, want.ARs) {
 					t.Errorf("%s: budgeted ARs diverged (%d vs %d)", label, len(got.ARs), len(want.ARs))
 				}
-				if stats.SpilledBytes == 0 || stats.SpilledRuns == 0 {
+				// The 8-triple fixture leaves a worker of several fewer keys
+				// than the smallest aggregation table holds (8 entries), so
+				// nothing is ever flushed; it had spilled only in the keyed
+				// evidence shuffles the dense-id scan path no longer has.
+				if name == "skewed" && (stats.SpilledBytes == 0 || stats.SpilledRuns == 0) {
 					t.Errorf("%s: 1-byte budget spilled nothing (%d bytes / %d runs)",
 						label, stats.SpilledBytes, stats.SpilledRuns)
 				}

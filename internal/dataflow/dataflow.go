@@ -312,6 +312,16 @@ func (c *Context) fail(err error) {
 
 func (c *Context) failed() bool { return c.Err() != nil }
 
+// Fail latches err as the job's terminal failure at the named stage, for a
+// condition only the operator's caller can detect — an input outside what
+// its record layout can hold, a decoded record that breaks its invariants —
+// since operator closures have no error return. Every later operator drains
+// to an empty dataset and Err returns a *StageError whose cause is err. It
+// may be called from a closure running inside a stage.
+func (c *Context) Fail(stage string, err error) {
+	c.fail(&StageError{Stage: stage, Worker: c.rank, Attempt: 1, Cause: err})
+}
+
 // cancelErr returns the attached context's error, if any.
 func (c *Context) cancelErr() error {
 	if c.job == nil {

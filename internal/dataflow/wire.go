@@ -34,6 +34,12 @@ type ValueCodec[T any] interface {
 	DecodeValue(src []byte) T
 }
 
+// ErrCorruptRecord is what a codec's owner reports (Context.Fail) for wire
+// bytes its decoder could not accept. The Decode methods cannot return it
+// themselves; a decoder answers such bytes with a value its consumer can
+// tell from every valid one, and the consumer fails the job.
+var ErrCorruptRecord = errors.New("dataflow: corrupt wire record")
+
 // valueCodecs maps reflect.TypeOf(T) to its registered ValueCodec[T].
 var valueCodecs sync.Map
 
@@ -92,6 +98,53 @@ func (int64ValueCodec) DecodeValue(src []byte) int64 {
 func init() {
 	RegisterValueCodec[int](intValueCodec{})
 	RegisterValueCodec[int64](int64ValueCodec{})
+}
+
+// uint64Codec carries an integer record type T, as a value and as the key of
+// a Pair[T, int] count: T in 8 big-endian bytes, whose byte order is T's
+// order, the count as a varint. Its decoders cannot fail. Bytes of another
+// length decode to the all-ones T and bytes that are no varint to a zero
+// count, so a record type keeps both out of its domain, and what consumes the
+// records fails the job with ErrCorruptRecord where it meets one.
+type uint64Codec[T ~uint64] struct{}
+
+func (uint64Codec[T]) AppendValue(dst []byte, v T) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(v))
+}
+func (uint64Codec[T]) DecodeValue(src []byte) T {
+	if len(src) != 8 {
+		return ^T(0)
+	}
+	return T(binary.BigEndian.Uint64(src))
+}
+
+type uint64CountCodec[T ~uint64] struct{ uint64Codec[T] }
+
+func (c uint64CountCodec[T]) AppendKey(dst []byte, k T) []byte {
+	return c.uint64Codec.AppendValue(dst, k)
+}
+func (c uint64CountCodec[T]) DecodeKey(src []byte) T { return c.uint64Codec.DecodeValue(src) }
+func (uint64CountCodec[T]) AppendValue(dst []byte, n int) []byte {
+	return binary.AppendVarint(dst, int64(n))
+}
+func (uint64CountCodec[T]) DecodeValue(src []byte) int {
+	n, w := binary.Varint(src)
+	if w != len(src) {
+		return 0
+	}
+	return int(n)
+}
+
+// RegisterUint64Record registers the codecs of an integer record type: T as
+// a value (PartitionBy, Collect) and Pair[T, int] as a keyed count
+// (ReduceByKey, spilled or across processes). See uint64Codec for what their
+// decoders make of malformed bytes.
+func RegisterUint64Record[T interface {
+	~uint64
+	comparable
+}]() {
+	RegisterValueCodec[T](uint64Codec[T]{})
+	RegisterPairCodec[T, int](uint64CountCodec[T]{})
 }
 
 // MissingCodecError reports a distributed operator over a record type with no

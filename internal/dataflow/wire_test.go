@@ -221,3 +221,53 @@ func TestJSONHelpers(t *testing.T) {
 		t.Error("corrupt JSON decoded without error")
 	}
 }
+
+type packedRecord uint64
+
+// TestUint64RecordCodecs: integer records round-trip as values and as count
+// keys at the extremes, key bytes order as the integers do, and bytes that
+// are no record decode to the all-ones record and the zero count their users
+// keep out of their domains.
+func TestUint64RecordCodecs(t *testing.T) {
+	RegisterUint64Record[packedRecord]()
+	vc, ok := valueCodecFor[packedRecord]()
+	pc, ok2 := pairCodecFor[packedRecord, int]()
+	if !ok || !ok2 {
+		t.Fatal("codecs not registered")
+	}
+	var prev []byte
+	for i, r := range []packedRecord{0, 1, 1 << 31, 1<<62 | 5, 1<<64 - 2} {
+		if got := vc.DecodeValue(vc.AppendValue(nil, r)); got != r {
+			t.Errorf("value %#x decodes to %#x", uint64(r), uint64(got))
+		}
+		key := pc.AppendKey(nil, r)
+		if got := pc.DecodeKey(key); got != r {
+			t.Errorf("key %#x decodes to %#x", uint64(r), uint64(got))
+		}
+		if i > 0 && string(prev) >= string(key) {
+			t.Errorf("key bytes of %#x do not sort after its predecessor's", uint64(r))
+		}
+		prev = key
+	}
+	for _, n := range []int{1, 63, 64, 1 << 40} {
+		if got := pc.DecodeValue(pc.AppendValue(nil, n)); got != n {
+			t.Errorf("count %d decodes to %d", n, got)
+		}
+	}
+	for _, src := range [][]byte{nil, {1, 2, 3}, make([]byte, 9)} {
+		if vc.DecodeValue(src) != ^packedRecord(0) || pc.DecodeKey(src) != ^packedRecord(0) {
+			t.Errorf("bytes %v decode to a record", src)
+		}
+	}
+	for _, src := range [][]byte{nil, {0x80}, {2, 2}} {
+		if n := pc.DecodeValue(src); n != 0 {
+			t.Errorf("count bytes %v decode to %d", src, n)
+		}
+	}
+	// A pair crosses the wire as one frame.
+	pv, _ := valueCodecFor[Pair[packedRecord, int]]()
+	p := Pair[packedRecord, int]{Key: 1<<62 | 9, Val: 12}
+	if got := pv.DecodeValue(pv.AppendValue(nil, p)); got != p {
+		t.Errorf("pair %v decodes to %v", p, got)
+	}
+}

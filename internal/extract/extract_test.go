@@ -2,7 +2,9 @@ package extract
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,12 +20,13 @@ func cap(proj rdf.Attr, cond cind.Condition) cind.Capture {
 	return cind.Capture{Proj: proj, Cond: cond}
 }
 
-// mkGroups wraps capture slices into a dataset of groups.
+// mkGroups wraps capture slices into a dataset of groups, each put into the
+// capture order a capture.Group is defined to have.
 func mkGroups(w int, groups ...[]cind.Capture) *dataflow.Dataset[capture.Group] {
 	ctx := dataflow.NewContext(w)
 	gs := make([]capture.Group, len(groups))
 	for i, g := range groups {
-		gs[i] = capture.Group{Captures: g}
+		gs[i] = capture.Group{Captures: slices.SortedFunc(slices.Values(g), cind.CompareCaptures)}
 	}
 	return dataflow.Parallelize(ctx, "groups", gs)
 }
@@ -314,11 +317,7 @@ func groupsFromDataset(ctx *dataflow.Context, ds *rdf.Dataset) *dataflow.Dataset
 	}
 	var gs []capture.Group
 	for _, g := range members {
-		var caps []cind.Capture
-		for c := range g {
-			caps = append(caps, c)
-		}
-		gs = append(gs, capture.Group{Captures: caps})
+		gs = append(gs, capture.Group{Captures: slices.SortedFunc(maps.Keys(g), cind.CompareCaptures)})
 	}
 	return dataflow.Parallelize(ctx, "groups", gs)
 }

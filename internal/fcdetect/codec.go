@@ -4,18 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/bloom"
 	"repro/internal/cind"
 	"repro/internal/dataflow"
+	"repro/internal/rdf"
 )
 
-// Spill codecs for the FCDetector's keyed stages, so the frequency sums
-// (fcd/unary-sum, fcd/binary-sum, stats/condition-frequencies) and the
-// frequency histogram (stats/bucket-sum) can run out of core under a memory
-// budget. Registered at package load; the engine only consults them when a
-// budget is configured.
+// Codecs of the detector's records, registered at package load: the packed
+// binary counts of fcd/binary-sum take the engine's integer-record codecs,
+// the column codec carries the fcd/unary-sum partials between processes.
 
-// conditionCountCodec spills Pair[cind.Condition, int].
+// conditionCountCodec carries Pair[cind.Condition, int], the record of the
+// reference detector and of the benchmark's engine kernels.
 type conditionCountCodec struct{}
 
 func (conditionCountCodec) AppendKey(dst []byte, k cind.Condition) []byte {
@@ -30,71 +29,45 @@ func (conditionCountCodec) DecodeValue(src []byte) int {
 	return int(v)
 }
 
-// intCountCodec spills Pair[int, int] (the frequency-histogram buckets).
-type intCountCodec struct{}
+// columnsCodec carries *columns as the uvarints of its counters. DecodeValue
+// cannot fail, so it hands bytes it cannot accept on as a value whose err is
+// set, and Detect fails the run on that.
+type columnsCodec struct{}
 
-func (intCountCodec) AppendKey(dst []byte, k int) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(int64(k)))
-}
-func (intCountCodec) DecodeKey(src []byte) int { return int(int64(binary.BigEndian.Uint64(src))) }
-func (intCountCodec) AppendValue(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-func (intCountCodec) DecodeValue(src []byte) int {
-	v, _ := binary.Varint(src)
-	return int(v)
-}
-
-// conditionBinCodec carries Pair[cind.Condition, bin] (the exploded binary
-// counters of the fcd/ar-join co-group) across spill files and the network.
-type conditionBinCodec struct{}
-
-func (conditionBinCodec) AppendKey(dst []byte, k cind.Condition) []byte {
-	return cind.AppendCondition(dst, k)
-}
-func (conditionBinCodec) DecodeKey(src []byte) cind.Condition { return cind.ConditionAt(src) }
-func (conditionBinCodec) AppendValue(dst []byte, v bin) []byte {
-	dst = cind.AppendCondition(dst, v.other)
-	return binary.AppendVarint(dst, int64(v.count))
-}
-func (conditionBinCodec) DecodeValue(src []byte) bin {
-	other := cind.ConditionAt(src)
-	count, _ := binary.Varint(src[cind.ConditionWireSize:])
-	return bin{other: other, count: int(count)}
-}
-
-// bloomCodec ships partial Bloom filters to the coordinator for the
-// fcd/*-bloom-union global reduces.
-type bloomCodec struct{}
-
-func (bloomCodec) AppendValue(dst []byte, v *bloom.Filter) []byte { return v.AppendBinary(dst) }
-func (bloomCodec) DecodeValue(src []byte) *bloom.Filter {
-	f, _, err := bloom.FromBinary(src)
-	if err != nil {
-		panic(fmt.Sprintf("fcdetect: corrupt Bloom filter on the wire: %v", err))
+func (columnsCodec) AppendValue(dst []byte, c *columns) []byte {
+	for _, n := range c.n {
+		dst = binary.AppendUvarint(dst, uint64(n))
 	}
-	return f
+	return dst
 }
 
-// arCodec ships collected association rules (fcd/ar-extract) to the driver.
-type arCodec struct{}
-
-func (arCodec) AppendValue(dst []byte, v cind.AR) []byte {
-	dst = cind.AppendCondition(dst, v.If)
-	dst = cind.AppendCondition(dst, v.Then)
-	return binary.AppendVarint(dst, int64(v.Support))
+func (columnsCodec) DecodeValue(src []byte) *columns {
+	c, err := decodeColumns(src)
+	if err != nil {
+		return &columns{err: err}
+	}
+	return c
 }
-func (arCodec) DecodeValue(src []byte) cind.AR {
-	ifc := cind.ConditionAt(src)
-	then := cind.ConditionAt(src[cind.ConditionWireSize:])
-	sup, _ := binary.Varint(src[2*cind.ConditionWireSize:])
-	return cind.AR{If: ifc, Then: then, Support: int(sup)}
+
+// decodeColumns allocates four bytes per byte of src: a counter takes at
+// least one byte, and nothing in the record declares a length.
+func decodeColumns(src []byte) (*columns, error) {
+	c := &columns{n: make([]uint32, 0, len(src))}
+	for len(src) > 0 {
+		n, w := binary.Uvarint(src)
+		if w <= 0 || n > uint64(^uint32(0)) {
+			return nil, fmt.Errorf("%w: counter columns: truncated or oversized counter", dataflow.ErrCorruptRecord)
+		}
+		c.n, src = append(c.n, uint32(n)), src[w:]
+	}
+	if len(c.n)%3 != 0 || len(c.n)/3 > int(rdf.MaxValue)+1 {
+		return nil, fmt.Errorf("%w: counter columns: %d counters", dataflow.ErrCorruptRecord, len(c.n))
+	}
+	return c, nil
 }
 
 func init() {
 	dataflow.RegisterPairCodec[cind.Condition, int](conditionCountCodec{})
-	dataflow.RegisterPairCodec[int, int](intCountCodec{})
-	dataflow.RegisterPairCodec[cind.Condition, bin](conditionBinCodec{})
-	dataflow.RegisterValueCodec[*bloom.Filter](bloomCodec{})
-	dataflow.RegisterValueCodec[cind.AR](arCodec{})
+	dataflow.RegisterUint64Record[BinaryKey]()
+	dataflow.RegisterValueCodec[*columns](columnsCodec{})
 }

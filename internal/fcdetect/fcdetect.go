@@ -1,12 +1,20 @@
 // Package fcdetect implements RDFind's Frequent Condition Detector (§5,
 // Fig. 5): the first phase of lazy pruning. It finds all unary and binary
-// conditions whose frequency reaches the support threshold, compacts them
-// into Bloom filters for constant-time probing in later stages, and derives
-// the exact association rules as a by-product of the two counting passes.
+// conditions whose frequency reaches the support threshold and derives the
+// exact association rules as a by-product of the two counting passes.
+//
+// It counts over the dictionary's dense ids (DESIGN.md, "Dense-id scan
+// path"): unary frequencies are occurrence columns over the id space, cut
+// into an exact bitmap where the paper builds a Bloom filter, and binary
+// candidates are single integers counted by sorting.
 package fcdetect
 
 import (
-	"repro/internal/bloom"
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
+
 	"repro/internal/cind"
 	"repro/internal/dataflow"
 	"repro/internal/rdf"
@@ -21,221 +29,221 @@ type Options struct {
 	// projections of hot values like rdf:type would create never arise).
 	// Condition detection itself is unaffected.
 	PredicatesOnlyInConditions bool
-	// ExactUnaryIndex replaces the unary Bloom-filter probes of the binary
-	// counting pass (Algorithm 1, steps 5–7) with an exact bitmap over the
-	// dictionary's value space: 3·ValueSpace bits, attribute-major, one per
-	// (attribute, value) unary condition. Results are identical either way —
-	// a Bloom false positive only admits binary candidates whose true count
-	// is below the support threshold (a binary condition is at most as
-	// frequent as its unary parts), so fcd/binary-threshold discards them —
-	// but the exact index probes by a single bit test instead of hashing.
-	// The index is compacted on the driver from the already-materialized
-	// unary counters, adding no dataflow stage. It is opt-in rather than the
-	// default: eliminating the (harmless) false-positive candidates shifts
-	// the intermediate record counts in the span trace, which the pipeline's
-	// golden files pin, and in distributed runs the driver-side compaction
-	// would add a gather collective to the replayed schedule.
-	ExactUnaryIndex bool
-	// ValueSpace is the dictionary size the exact index is laid out over
-	// (rdf.Dictionary.Len()); ExactUnaryIndex is ignored when it is zero.
-	ValueSpace int
 }
 
-// Output is what later pipeline stages need: the exact frequent-condition
-// counters (kept as distributed datasets), the Bloom filters that stand in
-// for them during probing, and the association rules.
+// Frequent lists frequent conditions with their exact frequencies, ordered
+// by (A1, A2, V1, V2). Every process of a run holds the whole list.
+type Frequent []dataflow.Pair[cind.Condition, int]
+
+// Len returns the number of conditions.
+func (f Frequent) Len() int { return len(f) }
+
+// Output is what later pipeline stages need: the frequent conditions with
+// their frequencies, the exact association rules with their supports (step
+// 11), and the unary index: unary[a] has bit v set iff a = v is frequent.
 type Output struct {
-	// Unary and Binary hold the frequent conditions with their exact
-	// frequencies, partitioned across workers.
-	Unary  *dataflow.Dataset[dataflow.Pair[cind.Condition, int]]
-	Binary *dataflow.Dataset[dataflow.Pair[cind.Condition, int]]
-	// UnaryBloom and BinaryBloom are the broadcastable compact indexes
-	// (steps 3–4 and 8–9 of Fig. 5). BinaryBloom is nil in predicate-only
-	// mode. Both may yield false positives, never false negatives.
-	UnaryBloom  *bloom.Filter
-	BinaryBloom *bloom.Filter
-	// ARs are the exact association rules with their supports (step 11).
-	ARs []cind.AR
+	Unary, Binary Frequent
+	ARs           []cind.AR
+	unary         [3]rankedBits
 }
 
-// HasAR reports whether the rule "a → b" was detected, for Algorithm 2's
-// line 9–10 checks. Rules are indexed by their If and Then conditions.
-type arIndex map[[2]cind.Condition]struct{}
-
-// ARSet builds a constant-time lookup over the detected rules.
-func (o *Output) ARSet() map[[2]cind.Condition]struct{} {
-	idx := make(arIndex, len(o.ARs))
-	for _, r := range o.ARs {
-		idx[[2]cind.Condition{r.If, r.Then}] = struct{}{}
+// UnaryRank reports whether a = v is frequent and, if it is, how many
+// frequent conditions on a have a smaller value — its position among them.
+func (o *Output) UnaryRank(a rdf.Attr, v rdf.Value) (int, bool) {
+	b := &o.unary[a]
+	w, bit := int(v>>6), uint64(1)<<(v&63)
+	if w >= len(b.words) || b.words[w]&bit == 0 {
+		return 0, false
 	}
-	return idx
+	return int(b.ranks[w]) + bits.OnesCount64(b.words[w]&(bit-1)), true
 }
 
-// unaryConditionsOf emits the three unary conditions of a triple (step 1 of
-// Fig. 5).
-func unaryConditionsOf(t rdf.Triple, emit func(cind.Condition)) {
-	emit(cind.Unary(rdf.Subject, t.S))
-	emit(cind.Unary(rdf.Predicate, t.P))
-	emit(cind.Unary(rdf.Object, t.O))
+// rankedBits is a bitmap over the ids with a rank directory: ranks[i] counts
+// the bits set in words[:i].
+type rankedBits struct {
+	words []uint64
+	ranks []uint32
 }
+
+// columns are the unary occurrence counters of one partition, or of the
+// whole input once summed: n[3v+a] triples have t.a == v, for every id v up
+// to the largest seen. A count fits uint32 for any input whose 12-byte
+// triples fit a process's memory. err marks the value a failed decode
+// returns (columnsCodec).
+type columns struct {
+	n   []uint32
+	err error
+}
+
+// countColumns fills the columns of one partition. It is also where the id
+// space is checked: every later key packs ids that passed here.
+func countColumns(ts []rdf.Triple) (*columns, error) {
+	top := -1
+	for _, t := range ts {
+		top = max(top, int(max(t.S, t.P, t.O)))
+	}
+	if top > int(rdf.MaxValue) {
+		return nil, &rdf.IDSpaceError{ID: rdf.Value(top)}
+	}
+	c := &columns{n: make([]uint32, 3*(top+1))}
+	for _, t := range ts {
+		c.n[3*t.S]++
+		c.n[3*t.P+1]++
+		c.n[3*t.O+2]++
+	}
+	return c, nil
+}
+
+// add sums o into c, keeping the longer of the two as accumulator.
+func (c *columns) add(o *columns) *columns {
+	if c.err != nil {
+		return c
+	}
+	if o.err != nil {
+		return o
+	}
+	if len(c.n) < len(o.n) {
+		c, o = o, c
+	}
+	for i, n := range o.n {
+		c.n[i] += n
+	}
+	return c
+}
+
+// threshold cuts the columns at h into the per-attribute bitmaps of frequent
+// values and the list of frequent unary conditions, in condition order.
+func (o *Output) threshold(c *columns, h int) {
+	words := (len(c.n)/3 + 63) / 64
+	for _, a := range rdf.Attrs {
+		b := rankedBits{words: make([]uint64, words), ranks: make([]uint32, words)}
+		for v := 0; 3*v < len(c.n); v++ {
+			if n := int(c.n[3*v+int(a)]); n > 0 && n >= h {
+				b.words[v>>6] |= 1 << (v & 63)
+				o.Unary = append(o.Unary, dataflow.Pair[cind.Condition, int]{Key: cind.Unary(a, rdf.Value(v)), Val: n})
+			}
+		}
+		var seen uint32
+		for i, w := range b.words {
+			b.ranks[i] = seen
+			seen += uint32(bits.OnesCount64(w))
+		}
+		o.unary[a] = b
+	}
+}
+
+// BinaryKey packs a binary condition into one integer whose order is the
+// condition order (A1, A2, V1, V2): the attribute pair in the top two bits —
+// 0 s∧p, 1 s∧o, 2 p∧o — then V1 and V2 in 31 bits each. Both values must not
+// exceed rdf.MaxValue; the detector checks that once, in its column pass.
+type BinaryKey uint64
+
+// PackBinary packs a binary condition.
+func PackBinary(c cind.Condition) BinaryKey {
+	return BinaryKey(uint64(c.A1+c.A2-1)<<62 | uint64(c.V1)<<31 | uint64(c.V2))
+}
+
+// Condition unpacks the key. Only pairs 0–2 denote a condition.
+func (k BinaryKey) Condition() cind.Condition {
+	pair := rdf.Attr(k >> 62)
+	return cind.Condition{
+		A1: pair / 2, A2: (pair + 3) / 2,
+		V1: rdf.Value(k >> 31 & BinaryKey(rdf.MaxValue)), V2: rdf.Value(k & BinaryKey(rdf.MaxValue)),
+	}
+}
+
+type binaryCount = dataflow.Pair[BinaryKey, int]
 
 // Detect runs the full detector over the partitioned triples. When the
-// engine has already failed (worker fault, cancellation) the detector
-// schedules nothing and returns a well-formed empty output; the caller
-// observes the failure via the dataset's Context.Err.
+// engine fails (worker fault, cancellation, an id beyond rdf.MaxValue) the
+// output is well-formed but incomplete; the caller observes the failure via
+// the dataset's Context.Err.
 func Detect(triples *dataflow.Dataset[rdf.Triple], h int, opts Options) *Output {
-	if triples.Context().Err() != nil {
-		return abortedOutput(triples.Context())
-	}
+	ctx := triples.Context()
 	out := &Output{}
+	if ctx.Err() != nil {
+		return out
+	}
 
-	// Frequent unary conditions: per-triple counters, early-aggregated and
-	// globally reduced, then thresholded (steps 1–2).
-	unaryCounters := dataflow.FlatMap(triples, "fcd/unary-counters",
-		func(t rdf.Triple, emit func(dataflow.Pair[cind.Condition, int])) {
-			unaryConditionsOf(t, func(c cind.Condition) {
-				emit(dataflow.Pair[cind.Condition, int]{Key: c, Val: 1})
-			})
+	// Frequent unary conditions (steps 1–4): one column set per partition,
+	// summed over partitions and ranks, thresholded on every process.
+	partial := dataflow.MapPartitions(triples, "fcd/unary-columns",
+		func(_ int, ts []rdf.Triple, emit func(*columns)) {
+			c, err := countColumns(ts)
+			if err != nil {
+				ctx.Fail("fcd/unary-columns", err)
+				return
+			}
+			emit(c)
 		})
-	unarySums := dataflow.ReduceByKey(unaryCounters, "fcd/unary-sum", addInts)
-	out.Unary = dataflow.Filter(unarySums, "fcd/unary-threshold",
-		func(p dataflow.Pair[cind.Condition, int]) bool { return p.Val >= h })
-
-	// Compact into a Bloom filter: per-worker partial filters, unioned by a
-	// bit-wise OR on a single worker (steps 3–4).
-	out.UnaryBloom = buildConditionBloom(out.Unary, "fcd/unary-bloom")
-
-	// Abort promptly between the two counting passes when the engine failed
-	// during the unary phase — the binary pass and the AR join would only
-	// schedule no-op stages over drained datasets.
-	if triples.Context().Err() != nil {
-		return abortedOutput(triples.Context())
-	}
-
-	// Frequent binary conditions: Algorithm 1 — candidates are generated on
-	// demand per triple by probing the unary filter, never materialized
-	// up front (steps 5–7). With ExactUnaryIndex the probe is a bitmap bit
-	// test instead of a Bloom lookup (see Options).
-	bu := out.UnaryBloom
-	probe := func(a rdf.Attr, v rdf.Value) bool { return bu.Test(cind.Unary(a, v).Key()) }
-	if opts.ExactUnaryIndex && opts.ValueSpace > 0 {
-		space := opts.ValueSpace
-		idx := dataflow.NewBitmap(3 * space)
-		for _, p := range dataflow.Collect(out.Unary) {
-			idx.Set(int(p.Key.A1)*space + int(p.Key.V1))
-		}
-		probe = func(a rdf.Attr, v rdf.Value) bool { return idx.Get(int(a)*space + int(v)) }
-	}
-	binaryCounters := dataflow.FlatMap(triples, "fcd/binary-counters",
-		func(t rdf.Triple, emit func(dataflow.Pair[cind.Condition, int])) {
-			sF := probe(rdf.Subject, t.S)
-			pF := probe(rdf.Predicate, t.P)
-			oF := probe(rdf.Object, t.O)
-			if sF && pF {
-				emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Subject, t.S, rdf.Predicate, t.P), Val: 1})
-			}
-			if sF && oF {
-				emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Subject, t.S, rdf.Object, t.O), Val: 1})
-			}
-			if pF && oF {
-				emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Predicate, t.P, rdf.Object, t.O), Val: 1})
-			}
-		})
-	binarySums := dataflow.ReduceByKey(binaryCounters, "fcd/binary-sum", addInts)
-	out.Binary = dataflow.Filter(binarySums, "fcd/binary-threshold",
-		func(p dataflow.Pair[cind.Condition, int]) bool { return p.Val >= h })
-
-	// Compact into the binary Bloom filter (steps 8–9).
-	out.BinaryBloom = buildConditionBloom(out.Binary, "fcd/binary-bloom")
-
-	// Association rules: join frequent unary and binary counters on the
-	// embedded unary condition; equal counts mean confidence 1 (step 11).
-	out.ARs = extractARs(out.Unary, out.Binary)
-
-	// Detector-level observability: the funnel sizes §8's evaluation keys on.
-	reg := triples.Context().Stats().Metrics()
-	reg.Counter("fc.frequent.unary").Add(int64(out.Unary.Len()))
-	reg.Counter("fc.frequent.binary").Add(int64(out.Binary.Len()))
-	reg.Counter("fc.ars").Add(int64(len(out.ARs)))
-	return out
-}
-
-func addInts(a, b int) int { return a + b }
-
-// bin keys a frequent binary condition by one of its embedded unary
-// conditions, remembering the complementary part and the shared frequency.
-// Package-level (rather than local to extractARs) so codec.go can register a
-// wire codec for the fcd/ar-join shuffle.
-type bin struct {
-	other cind.Condition
-	count int
-}
-
-// abortedOutput is a well-formed, empty detector output for a failed engine:
-// empty counter datasets and empty (never-matching) Bloom filters, so
-// downstream stages — which all short-circuit anyway — see no nils.
-func abortedOutput(c *dataflow.Context) *Output {
-	empty := dataflow.Parallelize(c, "fcd/aborted", []dataflow.Pair[cind.Condition, int](nil))
-	return &Output{
-		Unary:       empty,
-		Binary:      empty,
-		UnaryBloom:  bloom.New(1024, 0.001),
-		BinaryBloom: bloom.New(1024, 0.001),
-	}
-}
-
-// buildConditionBloom encodes the conditions of a counter dataset in a Bloom
-// filter, built distributedly: one partial filter per worker, unioned on the
-// driver. All partials share geometry derived from the global count so the
-// OR-union is well-defined.
-func buildConditionBloom(conds *dataflow.Dataset[dataflow.Pair[cind.Condition, int]], name string) *bloom.Filter {
-	n := conds.Len()
-	if n < 1024 {
-		n = 1024
-	}
-	partials := dataflow.MapPartitions(conds, name,
-		func(w int, items []dataflow.Pair[cind.Condition, int], emit func(*bloom.Filter)) {
-			f := bloom.New(n, 0.001)
-			for _, p := range items {
-				f.Add(p.Key.Key())
-			}
-			emit(f)
-		})
-	merged, ok := dataflow.GlobalReduce(partials, name+"-union", func(a, b *bloom.Filter) *bloom.Filter {
-		a.Union(b)
-		return a
-	})
+	cols, ok := dataflow.GlobalReduce(partial, "fcd/unary-sum", (*columns).add)
 	if !ok {
-		return bloom.New(n, 0.001)
+		return out
 	}
-	return merged
-}
+	if cols.err != nil {
+		ctx.Fail("fcd/unary-sum", cols.err)
+		return out
+	}
+	out.threshold(cols, h)
 
-// extractARs performs the distributed join of step 11: each frequent binary
-// condition is exploded along its two embedded unary conditions and
-// co-grouped with the unary counters; equal frequencies yield a rule
-// (§5.3). The rule's support is the shared frequency (Lemma 2).
-func extractARs(
-	unary, binary *dataflow.Dataset[dataflow.Pair[cind.Condition, int]],
-) []cind.AR {
-	exploded := dataflow.FlatMap(binary, "fcd/ar-explode",
-		func(p dataflow.Pair[cind.Condition, int], emit func(dataflow.Pair[cind.Condition, bin])) {
-			parts := p.Key.UnaryParts()
-			emit(dataflow.Pair[cind.Condition, bin]{Key: parts[0], Val: bin{other: parts[1], count: p.Val}})
-			emit(dataflow.Pair[cind.Condition, bin]{Key: parts[1], Val: bin{other: parts[0], count: p.Val}})
-		})
-	joined := dataflow.CoGroup(unary, exploded, "fcd/ar-join")
-	rules := dataflow.FlatMap(joined, "fcd/ar-extract",
-		func(g dataflow.CoGrouped[cind.Condition, int, bin], emit func(cind.AR)) {
-			if len(g.Left) != 1 {
-				return // unary condition not frequent (or absent)
-			}
-			n := g.Left[0]
-			for _, b := range g.Right {
-				if b.count == n {
-					emit(cind.AR{If: g.Key, Then: b.other, Support: n})
+	// Frequent binary conditions: Algorithm 1 — a triple proposes a binary
+	// candidate only where both unary parts are frequent (steps 5–7). Each
+	// partition counts its candidates by sorting the packed keys.
+	counted := dataflow.MapPartitions(triples, "fcd/binary-counters",
+		func(_ int, ts []rdf.Triple, emit func(binaryCount)) {
+			var keys []BinaryKey
+			for _, t := range ts {
+				_, s := out.UnaryRank(rdf.Subject, t.S)
+				_, p := out.UnaryRank(rdf.Predicate, t.P)
+				_, o := out.UnaryRank(rdf.Object, t.O)
+				if s && p {
+					keys = append(keys, PackBinary(cind.Binary(rdf.Subject, t.S, rdf.Predicate, t.P)))
+				}
+				if s && o {
+					keys = append(keys, PackBinary(cind.Binary(rdf.Subject, t.S, rdf.Object, t.O)))
+				}
+				if p && o {
+					keys = append(keys, PackBinary(cind.Binary(rdf.Predicate, t.P, rdf.Object, t.O)))
 				}
 			}
+			slices.Sort(keys)
+			for i := 0; i < len(keys); {
+				j := i + 1
+				for j < len(keys) && keys[j] == keys[i] {
+					j++
+				}
+				emit(binaryCount{Key: keys[i], Val: j - i})
+				i = j
+			}
 		})
-	return dataflow.Collect(rules)
+	sums := dataflow.ReduceByKey(counted, "fcd/binary-sum", func(a, b int) int { return a + b })
+	frequent := dataflow.Collect(dataflow.Filter(sums, "fcd/binary-threshold",
+		func(p binaryCount) bool { return p.Val >= h }))
+	slices.SortFunc(frequent, func(a, b binaryCount) int { return cmp.Compare(a.Key, b.Key) })
+
+	// Association rules (step 11, §5.3): a binary condition as frequent as
+	// one of its parts means that part implies the other. The rule's support
+	// is the shared frequency (Lemma 2).
+	for _, p := range frequent {
+		c := p.Key.Condition()
+		if p.Key>>62 > 2 || 3*int(max(c.V1, c.V2))+2 >= len(cols.n) {
+			ctx.Fail("fcd/binary-threshold", fmt.Errorf("%w: binary condition key %#x", dataflow.ErrCorruptRecord, uint64(p.Key)))
+			return out
+		}
+		out.Binary = append(out.Binary, dataflow.Pair[cind.Condition, int]{Key: c, Val: p.Val})
+		u1, u2 := cind.Unary(c.A1, c.V1), cind.Unary(c.A2, c.V2)
+		if int(cols.n[3*int(c.V1)+int(c.A1)]) == p.Val {
+			out.ARs = append(out.ARs, cind.AR{If: u1, Then: u2, Support: p.Val})
+		}
+		if int(cols.n[3*int(c.V2)+int(c.A2)]) == p.Val {
+			out.ARs = append(out.ARs, cind.AR{If: u2, Then: u1, Support: p.Val})
+		}
+	}
+
+	// Detector-level observability: the funnel sizes §8's evaluation keys on.
+	reg := ctx.Stats().Metrics()
+	reg.Counter("fc.frequent.unary").Add(int64(len(out.Unary)))
+	reg.Counter("fc.frequent.binary").Add(int64(len(out.Binary)))
+	reg.Counter("fc.ars").Add(int64(len(out.ARs)))
+	return out
 }

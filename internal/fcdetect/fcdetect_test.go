@@ -1,11 +1,14 @@
 package fcdetect
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
+	"repro/internal/datagen"
 	"repro/internal/fixtures"
 	"repro/internal/naive"
 	"repro/internal/rdf"
@@ -18,9 +21,9 @@ func detect(t *testing.T, ds *rdf.Dataset, h, workers int, opts Options) *Output
 	return Detect(triples, h, opts)
 }
 
-func counterMap(d *dataflow.Dataset[dataflow.Pair[cind.Condition, int]]) map[cind.Condition]int {
+func counterMap(f Frequent) map[cind.Condition]int {
 	out := make(map[cind.Condition]int)
-	for _, p := range dataflow.Collect(d) {
+	for _, p := range f {
 		out[p.Key] = p.Val
 	}
 	return out
@@ -50,13 +53,20 @@ func TestDetectMatchesOracle(t *testing.T) {
 						t.Errorf("%s h=%d w=%d: freq(%s) = %d, oracle %d", name, h, w, c.Format(ds.Dict), got[c], n)
 					}
 				}
-				// Bloom filters must cover every frequent condition.
-				for c := range want {
-					if !c.IsBinary() && !out.UnaryBloom.Test(c.Key()) {
-						t.Errorf("%s: unary Bloom misses %s", name, c.Format(ds.Dict))
+				// The unary index must know exactly the frequent conditions,
+				// each at its position among those on its attribute.
+				seen := map[rdf.Attr]int{}
+				for _, p := range out.Unary {
+					if r, ok := out.UnaryRank(p.Key.A1, p.Key.V1); !ok || r != seen[p.Key.A1] {
+						t.Errorf("%s h=%d w=%d: rank(%s) = %d, %v; want %d", name, h, w, p.Key.Format(ds.Dict), r, ok, seen[p.Key.A1])
 					}
-					if c.IsBinary() && !out.BinaryBloom.Test(c.Key()) {
-						t.Errorf("%s: binary Bloom misses %s", name, c.Format(ds.Dict))
+					seen[p.Key.A1]++
+				}
+				for v := 0; v <= ds.Dict.Len(); v++ {
+					for _, a := range rdf.Attrs {
+						if _, ok := out.UnaryRank(a, rdf.Value(v)); ok != (want[cind.Unary(a, rdf.Value(v))] > 0) {
+							t.Errorf("%s h=%d w=%d: index says %v for %s=%d", name, h, w, ok, a, v)
+						}
 					}
 				}
 				// Association rules must match the oracle exactly.
@@ -114,72 +124,122 @@ func TestPredicatesOnlyInConditionsOptionIsDetectorNeutral(t *testing.T) {
 	}
 }
 
-// TestExactUnaryIndexEquivalence: the opt-in exact unary index replaces the
-// binary pass's Bloom probes with bitmap lookups, which can only remove
-// below-threshold candidates the threshold filter would discard anyway — so
-// frequent conditions, their counts, and the association rules are identical
-// to the Bloom-probed detector's across datasets, thresholds, and workers.
-func TestExactUnaryIndexEquivalence(t *testing.T) {
-	datasets := map[string]*rdf.Dataset{
-		"table1": fixtures.University(),
-		"random": randomDataset(500, 6),
-	}
-	for name, ds := range datasets {
-		for _, h := range []int{1, 2, 3} {
-			for _, w := range []int{1, 3} {
-				bloomed := detect(t, ds, h, w, Options{})
-				exact := detect(t, ds, h, w, Options{ExactUnaryIndex: true, ValueSpace: ds.Dict.Len()})
-				label := func(what string) string {
-					return name + " h=" + string(rune('0'+h)) + " w=" + string(rune('0'+w)) + ": " + what
-				}
-				for probe, pair := range map[string][2]map[cind.Condition]int{
-					"unary":  {counterMap(bloomed.Unary), counterMap(exact.Unary)},
-					"binary": {counterMap(bloomed.Binary), counterMap(exact.Binary)},
+// TestDetectMatchesReference is the differential test of the dense-id
+// detector against the struct-keyed, Bloom-probed one it replaced
+// (reference_test.go): equal frequent conditions with equal counts and equal
+// association rules, on seeded random datasets across thresholds and workers.
+func TestDetectMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		ds := datagen.Random(seed)
+		for _, h := range []int{1, 2, 3, 5} {
+			for _, w := range []int{1, 2, 4} {
+				label := fmt.Sprintf("seed=%d h=%d w=%d", seed, h, w)
+				got := detect(t, ds, h, w, Options{})
+				want := referenceDetect(dataflow.Parallelize(dataflow.NewContext(w), "input", ds.Triples), h)
+				for what, pair := range map[string][2]map[cind.Condition]int{
+					"unary":  {counterMap(got.Unary), want.Unary},
+					"binary": {counterMap(got.Binary), want.Binary},
 				} {
-					got, want := pair[1], pair[0]
-					if len(got) != len(want) {
-						t.Errorf("%s: %d conditions, Bloom path has %d", label(probe), len(got), len(want))
+					if len(pair[0]) != len(pair[1]) {
+						t.Errorf("%s: %d frequent %s conditions, reference has %d", label, len(pair[0]), what, len(pair[1]))
 					}
-					for c, n := range want {
-						if got[c] != n {
-							t.Errorf("%s: freq(%s) = %d, Bloom path %d", label(probe), c.Format(ds.Dict), got[c], n)
+					for c, n := range pair[1] {
+						if pair[0][c] != n {
+							t.Errorf("%s: freq(%s) = %d, reference %d", label, c.Format(ds.Dict), pair[0][c], n)
 						}
 					}
 				}
-				gotARs := map[cind.AR]bool{}
-				for _, r := range exact.ARs {
-					gotARs[r] = true
+				rules := map[cind.AR]bool{}
+				for _, r := range got.ARs {
+					rules[r] = true
 				}
-				if len(gotARs) != len(bloomed.ARs) {
-					t.Errorf("%s: %d ARs, Bloom path has %d", label("ARs"), len(gotARs), len(bloomed.ARs))
+				if len(rules) != len(got.ARs) || len(rules) != len(want.ARs) {
+					t.Errorf("%s: %d rules (%d distinct), reference has %d", label, len(got.ARs), len(rules), len(want.ARs))
 				}
-				for _, r := range bloomed.ARs {
-					if !gotARs[r] {
-						t.Errorf("%s: missing AR %s", label("ARs"), r.Format(ds.Dict))
+				for _, r := range want.ARs {
+					if !rules[r] {
+						t.Errorf("%s: missing AR %s", label, r.Format(ds.Dict))
 					}
 				}
 			}
 		}
 	}
-	// ValueSpace 0 disables the index (nothing to size the bitmap by); the
-	// detector must fall back to Bloom probes rather than panic.
-	out := detect(t, fixtures.University(), 2, 2, Options{ExactUnaryIndex: true})
-	if out.Unary.Len() == 0 {
-		t.Error("ExactUnaryIndex without ValueSpace produced no output")
+}
+
+// TestFrequentListsAreInConditionOrder: downstream code relies on the order.
+func TestFrequentListsAreInConditionOrder(t *testing.T) {
+	out := detect(t, randomDataset(500, 6), 2, 3, Options{})
+	for _, f := range []Frequent{out.Unary, out.Binary} {
+		for i := 1; i < len(f); i++ {
+			if a, b := f[i-1].Key, f[i].Key; !lessCondition(a, b) {
+				t.Fatalf("conditions %d and %d out of order: %+v, %+v", i-1, i, a, b)
+			}
+		}
 	}
 }
 
-func TestARSetIndex(t *testing.T) {
-	ds := fixtures.University()
-	out := detect(t, ds, 2, 1, Options{})
-	idx := out.ARSet()
-	if len(idx) != len(out.ARs) {
-		t.Fatalf("index size %d != %d rules", len(idx), len(out.ARs))
+func lessCondition(a, b cind.Condition) bool {
+	if a.A1 != b.A1 {
+		return a.A1 < b.A1
 	}
-	for _, r := range out.ARs {
-		if _, ok := idx[[2]cind.Condition{r.If, r.Then}]; !ok {
-			t.Errorf("index misses %s", r.Format(ds.Dict))
+	if a.A2 != b.A2 {
+		return a.A2 < b.A2
+	}
+	if a.V1 != b.V1 {
+		return a.V1 < b.V1
+	}
+	return a.V2 < b.V2
+}
+
+// TestBinaryKeyRoundTrip packs and unpacks every attribute pair at the id
+// extremes and checks that key order is condition order.
+func TestBinaryKeyRoundTrip(t *testing.T) {
+	ids := []rdf.Value{0, 1, rdf.MaxValue - 1, rdf.MaxValue}
+	var conds []cind.Condition
+	for _, pair := range [][2]rdf.Attr{{rdf.Subject, rdf.Predicate}, {rdf.Subject, rdf.Object}, {rdf.Predicate, rdf.Object}} {
+		for _, v1 := range ids {
+			for _, v2 := range ids {
+				conds = append(conds, cind.Binary(pair[0], v1, pair[1], v2))
+			}
 		}
+	}
+	for i, c := range conds {
+		k := PackBinary(c)
+		if got := k.Condition(); got != c {
+			t.Errorf("round trip of %+v gives %+v", c, got)
+		}
+		if i > 0 {
+			prev := conds[i-1]
+			if pk := PackBinary(prev); !(pk < k) || !lessCondition(prev, c) {
+				t.Errorf("keys of %+v and %+v not in condition order", prev, c)
+			}
+		}
+	}
+}
+
+// TestIDSpaceGuard: a term id beyond rdf.MaxValue would collide with another
+// key once packed, so the detector must refuse the input — as a typed error
+// on the Context, without sizing a column by that id, and without a panic.
+func TestIDSpaceGuard(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		ctx := dataflow.NewContext(w)
+		triples := dataflow.Parallelize(ctx, "input", []rdf.Triple{
+			{S: 1, P: 2, O: 3}, {S: 1, P: 2, O: rdf.MaxValue + 1}, {S: 4, P: 2, O: 3},
+		})
+		out := Detect(triples, 1, Options{})
+		var ide *rdf.IDSpaceError
+		if err := ctx.Err(); !errors.As(err, &ide) || ide.ID != rdf.MaxValue+1 {
+			t.Fatalf("w=%d: Context.Err() = %v, want an *rdf.IDSpaceError for id %d", w, err, rdf.MaxValue+1)
+		}
+		if out.Unary.Len() != 0 || out.Binary.Len() != 0 || len(out.ARs) != 0 {
+			t.Errorf("w=%d: failed run returned conditions", w)
+		}
+	}
+	// The largest admissible id passes.
+	ctx := dataflow.NewContext(1)
+	out := Detect(dataflow.Parallelize(ctx, "input", []rdf.Triple{{S: 0, P: 0, O: 5}, {S: 0, P: 0, O: 6}}), 2, Options{})
+	if ctx.Err() != nil || out.Binary.Len() != 1 {
+		t.Errorf("small ids: err %v, %d binary conditions", ctx.Err(), out.Binary.Len())
 	}
 }
 
@@ -219,8 +279,8 @@ func TestDetectEmptyInput(t *testing.T) {
 	if out.Unary.Len() != 0 || out.Binary.Len() != 0 || len(out.ARs) != 0 {
 		t.Errorf("non-empty output for empty input")
 	}
-	if out.UnaryBloom == nil || !out.UnaryBloom.Empty() {
-		t.Errorf("unary Bloom not empty for empty input")
+	if _, ok := out.UnaryRank(rdf.Subject, 0); ok {
+		t.Errorf("unary index not empty for empty input")
 	}
 }
 
@@ -240,12 +300,17 @@ func randomDataset(n, card int) *rdf.Dataset {
 	return ds
 }
 
+// BenchmarkDetect runs the detector over the Freebase analogue at six times
+// the size of the benchmark's scan_heavy workload (4.8 M triples, the threshold
+// scaled alike), where one pass takes about 100 ms.
 func BenchmarkDetect(b *testing.B) {
-	ds := randomDataset(20000, 30)
+	ds := datagen.Freebase(12)
 	ctx := dataflow.NewContext(2)
 	triples := dataflow.Parallelize(ctx, "input", ds.Triples)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Detect(triples, 10, Options{})
+	b.ReportAllocs()
+	for b.Loop() {
+		if out := Detect(triples, 12000, Options{}); out.Unary.Len() == 0 {
+			b.Fatal("no frequent conditions")
+		}
 	}
 }

@@ -3,7 +3,6 @@ package fcdetect
 import (
 	"sort"
 
-	"repro/internal/cind"
 	"repro/internal/dataflow"
 	"repro/internal/rdf"
 )
@@ -16,27 +15,17 @@ type FrequencyBucket struct {
 }
 
 // ConditionFrequencyHistogram computes the number-of-conditions-by-frequency
-// distribution of Fig. 4 over all unary and binary conditions. It is two
-// chained counting jobs: condition → frequency, then frequency → count.
+// distribution of Fig. 4 over all unary and binary conditions: the detector
+// at threshold 1 returns every condition that occurs with its frequency.
 func ConditionFrequencyHistogram(triples *dataflow.Dataset[rdf.Triple]) []FrequencyBucket {
-	counters := dataflow.FlatMap(triples, "stats/condition-counters",
-		func(t rdf.Triple, emit func(dataflow.Pair[cind.Condition, int])) {
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Unary(rdf.Subject, t.S), Val: 1})
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Unary(rdf.Predicate, t.P), Val: 1})
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Unary(rdf.Object, t.O), Val: 1})
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Subject, t.S, rdf.Predicate, t.P), Val: 1})
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Subject, t.S, rdf.Object, t.O), Val: 1})
-			emit(dataflow.Pair[cind.Condition, int]{Key: cind.Binary(rdf.Predicate, t.P, rdf.Object, t.O), Val: 1})
-		})
-	freqs := dataflow.ReduceByKey(counters, "stats/condition-frequencies", addInts)
-	byFreq := dataflow.Map(freqs, "stats/bucket",
-		func(p dataflow.Pair[cind.Condition, int]) dataflow.Pair[int, int] {
-			return dataflow.Pair[int, int]{Key: p.Val, Val: 1}
-		})
-	buckets := dataflow.Collect(dataflow.ReduceByKey(byFreq, "stats/bucket-sum", addInts))
-	out := make([]FrequencyBucket, 0, len(buckets))
-	for _, b := range buckets {
-		out = append(out, FrequencyBucket{Frequency: b.Key, Count: b.Val})
+	all := Detect(triples, 1, Options{})
+	counts := map[int]int{}
+	for _, p := range append(all.Unary, all.Binary...) {
+		counts[p.Val]++
+	}
+	out := make([]FrequencyBucket, 0, len(counts))
+	for f, n := range counts {
+		out = append(out, FrequencyBucket{Frequency: f, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Frequency < out[j].Frequency })
 	return out

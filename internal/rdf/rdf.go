@@ -57,11 +57,26 @@ func (a Attr) Others() (Attr, Attr) {
 	}
 }
 
-// Value is a dictionary-encoded RDF term.
+// Value is a dictionary-encoded RDF term. Discovery accepts ids up to
+// MaxValue only: the scan path packs two of them beside a 2-bit attribute
+// pair into one uint64 key, and rejects a triple with a larger id with an
+// *IDSpaceError. Dictionary.Encode itself neither checks that limit nor the
+// wrap of its counter at 2³² terms — a dictionary that large (≥ 40 B/term)
+// does not fit the memory of a process that could run discovery on it.
 type Value uint32
 
 // NoValue marks an absent term slot.
 const NoValue Value = 0xFFFFFFFF
+
+// MaxValue is the largest term id discovery accepts (2³¹−1).
+const MaxValue Value = 1<<31 - 1
+
+// IDSpaceError reports a triple whose term id exceeds MaxValue.
+type IDSpaceError struct{ ID Value }
+
+func (e *IDSpaceError) Error() string {
+	return fmt.Sprintf("rdf: term id %d exceeds the discovery id space (max %d)", e.ID, MaxValue)
+}
 
 // Triple is a dictionary-encoded RDF statement (s, p, o).
 type Triple struct {
