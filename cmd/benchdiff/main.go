@@ -135,17 +135,6 @@ func diff(oldRec, newRec *experiments.BenchRecord, threshold, allocThreshold flo
 		}
 		checkAt(label, "", float64(oldV), float64(newV), threshold)
 	}
-	// Batch counts follow the both-sides-measured rule: zero means the record
-	// ran record-at-a-time (or predates the columnar path). Batch counts for a
-	// fixed configuration are deterministic in partition sizes, but retries and
-	// variant mixes shift them a little, so they get the wall-time threshold
-	// rather than an exact comparison.
-	checkBatches := func(label string, oldV, newV int64) {
-		if oldV == 0 || newV == 0 {
-			return // at least one record ran without columnar execution
-		}
-		checkAt(label, "", float64(oldV), float64(newV), threshold)
-	}
 	// Serving metrics follow the both-sides-measured rule (zero means a batch
 	// experiment or a record from before the serving layer). Latency quantiles
 	// regress when they GROW beyond the threshold; throughput regresses when
@@ -184,7 +173,6 @@ func diff(oldRec, newRec *experiments.BenchRecord, threshold, allocThreshold flo
 	checkAllocs("mallocs", oldRec.Mallocs, newRec.Mallocs)
 	checkSpill("spilled bytes", oldRec.SpilledBytes, newRec.SpilledBytes)
 	checkMaterialized("materialized bytes", oldRec.MaterializedBytes, newRec.MaterializedBytes)
-	checkBatches("batches", oldRec.Batches, newRec.Batches)
 	checkShuffle("shuffle bytes", oldRec.ShuffleBytes, newRec.ShuffleBytes)
 	checkThroughput("serve qps", oldRec.QPS, newRec.QPS)
 	checkLatency("serve p50", oldRec.P50MS, newRec.P50MS)
@@ -205,7 +193,6 @@ func diff(oldRec, newRec *experiments.BenchRecord, threshold, allocThreshold flo
 		checkAllocs("mallocs "+k, or.Mallocs, nr.Mallocs)
 		checkSpill("spill "+k, or.SpilledBytes, nr.SpilledBytes)
 		checkMaterialized("materialized "+k, or.MaterializedBytes, nr.MaterializedBytes)
-		checkBatches("batches "+k, or.Batches, nr.Batches)
 		checkShuffle("shuffle "+k, or.ShuffleBytes, nr.ShuffleBytes)
 	}
 	for k, queue := range newRuns {

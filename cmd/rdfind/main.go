@@ -6,8 +6,7 @@
 //
 //	rdfind [-support N] [-workers N] [-ingest-workers N] [-variant rdfind|de|nf|mf]
 //	       [-input GLOBS] [-input-format auto|nt|turtle] [-partition hash|subject]
-//	       [-pred-only-conditions] [-no-columnar] [-no-optimizer] [-profile-dir DIR]
-//	       [-explain] [-lenient] [-timeout D] [-stats] [-json]
+//	       [-pred-only-conditions] [-lenient] [-timeout D] [-stats] [-json]
 //	       [-cpuprofile FILE] [-memprofile FILE] [file.nt ...]
 //	rdfind -query 'SELECT ...' [-query-reps N] [flags] file.nt
 //	rdfind -cluster N [-cluster-network tcp|unix] [-chaos SPEC] [flags] file.nt
@@ -46,14 +45,6 @@
 // trace) go to stderr. With -json, stdout instead carries one JSON document
 // holding the result plus the run's metrics snapshot — trace spans, registry
 // counters, work accounting (see internal/core.RunSnapshot).
-//
-// The engine plans each run with a cost-based optimizer (rewrites like
-// shared-prefix materialization and pushdown through shuffles, plus per-stage
-// worker/budget policies); results are byte-identical with it on or off.
-// -no-optimizer disables it, -explain replaces the result on stdout with the
-// optimized plan — per-stage cost estimates and the rules that fired — and
-// -profile-dir persists per-stage span statistics across runs so later runs
-// plan against observed behavior instead of defaults.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of this process (a
 // -cluster coordinator's, not its workers'). CPU samples carry the label
@@ -104,7 +95,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/dataflow/opt"
 	"repro/internal/sparql"
 	"repro/internal/triplestore"
 )
@@ -144,10 +134,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	stats := fs.Bool("stats", false, "print run statistics and the operator trace to stderr")
 	lenient := fs.Bool("lenient", false, "skip malformed N-Triples lines (reported to stderr) instead of aborting")
 	timeout := fs.Duration("timeout", 0, "abort discovery after this duration (0 = no limit), exit code 4")
-	noColumnar := fs.Bool("no-columnar", false, "disable columnar batch execution of fused chains (record-at-a-time; identical results)")
-	noOptimizer := fs.Bool("no-optimizer", false, "disable the cost-based plan optimizer (no rewrites or policies; identical results)")
-	profileDir := fs.String("profile-dir", "", "directory for the optimizer's span-statistics profile: read before the run, updated after, tuning later runs")
-	explain := fs.Bool("explain", false, "print the optimized plan (stages, cost estimates, fired rules) to stdout instead of the result")
 	memBudget := fs.String("mem-budget", "", "memory budget for keyed shuffle state, e.g. 512M or 2G; overflow spills to disk (empty = unlimited, no spilling)")
 	spillDir := fs.String("spill-dir", "", "directory for spill files (empty = system temp dir; implies a 256M budget if -mem-budget is unset)")
 	clusterN := fs.Int("cluster", 0, "run as coordinator of N worker processes (0 = single-process); overrides -workers")
@@ -211,9 +197,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		case *check != "":
 			fmt.Fprintln(stderr, "rdfind: -check does not use -cluster")
 			return exitUsage
-		case *profileDir != "" || *explain:
-			fmt.Fprintln(stderr, "rdfind: -profile-dir and -explain need the plan optimizer, which is inert under -cluster")
-			return exitUsage
 		case *clusterNet != "unix" && *clusterNet != "tcp":
 			fmt.Fprintf(stderr, "rdfind: unknown -cluster-network %q\n", *clusterNet)
 			return exitUsage
@@ -222,17 +205,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "rdfind: -chaos requires -cluster")
 		return exitUsage
 	}
-	if *explain && *jsonDump {
-		fmt.Fprintln(stderr, "rdfind: -explain replaces the result on stdout and cannot combine with -json")
-		return exitUsage
-	}
 	if *query != "" {
 		switch {
 		case *check != "":
 			fmt.Fprintln(stderr, "rdfind: -query and -check are mutually exclusive")
-			return exitUsage
-		case *explain:
-			fmt.Fprintln(stderr, "rdfind: -query replaces the result on stdout and cannot combine with -explain")
 			return exitUsage
 		case *clusterN > 0:
 			fmt.Fprintln(stderr, "rdfind: -query serves from a single process and cannot combine with -cluster")
@@ -297,9 +273,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		MemoryBudget:               budget,
 		SpillDir:                   *spillDir,
 		Partitioner:                part,
-		DisableColumnar:            *noColumnar,
-		DisableOptimizer:           *noOptimizer,
-		ProfileDir:                 *profileDir,
 	}
 
 	// -query mode needs the dataset resident for the triple store, so it
@@ -332,7 +305,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			PredOnly:      *predOnly,
 			IngestWorkers: *ingestWorkers,
 			Lenient:       *lenient,
-			NoColumnar:    *noColumnar,
 		}
 		cl, code := startCluster(*clusterN, *clusterNet, *chaos, spec, stderr)
 		if code != exitOK {
@@ -356,8 +328,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	out := newResultWriter(stdout)
 	switch {
-	case *explain:
-		opt.WriteExplain(out, runStats.Dataflow.Spans(), runStats.Optimizer, *workers)
 	case *jsonDump:
 		resJSON, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
@@ -528,11 +498,6 @@ type jobSpec struct {
 	PredOnly      bool   `json:"predOnly,omitempty"`
 	IngestWorkers int    `json:"ingestWorkers"`
 	Lenient       bool   `json:"lenient,omitempty"`
-	// NoColumnar replicates the coordinator's -no-columnar setting so every
-	// rank executes fused chains in the same mode. (The candidate-set wire
-	// format is mode-independent, but replaying the same path everywhere keeps
-	// the per-rank traces comparable.)
-	NoColumnar bool `json:"noColumnar,omitempty"`
 }
 
 // startCluster opens the coordinator listener and arranges for N copies of
@@ -710,7 +675,6 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		PredicatesOnlyInConditions: spec.PredOnly,
 		WorkerConn:                 w,
 		Partitioner:                part,
-		DisableColumnar:            spec.NoColumnar,
 	})
 	if err != nil {
 		// An injected kill simulates sudden process death: exit silently so
@@ -876,27 +840,6 @@ func printStats(w io.Writer, s *core.RunStats) {
 	if s.SpilledBytes > 0 {
 		fmt.Fprintf(w, "spilled:             %d bytes in %d runs, %d merge passes\n",
 			s.SpilledBytes, s.SpilledRuns, s.MergePasses)
-	}
-	if s.Batches > 0 {
-		fmt.Fprintf(w, "column batches:      %d (%.0f%% lanes live)\n", s.Batches, s.BatchFill*100)
-	}
-	// Per-stage policies the plan optimizer chose (worker counts, budget
-	// bypasses, fusion/materialization boundaries). Absent when the optimizer
-	// is off or inert (distributed runs), so the block never perturbs the
-	// fixed-format accounting lines above that scripts grep for.
-	if rep := s.Optimizer; rep != nil && rep.Enabled {
-		model := "cold, default cost model"
-		if rep.Profiled {
-			model = "profile-tuned cost model"
-		}
-		fmt.Fprintf(w, "plan optimizer:      on (%s), %d decisions\n", model, len(rep.Decisions))
-		for _, d := range rep.Decisions {
-			if d.Detail != "" {
-				fmt.Fprintf(w, "  %-26s %s (%s)\n", d.Rule, d.Stage, d.Detail)
-			} else {
-				fmt.Fprintf(w, "  %-26s %s\n", d.Rule, d.Stage)
-			}
-		}
 	}
 	fmt.Fprintf(w, "work-balance speedup: %.2f\n", s.Dataflow.Speedup())
 	fmt.Fprintf(w, "operator trace:\n%s", s.Dataflow.SpanTree())

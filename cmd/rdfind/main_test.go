@@ -8,7 +8,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -62,15 +61,6 @@ var droppedKeys = map[string]bool{
 	"alloc_bytes":       true,
 	"mallocs_delta":     true, // per-span allocation deltas
 	"alloc_bytes_delta": true,
-	// Columnar batch accounting (per-span, run-level, and the registry
-	// counters), added after the goldens were recorded. Batch counts depend on
-	// the execution mode (zero with DATAFLOW_COLUMNAR=off), so dropping — not
-	// zeroing — keeps one golden valid across both CI legs.
-	"batches":              true,
-	"batch_fill":           true,
-	"dataflow.batches":     true,
-	"dataflow.batch.lanes": true,
-	"dataflow.batch.live":  true,
 }
 
 func normalize(v any) any {
@@ -148,176 +138,11 @@ func TestGoldenResultJSON(t *testing.T) {
 }
 
 func TestGoldenSnapshotJSON(t *testing.T) {
-	// The snapshot's spans carry fused-chain composite names and the plan
-	// optimizer's report (its rewrites move work between spans), so this
-	// golden is recorded in (default) fused+optimized mode; pin it against
-	// the CI legs that set DATAFLOW_FUSION=off or DATAFLOW_OPTIMIZER=off
-	// process-wide.
-	t.Setenv("DATAFLOW_FUSION", "on")
-	t.Setenv("DATAFLOW_OPTIMIZER", "on")
 	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
 	if code != exitOK {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	goldenCompare(t, "museums_snapshot_json", normalizeJSON(t, []byte(out)))
-}
-
-// TestGoldenFusionOff pins fusion's central promise at the CLI boundary: with
-// lazy fusion disabled the discovered results — text and JSON — are
-// byte-identical to the fused goldens. (Only the trace snapshot differs,
-// since eager execution records one span per narrow operator.)
-func TestGoldenFusionOff(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "off")
-	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-format", "json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_result_json", []byte(out))
-}
-
-// TestGoldenColumnarOff pins the columnar path's central promise at the CLI
-// boundary: with column-batch execution disabled — via the environment or the
-// -no-columnar flag — the discovered results are byte-identical to the
-// (default columnar) goldens. Unlike fusion, even the trace snapshot golden
-// holds in both modes, because the batch accounting fields are dropped by
-// normalizeJSON and everything else (span names, record counts) is identical.
-func TestGoldenColumnarOff(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "on")
-	t.Setenv("DATAFLOW_COLUMNAR", "off")
-	t.Setenv("DATAFLOW_OPTIMIZER", "on") // the snapshot golden is recorded with the optimizer on
-	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-format", "json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_result_json", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_snapshot_json", normalizeJSON(t, []byte(out)))
-}
-
-// TestNoColumnarFlag checks the -no-columnar escape hatch end to end: results
-// match the goldens and the snapshot carries no batch accounting.
-func TestNoColumnarFlag(t *testing.T) {
-	code, out, errOut := runCLI(t, "-no-columnar", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, _ = runCLI(t, "-no-columnar", "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.Contains(out, `"batches"`) {
-		t.Errorf("-no-columnar snapshot still carries batch accounting:\n%s", out)
-	}
-}
-
-// TestGoldenExplain pins the -explain rendering: the optimized plan tree with
-// the fired rules and per-stage cost estimates. Cost numbers are volatile
-// (the model's coefficients may be tuned), so the golden normalizes every
-// est_cost value; stage names, record counts, and fired rules are exact.
-func TestGoldenExplain(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "on")
-	t.Setenv("DATAFLOW_OPTIMIZER", "on")
-	code, out, errOut := runCLI(t, "-explain", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	got := costRe.ReplaceAllString(out, "est_cost=?")
-	for _, want := range []string{"plan optimizer: enabled", "rewrites and policies", "plan:"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("explain output lacks %q:\n%s", want, got)
-		}
-	}
-	goldenCompare(t, "museums_explain", []byte(got))
-}
-
-var costRe = regexp.MustCompile(`est_cost=\S+`)
-
-// TestNoOptimizerFlag checks the -no-optimizer escape hatch end to end:
-// results match the goldens byte for byte and the snapshot carries no
-// optimizer report.
-func TestNoOptimizerFlag(t *testing.T) {
-	code, out, errOut := runCLI(t, "-no-optimizer", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, _ = runCLI(t, "-no-optimizer", "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.Contains(out, `"optimizer"`) {
-		t.Errorf("-no-optimizer snapshot still carries an optimizer report:\n%s", out)
-	}
-	code, _, errOut = runCLI(t, "-no-optimizer", "-explain", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("-no-optimizer -explain exit %d", code)
-	}
-}
-
-// TestProfileDirRoundTrip runs discovery twice against one -profile-dir: the
-// first run persists its span statistics, the second plans against them —
-// and both print the same golden text output.
-func TestProfileDirRoundTrip(t *testing.T) {
-	t.Setenv("DATAFLOW_OPTIMIZER", "on")
-	dir := t.TempDir()
-	for run := 0; run < 2; run++ {
-		code, out, errOut := runCLI(t, "-profile-dir", dir, "-support", "2", "-workers", "1", "testdata/museums.nt")
-		if code != exitOK {
-			t.Fatalf("run %d exit %d: %s", run, code, errOut)
-		}
-		goldenCompare(t, "museums_text", []byte(out))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "profile.json")); err != nil {
-		t.Fatalf("profile not persisted: %v", err)
-	}
-	// The second run planned warm: -explain against the same dir says so.
-	code, out, _ := runCLI(t, "-profile-dir", dir, "-explain", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("explain exit %d", code)
-	}
-	if !strings.Contains(out, "profile-tuned cost model") {
-		t.Errorf("warm explain does not report a tuned model:\n%s", out)
-	}
-}
-
-// TestStatsOptimizerPolicies pins the -stats policy block: per-stage
-// decisions the planner made, rendered to stderr — and its absence when the
-// optimizer is off.
-func TestStatsOptimizerPolicies(t *testing.T) {
-	t.Setenv("DATAFLOW_OPTIMIZER", "on")
-	code, _, errOut := runCLI(t, "-support", "2", "-workers", "1", "-stats", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	if !strings.Contains(errOut, "plan optimizer:      on (cold, default cost model)") {
-		t.Errorf("stats output lacks the optimizer line:\n%s", errOut)
-	}
-	// Single-worker runs always choose the serial-stage policy somewhere, so
-	// at least one per-stage decision line renders.
-	if !strings.Contains(errOut, "serial-stage") {
-		t.Errorf("stats output lacks per-stage policy lines:\n%s", errOut)
-	}
-	code, _, errOut = runCLI(t, "-no-optimizer", "-support", "2", "-workers", "1", "-stats", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.Contains(errOut, "plan optimizer:") {
-		t.Errorf("-no-optimizer stats still render optimizer lines:\n%s", errOut)
-	}
 }
 
 // TestSnapshotJSONReconciles re-checks the accounting invariant end to end,
@@ -537,14 +362,9 @@ func TestExitCodes(t *testing.T) {
 	if code, _, _ := runCLI(t, "testdata/absent.nt"); code != exitParse {
 		t.Errorf("missing input exit %d, want %d", code, exitParse)
 	}
-	if code, _, _ := runCLI(t, "-explain", "-json", "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-explain -json exit %d, want %d", code, exitUsage)
-	}
-	if code, _, _ := runCLI(t, "-cluster", "2", "-explain", "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-cluster -explain exit %d, want %d", code, exitUsage)
-	}
-	if code, _, _ := runCLI(t, "-cluster", "2", "-profile-dir", "x", "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-cluster -profile-dir exit %d, want %d", code, exitUsage)
+	// The execution-mode flags went with the modes: unknown like any other.
+	if code, _, _ := runCLI(t, "-explain", "testdata/museums.nt"); code != exitUsage {
+		t.Errorf("removed flag -explain exit %d, want %d", code, exitUsage)
 	}
 	if code, _, _ := runCLI(t, "-input-format", "nope", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("bad input format exit %d, want %d", code, exitUsage)
@@ -561,9 +381,6 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-query", "SELECT ?s WHERE { ?s ?p ?o }", "-query-reps", "0", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("-query-reps 0 exit %d, want %d", code, exitUsage)
-	}
-	if code, _, _ := runCLI(t, "-query", "SELECT ?s WHERE { ?s ?p ?o }", "-explain", "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-query -explain exit %d, want %d", code, exitUsage)
 	}
 	if code, _, _ := runCLI(t, "-query", "SELECT ?s WHERE { ?s ?p ?o }", "-check", "x", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("-query -check exit %d, want %d", code, exitUsage)
@@ -584,7 +401,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space
 // truncated file.
 func TestStdoutWriteErrorFailsRun(t *testing.T) {
 	query := []string{"-query", "SELECT ?m WHERE { ?m <http://example.org/located> ?c }"}
-	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}, {"-explain"}, query, append(query, "-json")} {
+	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}, query, append(query, "-json")} {
 		args := append([]string{"-support", "2", "-workers", "1"}, format...)
 		var stderr bytes.Buffer
 		code := run(append(args, "testdata/museums.nt"), failingWriter{}, &stderr)

@@ -344,16 +344,28 @@ func sortRendered[T any](xs []T, support func(T) int, render func([]byte, T) []b
 	}
 }
 
-// compareConditions orders conditions by A1, A2, V1, V2.
+// compareConditions orders conditions by A1, A2, V1, V2. It stops at the
+// first field that differs (cmp.Or would evaluate all four first): the
+// extractor's candidate-set merges call it once per probe.
 func compareConditions(a, b Condition) int {
-	return cmp.Or(cmp.Compare(a.A1, b.A1), cmp.Compare(a.A2, b.A2),
-		cmp.Compare(a.V1, b.V1), cmp.Compare(a.V2, b.V2))
+	switch {
+	case a.A1 != b.A1:
+		return cmp.Compare(a.A1, b.A1)
+	case a.A2 != b.A2:
+		return cmp.Compare(a.A2, b.A2)
+	case a.V1 != b.V1:
+		return cmp.Compare(a.V1, b.V1)
+	}
+	return cmp.Compare(a.V2, b.V2)
 }
 
 // CompareCaptures orders captures by projection, then condition: the capture
 // order.
 func CompareCaptures(a, b Capture) int {
-	return cmp.Or(cmp.Compare(a.Proj, b.Proj), compareConditions(a.Cond, b.Cond))
+	if a.Proj != b.Proj {
+		return cmp.Compare(a.Proj, b.Proj)
+	}
+	return compareConditions(a.Cond, b.Cond)
 }
 
 // WriteTo renders the whole result to w, one statement per line — the rules

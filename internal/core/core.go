@@ -15,7 +15,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/cind"
 	"repro/internal/dataflow"
-	"repro/internal/dataflow/opt"
 	"repro/internal/extract"
 	"repro/internal/fcdetect"
 	"repro/internal/metrics"
@@ -107,19 +106,6 @@ type Config struct {
 	// robustness testing; nil injects nothing. An empty plan traces stage
 	// executions without injecting.
 	FaultPlan *dataflow.FaultPlan
-	// DisableFusion switches the dataflow engine back to eager
-	// one-stage-per-operator execution (dataflow.WithFusion(false)) instead
-	// of the default lazy narrow-operator fusion. Results are byte-identical
-	// either way — the differential suites pin that — so this exists for
-	// those suites and for debugging per-operator spans.
-	DisableFusion bool
-	// DisableColumnar switches the dataflow engine's fused narrow chains back
-	// to record-at-a-time execution (dataflow.WithColumnar(false)) instead of
-	// the default column-batch path, and with it the bitmap-backed candidate
-	// sets that ride on it (extract.Config.BitmapSets). Results are
-	// byte-identical either way — the differential suites pin that — so this
-	// exists for those suites and for debugging.
-	DisableColumnar bool
 	// Cluster makes this run the coordinator of a multi-process job: stages
 	// execute on the cluster's worker processes and this driver consumes the
 	// collective results. Overrides Workers with the cluster's worker count
@@ -135,24 +121,6 @@ type Config struct {
 	// in [0, 1]), decorrelating retry storms when several workers fail
 	// together. 0 keeps the deterministic exponential backoff.
 	RetryJitter float64
-	// DisableOptimizer switches off the cost-based plan optimizer
-	// (dataflow.WithOptimizer(false)): no shared-prefix materialization, no
-	// shuffle pushdown, and global worker/budget policies instead of
-	// per-stage ones. Results are byte-identical either way — the optimizer
-	// differential suites pin that — so this exists for those suites, for
-	// benchmark baselines, and for debugging.
-	DisableOptimizer bool
-	// ProfileDir persists the optimizer's per-stage observations across
-	// processes: the run loads profile.json from this directory (cold start
-	// when absent), and saves the updated observations back after the run.
-	// Empty disables persistence. Ignored when the optimizer is disabled and
-	// cleared for distributed runs, where the optimizer is inert.
-	ProfileDir string
-	// Profile shares optimizer observations in memory across runs in the
-	// same process (a benchmark sweep warming its own cost model). When set
-	// it wins over ProfileDir; nil without ProfileDir means each run starts
-	// cold.
-	Profile *opt.Profile
 	// Partitioner places triples onto worker partitions as streamed ingest
 	// blocks arrive (DiscoverSource only; in-memory Discover keeps
 	// Parallelize's contiguous split). Nil selects source.HashPartitioner.
@@ -189,11 +157,6 @@ func (c Config) normalized() Config {
 		c.Workers = c.WorkerConn.Workers()
 		c.MemoryBudget, c.SpillDir = 0, ""
 	}
-	// The optimizer is inert in distributed mode (the engine never creates a
-	// planner for replicated drivers), so profile plumbing is dropped too.
-	if c.Cluster != nil || c.WorkerConn != nil {
-		c.Profile, c.ProfileDir = nil, ""
-	}
 	return c
 }
 
@@ -228,16 +191,8 @@ type RunStats struct {
 	SpilledRuns  int64
 	MergePasses  int64
 	// MaterializedBytes estimates the bytes buffered into partition slices by
-	// narrow-operator stages (fused or eager), summed over all stages. Fusion
-	// shrinks it by eliding the intermediate partitions between chained
-	// narrow operators.
+	// fused narrow-operator stages, summed over all stages.
 	MaterializedBytes int64
-	// Batches counts the column batches the engine's columnar execution
-	// delivered to fused-chain sinks across all stages; BatchFill is the
-	// fraction of their lanes still selected when they arrived (1.0 = no
-	// Filter cleared anything). Both zero with Config.DisableColumnar.
-	Batches   int64
-	BatchFill float64
 	// StageRetries is the total number of worker re-executions after
 	// transient faults, summed over all stages (see dataflow.Stats.Retries).
 	StageRetries int
@@ -255,11 +210,6 @@ type RunStats struct {
 	// benchmark harness gate on allocation counts next to wall time.
 	Mallocs    uint64
 	AllocBytes uint64
-	// Optimizer reports the plan optimizer's run: whether it was enabled and
-	// profile-fed, its (possibly tuned) cost model, and every rewrite rule
-	// and per-stage policy it chose. Nil when the optimizer is disabled or
-	// the run is distributed.
-	Optimizer *opt.Report
 	// Ingest reports the streaming-source ingest of a DiscoverSource run;
 	// nil on in-memory (Discover/TryDiscover/DiscoverContext) runs.
 	Ingest *IngestStats
@@ -328,17 +278,15 @@ func DiscoverContext(ctx context.Context, ds *rdf.Dataset, cfg Config) (*cind.Re
 }
 
 // harness is the shared run scaffolding of DiscoverContext and
-// DiscoverSource: the configured dataflow context, run statistics with their
-// collection closures, and the optimizer profile feedback loop. It exists so
-// the two ingest roots — a resident Dataset parallelized in memory, and a
-// streamed Source placed partition-by-partition — drive one and the same
-// pipeline body.
+// DiscoverSource: the configured dataflow context and run statistics with
+// their collection closures. It exists so the two ingest roots — a resident
+// Dataset parallelized in memory, and a streamed Source placed
+// partition-by-partition — drive one and the same pipeline body.
 type harness struct {
 	ctx      context.Context
 	cfg      Config
 	dfctx    *dataflow.Context
 	stats    *RunStats
-	prof     *opt.Profile
 	start    time.Time
 	memStart runtime.MemStats
 }
@@ -359,26 +307,6 @@ func newHarness(ctx context.Context, cfg Config) *harness {
 		dataflow.WithFaultPlan(cfg.FaultPlan),
 		dataflow.WithMemoryBudget(cfg.MemoryBudget),
 		dataflow.WithSpillDir(cfg.SpillDir),
-	}
-	if cfg.DisableFusion {
-		dfOpts = append(dfOpts, dataflow.WithFusion(false))
-	}
-	if cfg.DisableColumnar {
-		dfOpts = append(dfOpts, dataflow.WithColumnar(false))
-	}
-	if cfg.DisableOptimizer {
-		dfOpts = append(dfOpts, dataflow.WithOptimizer(false))
-	}
-	// Profile feedback loop: a live handle wins; otherwise a profile directory
-	// is loaded (empty on first run, started fresh over a corrupt file) and
-	// saved back after the run. Errors are deliberately non-fatal — a broken
-	// profile must never break discovery, only un-tune it.
-	h.prof = cfg.Profile
-	if h.prof == nil && cfg.ProfileDir != "" && !cfg.DisableOptimizer {
-		h.prof, _ = opt.LoadProfile(cfg.ProfileDir)
-	}
-	if h.prof != nil {
-		dfOpts = append(dfOpts, dataflow.WithProfile(h.prof))
 	}
 	if cfg.RetryJitter > 0 {
 		dfOpts = append(dfOpts, dataflow.WithRetryJitter(cfg.RetryJitter))
@@ -417,10 +345,6 @@ func (h *harness) recordSpill() {
 	h.stats.SpilledRuns = counters["dataflow.spill.runs"]
 	h.stats.MergePasses = counters["dataflow.spill.merge_passes"]
 	h.stats.MaterializedBytes = counters["dataflow.materialized.bytes"]
-	h.stats.Batches = counters["dataflow.batches"]
-	if lanes := counters["dataflow.batch.lanes"]; lanes > 0 {
-		h.stats.BatchFill = float64(counters["dataflow.batch.live"]) / float64(lanes)
-	}
 	h.stats.WorkerLosses = counters[metrics.ClusterLosses]
 	h.stats.WorkerRespawns = counters[metrics.ClusterRespawns]
 	h.stats.Reconnects = counters[metrics.ClusterReconnects]
@@ -432,7 +356,6 @@ func (h *harness) finish(err error) (*cind.Result, *RunStats, error) {
 	h.stats.Duration = time.Since(h.start)
 	h.recordAllocs()
 	h.recordSpill()
-	h.stats.Optimizer = h.dfctx.OptimizerReport()
 	return nil, h.stats, err
 }
 
@@ -480,7 +403,6 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 		LoadLimit:          cfg.LoadLimit,
 		DegradeOnLoadLimit: true,
 		SpillOnLoadLimit:   cfg.MemoryBudget > 0,
-		BitmapSets:         dfctx.Columnar(),
 	}
 	var pertinent []cind.CIND
 	if cfg.Variant == MinimalFirst {
@@ -518,14 +440,5 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 	stats.Duration = time.Since(h.start)
 	h.recordAllocs()
 	h.recordSpill()
-	stats.Optimizer = dfctx.OptimizerReport()
-	// Feed the run's spans back into the profile (successful runs only:
-	// partial traces would skew the averages) and persist it if asked to.
-	if h.prof != nil && dfctx.Optimizer() {
-		h.prof.Observe(dfctx.Stats().Spans())
-		if cfg.ProfileDir != "" {
-			_ = h.prof.Save(cfg.ProfileDir)
-		}
-	}
 	return res, stats, nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/dataflow/opt"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // RunSnapshot is the machine-readable form of a run's statistics: the scalar
 // counters of RunStats plus the engine's trace spans and metric registry,
@@ -31,12 +28,8 @@ type RunSnapshot struct {
 	SpilledRuns  int64 `json:"spilled_runs,omitempty"`
 	MergePasses  int64 `json:"merge_passes,omitempty"`
 	// MaterializedBytes estimates the bytes buffered into partition slices by
-	// narrow-operator stages (RunStats.MaterializedBytes); fusion lowers it.
+	// fused narrow-operator stages (RunStats.MaterializedBytes).
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches/BatchFill account the columnar batch path across all fused
-	// chains (RunStats.Batches/BatchFill); zero on record-at-a-time runs.
-	Batches   int64   `json:"batches,omitempty"`
-	BatchFill float64 `json:"batch_fill,omitempty"`
 	// Cluster fault accounting (RunStats.WorkerLosses/WorkerRespawns/
 	// Reconnects); all zero in a single-process run.
 	WorkerLosses   int64 `json:"worker_losses,omitempty"`
@@ -47,11 +40,6 @@ type RunSnapshot struct {
 	// counters existed, so readers treat zero as "not measured".
 	Mallocs    uint64 `json:"mallocs,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
-
-	// Optimizer is the plan optimizer's run report (RunStats.Optimizer):
-	// enabled/profiled flags, the cost model used, and every rewrite rule and
-	// per-stage policy chosen. Absent when the optimizer was off.
-	Optimizer *opt.Report `json:"optimizer,omitempty"`
 
 	Spans   []metrics.Span           `json:"spans,omitempty"`
 	Metrics metrics.RegistrySnapshot `json:"metrics,omitzero"`
@@ -78,14 +66,11 @@ func (s *RunStats) Snapshot() *RunSnapshot {
 		SpilledRuns:       s.SpilledRuns,
 		MergePasses:       s.MergePasses,
 		MaterializedBytes: s.MaterializedBytes,
-		Batches:           s.Batches,
-		BatchFill:         s.BatchFill,
 		WorkerLosses:      s.WorkerLosses,
 		WorkerRespawns:    s.WorkerRespawns,
 		Reconnects:        s.Reconnects,
 		Mallocs:           s.Mallocs,
 		AllocBytes:        s.AllocBytes,
-		Optimizer:         s.Optimizer,
 		Speedup:           1,
 	}
 	if s.Dataflow != nil {

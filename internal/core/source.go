@@ -142,9 +142,8 @@ func ingestLocal(h *harness, resolved *source.Resolved, part source.Partitioner,
 		ing.LocalTriples += int64(len(p))
 	}
 	ing.SkippedLines = int64(len(ing.Skipped))
-	// The root span keeps the in-memory path's name so trace snapshots,
-	// optimizer profiles, and bench baselines stay comparable across ingest
-	// modes.
+	// The root span keeps the in-memory path's name so trace snapshots and
+	// bench baselines stay comparable across ingest modes.
 	return dataflow.FromPartitions(h.dfctx, "input", parts, nil), dict, nil
 }
 

@@ -102,8 +102,7 @@ func BenchmarkFilter(b *testing.B) {
 }
 
 // benchChain applies ops narrow operators to d and forces the result: a
-// Filter dropping nothing followed by alternating Maps, so fused and unfused
-// execution see identical record flow.
+// Filter dropping nothing followed by alternating Maps.
 func benchChain(d *Dataset[int], ops int) *Dataset[int] {
 	out := Filter(d, "keep", func(v int) bool { return v >= 0 })
 	for i := 1; i < ops; i++ {
@@ -113,36 +112,23 @@ func benchChain(d *Dataset[int], ops int) *Dataset[int] {
 	return out.Materialize()
 }
 
-// BenchmarkNarrowChain measures 2-, 4-, and 6-operator narrow chains across
-// the three execution modes. Fused chains stream each record through every
-// operator into a single output buffer; the columnar path additionally moves
-// 1024-lane column batches through batch kernels instead of per-record
-// closure calls; unfused chains materialize a full intermediate partition set
-// per operator, so allocs/op and ns/op grow with chain length.
+// BenchmarkNarrowChain measures 2-, 4-, and 6-operator narrow chains: each
+// streams every record through all of its operators into a single output
+// buffer, so ns/op grows with chain length and allocs/op does not.
 func BenchmarkNarrowChain(b *testing.B) {
 	data := make([]int, 100000)
 	for i := range data {
 		data[i] = i
 	}
-	modes := []struct {
-		name            string
-		fused, columnar bool
-	}{
-		{"fused-columnar", true, true},
-		{"fused-record", true, false},
-		{"unfused", false, false},
-	}
 	for _, ops := range []int{2, 4, 6} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("ops=%d/%s", ops, mode.name), func(b *testing.B) {
-				c := NewContext(4, WithFusion(mode.fused), WithColumnar(mode.columnar))
-				d := Parallelize(c, "in", data).Materialize()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchChain(d, ops)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			c := NewContext(4)
+			d := Parallelize(c, "in", data).Materialize()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchChain(d, ops)
+			}
+		})
 	}
 }

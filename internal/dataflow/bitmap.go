@@ -2,16 +2,15 @@ package dataflow
 
 import "math/bits"
 
-// Bitmap is a fixed-length selection bitmap over the lanes of a columnar
-// batch (batch.go): bit i set means lane i is live. It is the word-packed
-// representation Dremel-style engines use instead of filtered copies — a
-// Filter clears bits rather than compacting the column.
+// Bitmap is a fixed-length selection bitmap over an ordered universe: bit i
+// set means element i is selected. It is the word-packed representation
+// Dremel-style engines use instead of filtered copies; internal/extract keeps
+// its exact candidate sets in it.
 //
 // The representation invariant is that bits at positions ≥ Len() in the last
 // word are always zero. Every mutating operation preserves it (SetAll masks
 // the tail word), so Count and ForEach never have to special-case the tail.
-// The zero Bitmap has no words and length zero; batch.go uses it to mean
-// "all lanes live" without allocating.
+// The zero Bitmap has no words and length zero.
 type Bitmap struct {
 	words []uint64
 	n     int
@@ -110,15 +109,4 @@ func (b Bitmap) ForEach(f func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// resized returns a bitmap of n bits reusing b's word storage when it is
-// large enough, for per-worker scratch reuse across batches. The returned
-// bitmap's bits are undefined; callers must SetAll or ClearAll first.
-func (b Bitmap) resized(n int) Bitmap {
-	words := (n + 63) / 64
-	if cap(b.words) < words {
-		return NewBitmap(n)
-	}
-	return Bitmap{words: b.words[:words], n: n}
 }

@@ -122,30 +122,6 @@ func TestBitmapRangePanics(t *testing.T) {
 	}
 }
 
-func TestBitmapResizedReusesStorage(t *testing.T) {
-	b := NewBitmap(128)
-	r := b.resized(70)
-	if r.Len() != 70 {
-		t.Fatalf("resized len = %d", r.Len())
-	}
-	if &r.words[0] != &b.words[0] {
-		t.Error("resized within capacity did not reuse storage")
-	}
-	// Bits are undefined after resized; SetAll must establish the invariant.
-	r.SetAll()
-	if got := r.Count(); got != 70 {
-		t.Errorf("resized+SetAll Count = %d, want 70", got)
-	}
-	grown := r.resized(1024)
-	if grown.Len() != 1024 {
-		t.Fatalf("grown len = %d", grown.Len())
-	}
-	grown.ClearAll()
-	if got := grown.Count(); got != 0 {
-		t.Errorf("grown+ClearAll Count = %d, want 0", got)
-	}
-}
-
 // FuzzBitmapOps replays an arbitrary byte string as an operation sequence
 // over a Bitmap and a second operand bitmap, mirrored against map-based
 // oracles, and requires set/clear/set-all/clear-all/and/or/iterate to agree

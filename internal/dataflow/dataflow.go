@@ -12,11 +12,10 @@
 // combiner-style pre-aggregation before data crosses partitions, mirroring
 // the "early aggregation" the paper uses to cut network traffic (§5.2, §6.1).
 //
-// Narrow operators are lazy by default: they build a logical plan on the
-// Dataset, and a chain of them executes as one fused stage when a wide
-// operator or a sink forces materialization — the engine-level analogue of
-// Flink's chained operators. See plan.go for the plan layer and
-// WithFusion(false) for the eager escape hatch.
+// Narrow operators are lazy: they build a logical plan on the Dataset, and a
+// chain of them executes as one fused stage when a wide operator or a sink
+// forces materialization — the engine-level analogue of Flink's chained
+// operators. See plan.go for the plan layer.
 //
 // The engine is fault-tolerant in the way Flink's task recovery made RDFind
 // fault-tolerant (see fault.go): worker panics become StageErrors, stages
@@ -40,12 +39,9 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"os"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/dataflow/opt"
 )
 
 // Context carries the worker count, the hash seed that fixes the
@@ -69,11 +65,6 @@ type Context struct {
 	faults      *FaultPlan      // nil: no injection, no tracing
 	memBudget   int64           // bytes of keyed-operator state before spilling; 0: in-memory only
 	spillDir    string          // directory for spill files; "": the OS temp dir
-	fuse        bool            // lazy narrow-operator fusion (plan.go); false: eager per-op stages
-	columnar    bool            // batch-at-a-time fused-chain execution (batch.go); false: record path
-	optim       bool            // cost-based plan optimizer (opt package); false: structural defaults only
-	prof        *opt.Profile    // cross-run observations feeding the optimizer; nil: cold
-	planner     *opt.Planner    // per-job decision maker; nil when disabled or distributed
 
 	jitter  float64                  // retry-backoff jitter fraction in [0, 1]
 	sleepFn func(time.Duration) bool // inter-attempt wait; overridable for timing-free tests
@@ -143,76 +134,6 @@ func WithSpillDir(dir string) Option {
 	return func(c *Context) { c.spillDir = dir }
 }
 
-// WithFusion toggles lazy narrow-operator fusion (see plan.go). It is on by
-// default; disabling it restores the old eager one-stage-per-operator
-// execution, which the differential suites compare fused runs against. The
-// DATAFLOW_FUSION environment variable ("off"/"0"/"false" disables,
-// "on"/"1"/"true" enables) sets the process-wide default; an explicit
-// WithFusion always wins over the environment.
-func WithFusion(enabled bool) Option {
-	return func(c *Context) { c.fuse = enabled }
-}
-
-// fusionDefault reads the DATAFLOW_FUSION environment toggle.
-func fusionDefault() bool {
-	switch os.Getenv("DATAFLOW_FUSION") {
-	case "off", "0", "false":
-		return false
-	default:
-		return true
-	}
-}
-
-// WithColumnar toggles columnar batch-at-a-time execution of fused chains
-// (see batch.go). It is on by default and only takes effect while fusion is
-// on — the record path and the batch path produce byte-identical partitions,
-// which the batch-vs-record differential suites pin. The DATAFLOW_COLUMNAR
-// environment variable ("off"/"0"/"false" disables, "on"/"1"/"true" enables)
-// sets the process-wide default; an explicit WithColumnar always wins.
-func WithColumnar(enabled bool) Option {
-	return func(c *Context) { c.columnar = enabled }
-}
-
-// columnarDefault reads the DATAFLOW_COLUMNAR environment toggle.
-func columnarDefault() bool {
-	switch os.Getenv("DATAFLOW_COLUMNAR") {
-	case "off", "0", "false":
-		return false
-	default:
-		return true
-	}
-}
-
-// WithOptimizer toggles the cost-based plan optimizer (see the opt package).
-// It is on by default; disabling it restores the pre-optimizer structural
-// defaults (no shared-prefix materialization, no pushdown, global policies),
-// which the optimizer differential suites compare against — results are
-// byte-identical either way. The DATAFLOW_OPTIMIZER environment variable
-// ("off"/"0"/"false" disables, "on"/"1"/"true" enables) sets the
-// process-wide default; an explicit WithOptimizer always wins.
-func WithOptimizer(enabled bool) Option {
-	return func(c *Context) { c.optim = enabled }
-}
-
-// optimizerDefault reads the DATAFLOW_OPTIMIZER environment toggle.
-func optimizerDefault() bool {
-	switch os.Getenv("DATAFLOW_OPTIMIZER") {
-	case "off", "0", "false":
-		return false
-	default:
-		return true
-	}
-}
-
-// WithProfile attaches cross-run span observations (loaded from a profile
-// directory or shared in memory across a sweep) for the optimizer's
-// self-tuned cost model and history-driven rules. The same handle can be
-// passed to consecutive jobs; observations recorded after each run
-// accumulate there. Ignored while the optimizer is disabled.
-func WithProfile(p *opt.Profile) Option {
-	return func(c *Context) { c.prof = p }
-}
-
 // NewContext returns a context with the given number of logical workers.
 // Worker counts below 1 are clamped to 1. Without options the context is not
 // cancellable, does not retry (one attempt per stage), and injects no faults.
@@ -227,9 +148,6 @@ func NewContext(workers int, opts ...Option) *Context {
 		epoch:       time.Now(),
 		maxAttempts: 1,
 		backoff:     time.Millisecond,
-		fuse:        fusionDefault(),
-		columnar:    columnarDefault(),
-		optim:       optimizerDefault(),
 		rank:        -1,
 	}
 	c.sleepFn = c.sleep
@@ -238,14 +156,6 @@ func NewContext(workers int, opts ...Option) *Context {
 	}
 	if c.maxAttempts < 1 {
 		c.maxAttempts = 1
-	}
-	// The planner exists only for single-process jobs: in distributed mode
-	// the driver is replicated across ranks, and profile- or consumer-count-
-	// driven decisions made from rank-local state could diverge between the
-	// replicas, desynchronizing the collective barrier sequence. Structural
-	// execution there stays on the (deterministic) global defaults.
-	if c.optim && c.cluster == nil && c.worker == nil {
-		c.planner = opt.NewPlanner(c.workers, c.prof)
 	}
 	return c
 }
@@ -256,25 +166,9 @@ func (c *Context) Workers() int { return c.workers }
 // MemoryBudget returns the configured spill budget in bytes (0: unbudgeted).
 func (c *Context) MemoryBudget() int64 { return c.memBudget }
 
-// Columnar reports whether fused chains execute batch-at-a-time (the
-// resolved value of WithColumnar and the DATAFLOW_COLUMNAR default). Domain
-// layers use it to select companion columnar data structures — the bitmap
-// candidate sets of internal/extract — alongside the engine's batch kernels.
-func (c *Context) Columnar() bool { return c.columnar }
-
-// Optimizer reports whether the cost-based plan optimizer is active for this
-// context (enabled and not suppressed by distributed mode).
-func (c *Context) Optimizer() bool { return c.planner != nil }
-
-// OptimizerReport returns the optimizer's decisions so far (rewrite rules
-// fired and per-stage policies chosen), or nil when the optimizer is
-// inactive.
-func (c *Context) OptimizerReport() *opt.Report {
-	if c.planner == nil {
-		return nil
-	}
-	return c.planner.Report()
-}
+// Columnar always reports true. Compile-only shim: benchmark/layers.go:120 is
+// its sole reader, and the next [benchmark] PR removes it.
+func (c *Context) Columnar() bool { return true }
 
 // Stats returns the accumulated work accounting.
 func (c *Context) Stats() *Stats { return c.stats }
@@ -351,22 +245,15 @@ func (c *Context) sleep(d time.Duration) bool {
 }
 
 // Dataset is a horizontally partitioned collection: one slice of records per
-// logical worker. Under fusion (the default) a Dataset may be lazy — a
-// pending narrow-operator chain instead of materialized partitions (see
-// plan.go); every consumer that needs the records (wide operators, Collect,
-// GlobalReduce, Len, Partitions, String) forces it exactly once. Like the
+// logical worker. A Dataset may be lazy — a pending narrow-operator chain
+// instead of materialized partitions (see plan.go); every consumer that needs
+// the records (wide operators, Collect, GlobalReduce, Len, Partitions,
+// String) forces it exactly once. Like the
 // Context it belongs to, a Dataset is driven by a single job goroutine.
 type Dataset[T any] struct {
 	ctx   *Context
 	parts [][]T
 	plan  *chain[T] // pending narrow-operator chain; nil once materialized
-	// shuffle is a pending repartitioning (shuffleplan.go), the optimizer's
-	// pushdown site: while it is pending, Maps and Filters may move onto its
-	// scatter side. At most one of plan and shuffle is set; forcing clears
-	// both. consumers counts how many lazy consumers have taken plan, the
-	// shared-prefix rule's input.
-	shuffle   *shufflePlan[T]
-	consumers int
 	// distinct is an upper bound on the number of distinct shuffle keys in
 	// the dataset when one is known (0 = unknown). Operators that aggregate
 	// by key (ReduceByKey, GroupByKey, Distinct) set it on their outputs and
@@ -464,17 +351,11 @@ func (c *Context) runStage(name string, f func(worker int) error) bool {
 			return false
 		}
 		var failures []workerFailure
-		if c.planner != nil && c.planner.SerialStage(name, len(pending)) {
-			// Worker-count policy: the stage's profiled work is smaller than
-			// goroutine fan-out overhead, so its pending workers run
-			// sequentially on the driver goroutine. Fault injection still
-			// counts per (stage, worker) visit and failures still collect per
-			// worker, so retry semantics and determinism are unchanged —
-			// only the scheduling differs.
-			for _, w := range pending {
-				if err := c.runWorker(name, w, f); err != nil {
-					failures = append(failures, workerFailure{worker: w, err: err})
-				}
+		if len(pending) == 1 {
+			// A single pending worker runs inline on the driver goroutine:
+			// there is nothing to overlap with, so the fan-out buys nothing.
+			if err := c.runWorker(name, pending[0], f); err != nil {
+				failures = append(failures, workerFailure{worker: pending[0], err: err})
 			}
 		} else {
 			var (
@@ -595,115 +476,36 @@ func Parallelize[T any](c *Context, name string, items []T) *Dataset[T] {
 	return &Dataset[T]{ctx: c, parts: parts}
 }
 
-// Map applies f to every record, preserving partitioning. Under fusion it is
-// lazy: the map is appended to the dataset's pending chain and runs when a
-// consumer forces materialization.
+// Map applies f to every record, preserving partitioning. It is lazy: the
+// map is appended to the dataset's pending chain and runs when a consumer
+// forces materialization.
 func Map[T, U any](d *Dataset[T], name string, f func(T) U) *Dataset[U] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		if s := d.shuffle; s != nil && c.planner != nil &&
-			c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindMap, Name: name}) {
-			return &Dataset[U]{ctx: c, shuffle: shuffleMap(s, name, f)}
-		}
-		return &Dataset[U]{ctx: c, plan: chainMap(chainOf(d), name, f)}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		in := d.parts[w]
-		res := out[w] // a retried worker reuses its previous attempt's buffer
-		if cap(res) < len(in) {
-			res = make([]U, len(in))
-		} else {
-			res = res[:len(in)]
-		}
-		for i, t := range in {
-			res[i] = f(t)
-		}
-		out[w] = res
-		counts[w] = int64(len(in))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	return &Dataset[U]{ctx: c, plan: chainMap(chainOf(d), name, f)}
 }
 
-// FlatMap applies f to every record; f may emit any number of outputs.
-// Under fusion it is lazy, like Map.
+// FlatMap applies f to every record; f may emit any number of outputs. It is
+// lazy, like Map.
 func FlatMap[T, U any](d *Dataset[T], name string, f func(T, func(U))) *Dataset[U] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		return &Dataset[U]{ctx: c, plan: chainFlatMap(chainOf(d), name, f)}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		emit := func(u U) { res = append(res, u) }
-		for _, t := range d.parts[w] {
-			f(t, emit)
-		}
-		out[w] = res
-		counts[w] = int64(len(d.parts[w]))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	return &Dataset[U]{ctx: c, plan: chainFlatMap(chainOf(d), name, f)}
 }
 
-// Filter keeps the records satisfying pred, preserving partitioning. It runs
-// directly per partition (no FlatMap emit-closure indirection) and, as a
-// record-subset operator, propagates the input's distinct-key bound — even
-// across a pending chain. Under fusion it is lazy, like Map.
+// Filter keeps the records satisfying pred, preserving partitioning. As a
+// record-subset operator it propagates the input's distinct-key bound — even
+// across a pending chain. It is lazy, like Map.
 func Filter[T any](d *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[T](c)
-		}
-		if s := d.shuffle; s != nil && c.planner != nil &&
-			c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindFilter, Name: name}) {
-			return &Dataset[T]{ctx: c, shuffle: shuffleFilter(s, name, pred), distinct: d.distinct}
-		}
-		return &Dataset[T]{ctx: c, plan: chainFilter(chainOf(d), name, pred), distinct: d.distinct}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]T, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		in := d.parts[w]
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		for _, t := range in {
-			if pred(t) {
-				res = append(res, t)
-			}
-		}
-		out[w] = res
-		counts[w] = int64(len(in))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[T](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[T]{ctx: c, parts: out, distinct: d.distinct}
+	return &Dataset[T]{ctx: c, plan: chainFilter(chainOf(d), name, pred), distinct: d.distinct}
 }
 
 // MapPartitions applies f once per partition with the worker index, for
@@ -714,27 +516,10 @@ func Filter[T any](d *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
 func MapPartitions[T, U any](d *Dataset[T], name string, f func(worker int, items []T, emit func(U))) *Dataset[U] {
 	c := d.ctx
 	d.force()
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		return &Dataset[U]{ctx: c, plan: chainMapPartitions(d.parts, name, f)}
-	}
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		f(w, d.parts[w], func(u U) { res = append(res, u) })
-		out[w] = res
-		counts[w] = int64(len(d.parts[w]))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	return &Dataset[U]{ctx: c, plan: chainMapPartitions(d.parts, name, f)}
 }
 
 // Pair is a keyed record, the currency of shuffles.
@@ -757,21 +542,6 @@ func mapSizeHint(n int, distinct int64) int {
 		return unknownKeyCap
 	}
 	return n
-}
-
-// mapSizeHintOpt is mapSizeHint with a profile-driven expected key count
-// (the optimizer's map-presize policy): where no semantic distinct-key bound
-// exists, the profile's observed output size replaces the speculative cap —
-// one allocation instead of log(n/cap) rehashes on stages the history knows.
-// A semantic bound still wins, and expected never sizes beyond n.
-func mapSizeHintOpt(n int, distinct, expected int64) int {
-	if distinct <= 0 && expected > 0 {
-		if expected < int64(n) {
-			return int(expected)
-		}
-		return n
-	}
-	return mapSizeHint(n, distinct)
 }
 
 // shuffleParts redistributes records to the partition chosen by target (which
@@ -878,60 +648,39 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, combi
 	// memory per rank.
 	if c.memBudget > 0 && !c.distributed() {
 		if codec, ok := pairCodecFor[K, V](); ok {
-			// Memory-budget policy: a stage whose profiled state sits far
-			// under the budget (and never spilled) keeps the in-memory path;
-			// cold or borderline stages honor the global budget as before.
-			if c.planner == nil || !c.planner.BypassSpill(name, c.memBudget) {
-				return reduceByKeySpill(d, name, combine, codec)
-			}
+			return reduceByKeySpill(d, name, combine, codec)
 		}
-	}
-	// Profile-driven key-count hint for aggregation-map pre-sizing, consulted
-	// only where no semantic distinct-key bound exists.
-	var keyHint int64
-	if c.planner != nil && d.distinct <= 0 {
-		keyHint = c.planner.KeySizeHint(name)
 	}
 	sp := c.begin(name)
-	counts := make([]int64, c.workers)
-	for w, p := range d.parts {
-		counts[w] = int64(len(p))
-	}
-	// Combiner selection: when the profile shows the partition-local combine
-	// pass barely pre-aggregates, the shuffle takes the raw records instead of
-	// paying a per-worker map build for nothing. combine is associative and
-	// commutative, so the final reduce produces the same values either way.
-	pre := d.parts
-	if c.planner == nil || !c.planner.SkipCombiner(name) {
-		// Combiner pass: partition-local aggregation.
-		pre = make([][]Pair[K, V], c.workers)
-		if !c.runStage(name+"/combine", func(w int) error {
-			in := d.parts[w]
-			agg := make(map[K]V, mapSizeHintOpt(len(in), d.distinct, keyHint))
-			for _, kv := range in {
-				if cur, ok := agg[kv.Key]; ok {
-					agg[kv.Key] = combine(cur, kv.Val)
-				} else {
-					agg[kv.Key] = kv.Val
-				}
-			}
-			local := pre[w] // a retried worker reuses its previous attempt's buffer
-			if cap(local) < len(agg) {
-				local = make([]Pair[K, V], 0, len(agg))
+	counts := partLens(d.parts)
+	// Combiner pass: partition-local aggregation.
+	pre := make([][]Pair[K, V], c.workers)
+	if !c.runStage(name+"/combine", func(w int) error {
+		in := d.parts[w]
+		agg := make(map[K]V, mapSizeHint(len(in), d.distinct))
+		for _, kv := range in {
+			if cur, ok := agg[kv.Key]; ok {
+				agg[kv.Key] = combine(cur, kv.Val)
 			} else {
-				local = local[:0]
+				agg[kv.Key] = kv.Val
 			}
-			for k, v := range agg {
-				local = append(local, Pair[K, V]{k, v})
-			}
-			pre[w] = local
-			return nil
-		}) {
-			return empty[Pair[K, V]](c)
 		}
-		sp.combinerIn = sumCounts(counts)
-		sp.combinerOut = totalLen(pre)
+		local := pre[w] // a retried worker reuses its previous attempt's buffer
+		if cap(local) < len(agg) {
+			local = make([]Pair[K, V], 0, len(agg))
+		} else {
+			local = local[:0]
+		}
+		for k, v := range agg {
+			local = append(local, Pair[K, V]{k, v})
+		}
+		pre[w] = local
+		return nil
+	}) {
+		return empty[Pair[K, V]](c)
 	}
+	sp.combinerIn = sumCounts(counts)
+	sp.combinerOut = totalLen(pre)
 	shuffled, bytes, ok := shuffleByKey(&Dataset[Pair[K, V]]{ctx: c, parts: pre, distinct: d.distinct}, name)
 	if !ok {
 		return empty[Pair[K, V]](c)
@@ -939,17 +688,13 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, combi
 	sp.shuffleBytes = bytes
 	// Final reduce at the target partitions. Post-combine, every shuffled
 	// record carries a distinct (partition, key) pair, so the partition length
-	// itself is a tight key bound (with the combiner elided it is still an
-	// upper bound, and the profile hint tightens it).
+	// itself is a tight key bound.
 	out := make([][]Pair[K, V], c.workers)
 	if !c.runStage(name+"/reduce", func(w int) error {
 		in := shuffled[w]
 		bound := int64(len(in))
 		if d.distinct > 0 && d.distinct < bound {
 			bound = d.distinct
-		}
-		if keyHint > 0 && keyHint < bound {
-			bound = keyHint
 		}
 		agg := make(map[K]V, bound)
 		for _, kv := range in {
@@ -985,20 +730,11 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string) *Datas
 	d.force()
 	if c.memBudget > 0 && !c.distributed() {
 		if codec, ok := pairCodecFor[K, V](); ok {
-			if c.planner == nil || !c.planner.BypassSpill(name, c.memBudget) {
-				return groupByKeySpill(d, name, codec)
-			}
+			return groupByKeySpill(d, name, codec)
 		}
 	}
-	var keyHint int64
-	if c.planner != nil && d.distinct <= 0 {
-		keyHint = c.planner.KeySizeHint(name)
-	}
 	sp := c.begin(name)
-	counts := make([]int64, c.workers)
-	for w, p := range d.parts {
-		counts[w] = int64(len(p))
-	}
+	counts := partLens(d.parts)
 	shuffled, bytes, ok := shuffleByKey(d, name)
 	if !ok {
 		return empty[Pair[K, []V]](c)
@@ -1007,7 +743,7 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string) *Datas
 	out := make([][]Pair[K, []V], c.workers)
 	if !c.runStage(name+"/group", func(w int) error {
 		in := shuffled[w]
-		agg := make(map[K][]V, mapSizeHintOpt(len(in), d.distinct, keyHint))
+		agg := make(map[K][]V, mapSizeHint(len(in), d.distinct))
 		for _, kv := range in {
 			agg[kv.Key] = append(agg[kv.Key], kv.Val)
 		}
@@ -1208,17 +944,8 @@ func PartitionBy[T any](d *Dataset[T], name string, part func(T) int) *Dataset[T
 		}
 		return p
 	}
-	if c.planner != nil && c.fuse && !c.distributed() && !c.failed() {
-		// Optimizer path: leave the shuffle pending so Maps and Filters can
-		// push onto its scatter side (shuffleplan.go). Routing stays on the
-		// pre-image, so placement — and the final bytes — are identical.
-		return &Dataset[T]{ctx: c, shuffle: shuffleRoot(name, d.parts, wrap), distinct: d.distinct}
-	}
 	sp := c.begin(name)
-	counts := make([]int64, c.workers)
-	for w, p := range d.parts {
-		counts[w] = int64(len(p))
-	}
+	counts := partLens(d.parts)
 	var (
 		out   [][]T
 		bytes int64
@@ -1281,10 +1008,7 @@ func GlobalReduce[T any](d *Dataset[T], name string, f func(T, T) T) (T, bool) {
 		return zero, false
 	}
 	sp := c.begin(name)
-	counts := make([]int64, c.workers)
-	for w, p := range d.parts {
-		counts[w] = int64(len(p))
-	}
+	counts := partLens(d.parts)
 	partials := make([]T, c.workers)
 	have := make([]bool, c.workers)
 	if !c.runStage(name+"/partial", func(w int) error {

@@ -1,6 +1,6 @@
 package dataflow
 
-import "repro/internal/dataflow/opt"
+import "strings"
 
 // This file is the engine's lazy logical-plan layer. Narrow operators — Map,
 // FlatMap, Filter, and the output side of MapPartitions — do not execute when
@@ -25,73 +25,34 @@ import "repro/internal/dataflow/opt"
 // Fault tolerance keeps the retained-input contract at chain granularity: the
 // fused stage's inputs are the chain's materialized root partitions, so a
 // retried worker replays the whole chain from them (and resets its per-op
-// tallies), exactly as an eager stage replays from its retained input.
-// WithFusion(false) — or DATAFLOW_FUSION=off in the environment — restores
-// the old eager one-stage-per-operator execution for differential testing.
+// tallies).
 
 // chain is a pending narrow-operator chain. T is the type the chain emits;
 // the materialized root partitions it reads are captured inside feed.
 // srcLens holds the root's per-worker partition lengths (the fused stage's
 // input accounting), ops the chained operator names in application order, and
 // feed streams worker w's root partition through every chained function,
-// incrementing tally[i] for each record entering the i-th operator. bfeed is
-// the columnar twin of feed (batch.go): the same chain as batch-at-a-time
-// column kernels, producing identical output records and identical tallies.
-// Every constructor builds both; force picks one per Context.columnar.
+// incrementing tally[i] for each record entering the i-th operator.
 type chain[T any] struct {
 	srcLens []int64
 	ops     []string
-	kinds   []opt.Kind // operator kinds parallel to ops, for lifting into the optimizer IR
 	feed    func(w int, tally []int64, emit func(T))
-	bfeed   batchFeed[T]
-}
-
-// lift raises the pending chain into the optimizer's logical-plan IR.
-func (p *chain[T]) lift() opt.Chain {
-	ops := make([]opt.Op, len(p.ops))
-	for i, name := range p.ops {
-		ops[i] = opt.Op{Kind: p.kinds[i], Name: name}
-	}
-	return opt.Chain{Ops: ops}
 }
 
 // chainOf returns d's pending chain, or a fresh zero-op chain rooted at its
-// materialized partitions. With the optimizer active it is also the
-// shared-prefix decision point: each lazy consumer of a pending chain passes
-// through here, and when the planner decides the chain is shared — a second
-// in-run consumer, or a warm profile remembering one from the last run — the
-// chain materializes now, so this consumer (and every later one) reads the
-// computed partitions instead of replaying the prefix. This generalizes the
-// hand-placed Materialize calls domain code used to carry.
+// materialized partitions.
 func chainOf[T any](d *Dataset[T]) *chain[T] {
-	if d.shuffle != nil {
-		d.forceShuffle()
-	}
 	if d.plan != nil {
-		c := d.ctx
-		if c.planner == nil {
-			return d.plan
-		}
-		d.consumers++
-		if !c.planner.MaterializeShared(d.plan.lift(), d.consumers) {
-			return d.plan
-		}
-		d.consumers = 0 // the rule already noted the sharing; force must not re-count
-		d.force()
+		return d.plan
 	}
 	parts := d.parts
-	lens := make([]int64, len(parts))
-	for w, p := range parts {
-		lens[w] = int64(len(p))
-	}
 	return &chain[T]{
-		srcLens: lens,
+		srcLens: partLens(parts),
 		feed: func(w int, _ []int64, emit func(T)) {
 			for _, t := range parts[w] {
 				emit(t)
 			}
 		},
-		bfeed: rootBatchFeed(parts),
 	}
 }
 
@@ -103,13 +64,6 @@ func extendOps(ops []string, name string) []string {
 	return append(out, name)
 }
 
-// extendKinds is extendOps for the parallel kind slice.
-func extendKinds(kinds []opt.Kind, k opt.Kind) []opt.Kind {
-	out := make([]opt.Kind, 0, len(kinds)+1)
-	out = append(out, kinds...)
-	return append(out, k)
-}
-
 // chainMap appends a Map to the chain.
 func chainMap[T, U any](p *chain[T], name string, f func(T) U) *chain[U] {
 	idx := len(p.ops)
@@ -117,14 +71,12 @@ func chainMap[T, U any](p *chain[T], name string, f func(T) U) *chain[U] {
 	return &chain[U]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
-		kinds:   extendKinds(p.kinds, opt.KindMap),
 		feed: func(w int, tally []int64, emit func(U)) {
 			prev(w, tally, func(t T) {
 				tally[idx]++
 				emit(f(t))
 			})
 		},
-		bfeed: batchMap(p.bfeed, idx, f),
 	}
 }
 
@@ -135,14 +87,12 @@ func chainFlatMap[T, U any](p *chain[T], name string, f func(T, func(U))) *chain
 	return &chain[U]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
-		kinds:   extendKinds(p.kinds, opt.KindFlatMap),
 		feed: func(w int, tally []int64, emit func(U)) {
 			prev(w, tally, func(t T) {
 				tally[idx]++
 				f(t, emit)
 			})
 		},
-		bfeed: batchFlatMap(p.bfeed, idx, f),
 	}
 }
 
@@ -153,7 +103,6 @@ func chainFilter[T any](p *chain[T], name string, pred func(T) bool) *chain[T] {
 	return &chain[T]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
-		kinds:   extendKinds(p.kinds, opt.KindFilter),
 		feed: func(w int, tally []int64, emit func(T)) {
 			prev(w, tally, func(t T) {
 				tally[idx]++
@@ -162,7 +111,6 @@ func chainFilter[T any](p *chain[T], name string, pred func(T) bool) *chain[T] {
 				}
 			})
 		},
-		bfeed: batchFilter(p.bfeed, idx, pred),
 	}
 }
 
@@ -171,19 +119,13 @@ func chainFilter[T any](p *chain[T], name string, pred func(T) bool) *chain[T] {
 // partition slice, so it cannot consume a lazy upstream (the caller forces
 // first) — but its output streams, so downstream narrow ops fuse onto it.
 func chainMapPartitions[T, U any](parts [][]T, name string, f func(worker int, items []T, emit func(U))) *chain[U] {
-	lens := make([]int64, len(parts))
-	for w, p := range parts {
-		lens[w] = int64(len(p))
-	}
 	return &chain[U]{
-		srcLens: lens,
+		srcLens: partLens(parts),
 		ops:     []string{name},
-		kinds:   []opt.Kind{opt.KindMapPartitions},
 		feed: func(w int, tally []int64, emit func(U)) {
 			tally[0] += int64(len(parts[w]))
 			f(w, parts[w], emit)
 		},
-		bfeed: batchMapPartitions(parts, f),
 	}
 }
 
@@ -192,36 +134,57 @@ func chainMapPartitions[T, U any](parts [][]T, name string, f func(worker int, i
 // are unchanged wherever nothing actually fused. Longer chains factor the
 // ops' longest common '/'-terminated prefix and join the remaining segments
 // with '+': ["ext/prune-groups" "ext/drop-empty"] → "ext/prune-groups+drop-empty".
-// The naming lives in the opt package (a chain signature doubles as the
-// optimizer's profile key); this delegation keeps the two aligned by
-// construction.
-func fusedName(ops []string) string { return opt.FusedName(ops) }
+func fusedName(ops []string) string {
+	if len(ops) == 0 {
+		return ""
+	}
+	if len(ops) == 1 {
+		return ops[0]
+	}
+	prefix := commonSlashPrefix(ops)
+	var b strings.Builder
+	b.WriteString(prefix)
+	for i, op := range ops {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(op[len(prefix):])
+	}
+	return b.String()
+}
 
 // commonSlashPrefix returns the longest '/'-terminated prefix shared by all
 // names ("" when the first segments already differ).
-func commonSlashPrefix(ops []string) string { return opt.CommonSlashPrefix(ops) }
+func commonSlashPrefix(ops []string) string {
+	prefix := ops[0]
+	i := strings.LastIndexByte(prefix, '/')
+	if i < 0 {
+		return ""
+	}
+	prefix = prefix[:i+1]
+	for _, op := range ops[1:] {
+		for !strings.HasPrefix(op, prefix) {
+			j := strings.LastIndexByte(strings.TrimSuffix(prefix, "/"), '/')
+			if j < 0 {
+				return ""
+			}
+			prefix = prefix[:j+1]
+		}
+	}
+	return prefix
+}
 
 // force materializes any pending chain as one fused stage and memoizes the
 // result: d.parts receives the chain's output and the plan is cleared, so
 // repeated forces (Len, Partitions, String, several wide consumers) reuse the
 // materialized partitions without re-running anything.
 func (d *Dataset[T]) force() {
-	if d.shuffle != nil {
-		d.forceShuffle()
-		return
-	}
 	p := d.plan
 	if p == nil {
 		return
 	}
 	d.plan = nil
 	c := d.ctx
-	if c.planner != nil && d.consumers >= 1 {
-		// The chain was already replayed by d.consumers lazy consumers and is
-		// now forced on top: feed the total back into the profile so next run
-		// the shared-prefix rule materializes it at its first consumer.
-		c.planner.ObserveShared(p.lift(), d.consumers+1)
-	}
 	if c.failed() {
 		d.parts = make([][]T, c.workers)
 		return
@@ -230,14 +193,6 @@ func (d *Dataset[T]) force() {
 	sp := c.begin(name)
 	out := make([][]T, c.workers)
 	tallies := make([][]int64, c.workers)
-	// Per-worker batch accounting for the columnar path: batches emitted into
-	// the sink, total lanes they carried, and lanes still live (selected).
-	var batches, lanes, live []int64
-	if c.columnar {
-		batches = make([]int64, c.workers)
-		lanes = make([]int64, c.workers)
-		live = make([]int64, c.workers)
-	}
 	if !c.runStage(name, func(w int) error {
 		tally := tallies[w]
 		if tally == nil {
@@ -254,24 +209,7 @@ func (d *Dataset[T]) force() {
 		} else {
 			res = res[:0]
 		}
-		if c.columnar {
-			batches[w], lanes[w], live[w] = 0, 0, 0 // retried workers restart cleanly
-			p.bfeed(w, tally, func(b colBatch[T]) {
-				batches[w]++
-				lanes[w] += int64(len(b.vals))
-				if b.dense() {
-					live[w] += int64(len(b.vals))
-					res = append(res, b.vals...)
-				} else {
-					b.sel.ForEach(func(i int) {
-						live[w]++
-						res = append(res, b.vals[i])
-					})
-				}
-			})
-		} else {
-			p.feed(w, tally, func(t T) { res = append(res, t) })
-		}
+		p.feed(w, tally, func(t T) { res = append(res, t) })
 		out[w] = res
 		return nil
 	}) {
@@ -280,11 +218,6 @@ func (d *Dataset[T]) force() {
 	}
 	if len(p.ops) > 1 {
 		sp.fusedOps = fusedOpCounts(p.ops, tallies)
-	}
-	if c.columnar {
-		sp.batches = sumCounts(batches)
-		sp.batchLanes = sumCounts(lanes)
-		sp.batchLive = sumCounts(live)
 	}
 	sp.materializedBytes = estimateMaterializedBytes(out)
 	c.finish(sp, p.srcLens, totalLen(out))

@@ -3,19 +3,19 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // Tests for the lazy plan layer (plan.go): partition balance, forcing
 // semantics, fused-stage naming and accounting, fault retry on fused chains,
-// and fused-vs-eager equivalence. Everything fusion-dependent pins the mode
-// with an explicit WithFusion so the suite is meaningful under either value
-// of the DATAFLOW_FUSION environment default (CI runs both).
+// and equivalence with an eager whole-slice interpreter kept here as the
+// reference.
 
 func TestParallelizeBalancedPartitions(t *testing.T) {
 	for _, tc := range []struct{ n, w int }{
@@ -59,7 +59,7 @@ func TestParallelizeBalancedPartitions(t *testing.T) {
 
 func TestSinksForceExactlyOnce(t *testing.T) {
 	var calls atomic.Int64
-	c := NewContext(3, WithFusion(true))
+	c := NewContext(3)
 	d := Map(Parallelize(c, "in", ints(10)), "count-calls", func(x int) int {
 		calls.Add(1)
 		return x
@@ -92,7 +92,7 @@ func TestSinksForceExactlyOnce(t *testing.T) {
 func TestMaterializePinsSharedParent(t *testing.T) {
 	run := func(materialize bool) int64 {
 		var calls atomic.Int64
-		c := NewContext(2, WithFusion(true))
+		c := NewContext(2)
 		parent := Map(Parallelize(c, "in", ints(8)), "shared", func(x int) int {
 			calls.Add(1)
 			return x
@@ -132,7 +132,7 @@ func TestFusedNameComposition(t *testing.T) {
 }
 
 func TestFusedChainRunsAsOneStage(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(10))
 	doubled := Map(d, "double", func(x int) int { return 2 * x })
 	small := Filter(doubled, "small", func(x int) bool { return x < 10 })
@@ -183,7 +183,7 @@ func TestFusedChainRunsAsOneStage(t *testing.T) {
 }
 
 func TestSingleOpChainKeepsPlainSpan(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
 	Map(d, "only", func(x int) int { return x }).Materialize()
 	spans := c.Stats().Spans()
@@ -197,7 +197,7 @@ func TestSingleOpChainKeepsPlainSpan(t *testing.T) {
 }
 
 func TestMapPartitionsIsInputBarrierOutputLazy(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(8))
 	up := Map(d, "up", func(x int) int { return x + 1 })
 	mp := MapPartitions(up, "mp", func(w int, items []int, emit func(int)) {
@@ -224,53 +224,12 @@ func TestMapPartitionsIsInputBarrierOutputLazy(t *testing.T) {
 	}
 }
 
-func TestFusionDisabledMatchesEagerSpans(t *testing.T) {
-	c := NewContext(2, WithFusion(false))
-	d := Parallelize(c, "in", ints(10))
-	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
-	sort.Ints(got)
-	if want := []int{0, 2, 4, 6, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unfused output %v, want %v", got, want)
-	}
-	var names []string
-	for _, sp := range c.Stats().Spans() {
-		names = append(names, sp.Name)
-	}
-	if want := []string{"in", "double", "small"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("unfused spans = %v, want %v (one per operator)", names, want)
-	}
-}
-
-func TestFusionEnvDefault(t *testing.T) {
-	countSpans := func(opts ...Option) int {
-		c := NewContext(2, opts...)
-		d := Parallelize(c, "in", ints(4))
-		Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x }).Len()
-		return len(c.Stats().Spans())
-	}
-	t.Setenv("DATAFLOW_FUSION", "off")
-	if got := countSpans(); got != 3 {
-		t.Errorf("DATAFLOW_FUSION=off: %d spans, want 3 (eager)", got)
-	}
-	// An explicit option always wins over the environment.
-	if got := countSpans(WithFusion(true)); got != 2 {
-		t.Errorf("WithFusion(true) under env off: %d spans, want 2 (fused)", got)
-	}
-	t.Setenv("DATAFLOW_FUSION", "on")
-	if got := countSpans(); got != 2 {
-		t.Errorf("DATAFLOW_FUSION=on: %d spans, want 2 (fused)", got)
-	}
-	if got := countSpans(WithFusion(false)); got != 3 {
-		t.Errorf("WithFusion(false) under env on: %d spans, want 3 (eager)", got)
-	}
-}
-
 func TestFusedChainFaultRetry(t *testing.T) {
 	// The fault site is the fused stage's composite name; the retried worker
 	// must replay the whole chain from the retained root partitions and the
 	// accounting must match a fault-free run.
 	plan := NewFaultPlan(Fault{Stage: "double+small", Worker: 1, Kind: FaultTransient})
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(2))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(2))
 	d := Parallelize(c, "in", ints(10))
 	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
 	if err := c.Err(); err != nil {
@@ -304,7 +263,7 @@ func TestFusedChainExhaustedRetriesFailPipeline(t *testing.T) {
 		Fault{Stage: "a+b", Worker: 0, Occurrence: 1, Kind: FaultTransient},
 		Fault{Stage: "a+b", Worker: 0, Occurrence: 2, Kind: FaultTransient},
 	)
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(1))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(1))
 	d := Parallelize(c, "in", ints(4))
 	out := Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x })
 	if got := Collect(out); len(got) != 0 {
@@ -317,7 +276,7 @@ func TestFusedChainExhaustedRetriesFailPipeline(t *testing.T) {
 }
 
 func TestFusedStageRecordsMaterializedBytes(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(100))
 	Map(d, "widen", func(x int) [4]int64 { return [4]int64{int64(x)} }).Materialize()
 	snap := c.Stats().Metrics().Snapshot()
@@ -326,64 +285,202 @@ func TestFusedStageRecordsMaterializedBytes(t *testing.T) {
 	}
 }
 
-// Property: any chain of narrow operators produces identical output fused
-// and unfused, and — within fused execution — columnar (batch-at-a-time)
-// and record-at-a-time, across worker counts. (TotalWork legitimately
-// differs between fused and eager: a fused chain's records count once,
-// eager stages count per operator.)
-func TestQuickFusedUnfusedEquivalence(t *testing.T) {
-	f := func(data []int16, workers uint8) bool {
-		w := int(workers)%4 + 1
-		run := func(fused, columnar bool) []int {
-			c := NewContext(w, WithFusion(fused), WithColumnar(columnar))
-			d := Parallelize(c, "in", data)
-			m := Map(d, "widen", func(x int16) int { return int(x) * 3 })
-			fl := FlatMap(m, "dup-odd", func(x int, emit func(int)) {
-				emit(x)
-				if x%2 != 0 {
-					emit(-x)
-				}
-			})
-			kept := Filter(fl, "bound", func(x int) bool { return x > -50000 })
-			return Collect(kept)
+// narrowOp is one narrow operator of a random chain, in a form both the
+// engine and the eager reference can apply. Exactly one of the function
+// fields is set.
+type narrowOp struct {
+	name   string
+	mapf   func(int) int
+	flat   func(int, func(int))
+	pred   func(int) bool
+	byPart func(w int, items []int, emit func(int))
+}
+
+// apply chains the ops onto d through the engine's lazy operators.
+func applyNarrow(d *Dataset[int], ops []narrowOp) *Dataset[int] {
+	for _, op := range ops {
+		switch {
+		case op.mapf != nil:
+			d = Map(d, op.name, op.mapf)
+		case op.flat != nil:
+			d = FlatMap(d, op.name, op.flat)
+		case op.pred != nil:
+			d = Filter(d, op.name, op.pred)
+		default:
+			d = MapPartitions(d, op.name, op.byPart)
 		}
-		batch := run(true, true)
-		return reflect.DeepEqual(batch, run(true, false)) &&
-			reflect.DeepEqual(batch, run(false, false))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	return d
+}
+
+// eagerNarrow is the reference interpreter: every operator runs to
+// completion over whole partition slices before the next one starts — the
+// one-stage-per-operator execution the fused chain must be indistinguishable
+// from. It returns the final partitions and, per op, the records entering it.
+func eagerNarrow(parts [][]int, ops []narrowOp) ([][]int, map[string]int64) {
+	tally := map[string]int64{}
+	for _, op := range ops {
+		next := make([][]int, len(parts))
+		for w, in := range parts {
+			tally[op.name] += int64(len(in))
+			emit := func(x int) { next[w] = append(next[w], x) }
+			switch {
+			case op.byPart != nil:
+				op.byPart(w, in, emit)
+			case op.mapf != nil:
+				for _, x := range in {
+					emit(op.mapf(x))
+				}
+			case op.flat != nil:
+				for _, x := range in {
+					op.flat(x, emit)
+				}
+			default:
+				for _, x := range in {
+					if op.pred(x) {
+						emit(x)
+					}
+				}
+			}
+		}
+		parts = next
+	}
+	return parts, tally
+}
+
+// randomChain draws 1–7 narrow ops, MapPartitions heads and barriers included.
+func randomChain(rng *rand.Rand) []narrowOp {
+	ops := make([]narrowOp, 1+rng.Intn(7))
+	for i := range ops {
+		k := 2 + rng.Intn(5)
+		op := narrowOp{name: fmt.Sprintf("s/op%d", i)}
+		switch rng.Intn(4) {
+		case 0:
+			op.mapf = func(x int) int { return x*k + 1 }
+		case 1:
+			op.flat = func(x int, emit func(int)) {
+				for j := 0; j < x%k; j++ {
+					emit(x + j)
+				}
+			}
+		case 2:
+			op.pred = func(x int) bool { return x%k != 0 }
+		default: // partition-sensitive: sees the worker index and the whole slice
+			op.byPart = func(w int, items []int, emit func(int)) {
+				emit(len(items) + w)
+				for i := len(items) - 1; i >= 0; i-- {
+					emit(items[i] + w*k)
+				}
+			}
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// opTallies reads the per-operator input counts back out of a trace: fused
+// spans carry them per op, a single-op stage's span is its own tally.
+func opTallies(c *Context) map[string]int64 {
+	tally := map[string]int64{}
+	for _, sp := range c.Stats().Spans()[1:] { // [0] is the Parallelize root
+		if sp.FusedOps == nil {
+			tally[sp.Name] += sp.RecordsIn
+		}
+		for _, op := range sp.FusedOps {
+			tally[op.Name] += op.RecordsIn
+		}
+	}
+	return tally
+}
+
+// Property: any chain of narrow operators yields, partition by partition, the
+// records of the eager reference, with the reference's per-operator tallies —
+// also when every stage of the chain loses a worker once and replays it.
+func TestQuickFusedUnfusedEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 150; trial++ {
+		w := 1 + rng.Intn(4)
+		data := make([]int, rng.Intn(200))
+		for i := range data {
+			data[i] = rng.Intn(1000)
+		}
+		ops := randomChain(rng)
+		label := fmt.Sprintf("trial %d (w=%d, %d records, %d ops)", trial, w, len(data), len(ops))
+
+		tracer := NewFaultPlan()
+		c := NewContext(w, WithFaultPlan(tracer))
+		root := Parallelize(c, "in", data)
+		want, wantTally := eagerNarrow(root.Partitions(), ops)
+		got := applyNarrow(root, ops).Partitions()
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: partition %d = %v, eager reference %v", label, i, got[i], want[i])
+			}
+		}
+		if tally := opTallies(c); !reflect.DeepEqual(tally, wantTally) {
+			t.Fatalf("%s: per-op tallies %v, eager reference %v", label, tally, wantTally)
+		}
+
+		// Replay: the last worker of every stage fails its first execution.
+		var faults []Fault
+		for _, site := range tracer.Trace() {
+			if site.Worker == w-1 {
+				faults = append(faults, Fault{Stage: site.Stage, Worker: site.Worker, Kind: FaultTransient})
+			}
+		}
+		plan := NewFaultPlan(faults...)
+		c = NewContext(w, WithFaultPlan(plan), WithRetries(1), WithBackoff(0))
+		got = applyNarrow(Parallelize(c, "in", data), ops).Partitions()
+		if err := c.Err(); err != nil {
+			t.Fatalf("%s: replay failed: %v", label, err)
+		}
+		if len(plan.Fired()) != len(faults) || c.Stats().TotalRetries() != len(faults) {
+			t.Fatalf("%s: %d faults planned, %d fired, %d retries", label, len(faults), len(plan.Fired()), c.Stats().TotalRetries())
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: replayed partition %d = %v, eager reference %v", label, i, got[i], want[i])
+			}
+		}
+		if tally := opTallies(c); !reflect.DeepEqual(tally, wantTally) {
+			t.Fatalf("%s: replayed per-op tallies %v, eager reference %v", label, tally, wantTally)
+		}
 	}
 }
 
-// Fused and unfused execution must also agree through wide operators and
-// under injected faults replayed at per-operator sites that exist in both
-// modes (wide stages keep their names regardless of fusion).
+// A fused chain feeding a wide operator agrees with the eager reference
+// feeding a plain fold, also when the wide stage's combiner is replayed.
 func TestFusedUnfusedAgreeThroughShuffle(t *testing.T) {
+	ops := []narrowOp{
+		{name: "triple", mapf: func(x int) int { return 3 * x }},
+		{name: "odd", pred: func(x int) bool { return x%2 != 0 }},
+	}
 	for _, w := range []int{1, 2, 4} {
-		run := func(fused bool) map[int]int {
-			plan := NewFaultPlan(Fault{Stage: "count/combine", Worker: 0, Kind: FaultTransient})
-			c := NewContext(w, WithFusion(fused), WithFaultPlan(plan), WithRetries(2))
-			d := Parallelize(c, "in", ints(200))
-			pairs := Map(d, "pair", func(x int) Pair[int, int] { return Pair[int, int]{x % 7, 1} })
-			counts := ReduceByKey(pairs, "count", func(a, b int) int { return a + b })
-			if c.Err() != nil {
-				t.Fatalf("w=%d fused=%v: %v", w, fused, c.Err())
-			}
-			out := map[int]int{}
-			for _, kv := range Collect(counts) {
-				out[kv.Key] = kv.Val
-			}
-			return out
+		plan := NewFaultPlan(Fault{Stage: "count/combine", Worker: 0, Kind: FaultTransient})
+		c := NewContext(w, WithFaultPlan(plan), WithRetries(2))
+		root := Parallelize(c, "in", ints(200))
+		eager, _ := eagerNarrow(root.Partitions(), ops)
+		want := map[int]int{}
+		for _, x := range slices.Concat(eager...) {
+			want[x%7]++
 		}
-		if fused, eager := run(true), run(false); !reflect.DeepEqual(fused, eager) {
-			t.Errorf("w=%d: fused %v != eager %v", w, fused, eager)
+		pairs := Map(applyNarrow(root, ops), "pair", func(x int) Pair[int, int] { return Pair[int, int]{x % 7, 1} })
+		counts := ReduceByKey(pairs, "count", func(a, b int) int { return a + b })
+		if c.Err() != nil || len(plan.Fired()) != 1 {
+			t.Fatalf("w=%d: err %v, %d faults fired", w, c.Err(), len(plan.Fired()))
+		}
+		got := map[int]int{}
+		for _, kv := range Collect(counts) {
+			got[kv.Key] = kv.Val
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("w=%d: fused %v != eager %v", w, got, want)
 		}
 	}
 }
 
 func TestSpanTreeRendersFusedOps(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
 	Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x }).Len()
 	tree := c.Stats().SpanTree()
@@ -412,7 +509,7 @@ func TestForceAfterFailureYieldsEmpty(t *testing.T) {
 	plan := NewFaultPlan(
 		Fault{Stage: "boom", Worker: 0, Occurrence: 1, Kind: FaultTransient},
 	)
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(0))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(0))
 	d := Parallelize(c, "in", ints(4))
 	Map(d, "boom", func(x int) int { return x }).Materialize()
 	if c.Err() == nil {

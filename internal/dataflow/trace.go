@@ -39,14 +39,8 @@ type activeSpan struct {
 	// set for chains of length > 1; single-op stages keep plain spans).
 	fusedOps []metrics.FusedOp
 	// materializedBytes estimates the output partitions a narrow stage (or
-	// fused chain) wrote — the quantity fusion exists to shrink.
+	// fused chain) wrote.
 	materializedBytes int64
-	// batches/batchLanes/batchLive account the columnar path of a fused
-	// chain (batch.go): column batches that reached the sink, the lanes they
-	// carried, and the lanes still selected. All zero on the record path.
-	batches    int64
-	batchLanes int64
-	batchLive  int64
 	// Spill accounting, written concurrently by the workers of a budgeted
 	// keyed operator (see spill.go), hence atomic.
 	spilledBytes atomic.Int64
@@ -98,8 +92,6 @@ func (c *Context) finish(sp *activeSpan, perWorker []int64, recordsOut int64) {
 		CombinerIn:        sp.combinerIn,
 		CombinerOut:       sp.combinerOut,
 		MaterializedBytes: sp.materializedBytes,
-		Batches:           sp.batches,
-		BatchFill:         batchFillRate(sp.batchLive, sp.batchLanes),
 		SpilledBytes:      sp.spilledBytes.Load(),
 		SpilledRuns:       sp.spilledRuns.Load(),
 		MergePasses:       sp.mergePasses.Load(),
@@ -133,21 +125,16 @@ func (c *Context) finish(sp *activeSpan, perWorker []int64, recordsOut int64) {
 	if span.MaterializedBytes > 0 {
 		reg.Counter("dataflow.materialized.bytes").Add(span.MaterializedBytes)
 	}
-	if span.Batches > 0 {
-		reg.Counter("dataflow.batches").Add(span.Batches)
-		reg.Counter("dataflow.batch.lanes").Add(sp.batchLanes)
-		reg.Counter("dataflow.batch.live").Add(sp.batchLive)
-	}
 	c.stats.endStage(StageStat{Name: sp.name, PerWorker: append([]int64(nil), perWorker...)}, span)
 }
 
-// batchFillRate is the fraction of sink-visible batch lanes still selected
-// (live/lanes); zero when no batches ran.
-func batchFillRate(live, lanes int64) float64 {
-	if lanes <= 0 {
-		return 0
+// partLens returns the per-worker partition lengths.
+func partLens[T any](parts [][]T) []int64 {
+	lens := make([]int64, len(parts))
+	for w, p := range parts {
+		lens[w] = int64(len(p))
 	}
-	return float64(live) / float64(lanes)
+	return lens
 }
 
 // totalLen sums the partition lengths of an operator's output.
@@ -170,9 +157,8 @@ func sumCounts(counts []int64) int64 {
 
 // estimateMaterializedBytes estimates the bytes a narrow stage's output
 // partitions occupy, one sample record per partition extrapolated like the
-// shuffle estimate below. Fused chains materialize only their final output,
-// so this is the footprint the fusion layer saves relative to eager per-op
-// stages; benchdiff gates on its regression.
+// shuffle estimate below. Fused chains materialize only their final output;
+// benchdiff gates on its regression.
 func estimateMaterializedBytes[T any](parts [][]T) int64 {
 	var total int64
 	for _, p := range parts {

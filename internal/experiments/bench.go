@@ -45,20 +45,9 @@ type PipelineRun struct {
 	SpilledRuns  int64 `json:"spilled_runs,omitempty"`
 	// MaterializedBytes estimates the bytes buffered into partition slices by
 	// narrow-operator stages (core.RunStats.MaterializedBytes); additive within
-	// schema v1, zero in records from before the counter existed. Fusion
-	// lowers it, and benchdiff gates on regressions when both sides measured.
+	// schema v1, zero in records from before the counter existed; benchdiff
+	// gates on regressions when both sides measured.
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches/BatchFill account the columnar batch path across the run's fused
-	// chains (core.RunStats.Batches/BatchFill); additive within schema v1, zero
-	// on record-at-a-time runs and in records from before the counters existed.
-	Batches   int64   `json:"batches,omitempty"`
-	BatchFill float64 `json:"batch_fill,omitempty"`
-	// OptDecisions/OptRules summarize the plan optimizer's report for the run:
-	// how many per-stage rewrite/policy decisions fired and the distinct rule
-	// names. Additive within schema v1, zero/absent on optimizer-off runs and
-	// in records from before the optimizer existed.
-	OptDecisions int      `json:"opt_decisions,omitempty"`
-	OptRules     []string `json:"opt_rules,omitempty"`
 	// ShuffleBytes is the streamed-ingest placement shuffle's wire volume
 	// (core.IngestStats.ShuffleBytes) — the column the partition experiment
 	// ablates. Additive within schema v1: zero on in-memory and
@@ -91,13 +80,6 @@ type BenchRecord struct {
 	// MaterializedBytes sums the runs' narrow-stage buffering estimates (zero
 	// when no run measured them).
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches sums the runs' columnar batch counts; BatchFill averages their
-	// fill rates over the runs that measured one (zero when none did).
-	Batches   int64   `json:"batches,omitempty"`
-	BatchFill float64 `json:"batch_fill,omitempty"`
-	// OptDecisions sums the runs' plan-optimizer decision counts (zero when
-	// every run had the optimizer off).
-	OptDecisions int `json:"opt_decisions,omitempty"`
 	// ShuffleBytes sums the runs' ingest placement-shuffle volumes (zero when
 	// no run used distributed streamed ingest).
 	ShuffleBytes int64 `json:"shuffle_bytes,omitempty"`
@@ -208,12 +190,6 @@ func buildRun(label string, cfg core.Config, stats *core.RunStats, elapsed time.
 		run.SpilledBytes = stats.SpilledBytes
 		run.SpilledRuns = stats.SpilledRuns
 		run.MaterializedBytes = stats.MaterializedBytes
-		run.Batches = stats.Batches
-		run.BatchFill = stats.BatchFill
-		if rep := stats.Optimizer; rep != nil && rep.Enabled {
-			run.OptDecisions = len(rep.Decisions)
-			run.OptRules = rep.Rules()
-		}
 		if ing := stats.Ingest; ing != nil {
 			run.ShuffleBytes = ing.ShuffleBytes
 		}
@@ -270,7 +246,6 @@ func RunBench(id string, opts Options) (*BenchRecord, error) {
 		Rows:       rep.Rows,
 		Notes:      rep.Notes,
 	}
-	batchRuns := 0
 	for _, r := range runs {
 		rec.TotalWork += r.TotalWork
 		rec.CriticalPath += r.CriticalPath
@@ -279,16 +254,7 @@ func RunBench(id string, opts Options) (*BenchRecord, error) {
 		rec.SpilledBytes += r.SpilledBytes
 		rec.SpilledRuns += r.SpilledRuns
 		rec.MaterializedBytes += r.MaterializedBytes
-		rec.Batches += r.Batches
-		rec.OptDecisions += r.OptDecisions
 		rec.ShuffleBytes += r.ShuffleBytes
-		if r.Batches > 0 {
-			rec.BatchFill += r.BatchFill
-			batchRuns++
-		}
-	}
-	if batchRuns > 0 {
-		rec.BatchFill /= float64(batchRuns)
 	}
 	if rec.CriticalPath > 0 {
 		rec.Speedup = float64(rec.TotalWork) / float64(rec.CriticalPath)

@@ -110,7 +110,6 @@ var registry = []struct {
 	{"fig14", RunFig14, "Query minimization, LUBM Q2 (Figure 14)"},
 	{"appB", RunAppB, "Use-case CINDs and ARs (Appendix B)"},
 	{"ablation", RunAblation, "Candidate-set Bloom size ablation (§7.2)"},
-	{"fusion", RunFusion, "Narrow-operator fusion vs. eager execution"},
 	{"dist", RunDist, "Distributed execution and fault recovery"},
 	{"partition", RunPartition, "Ingest partitioning ablation (hash vs subject locality)"},
 	{"serve", RunServe, "Concurrent query serving under mixed load"},

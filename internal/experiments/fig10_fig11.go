@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataflow/opt"
 )
 
 // supportSweep lists, per dataset, the thresholds swept in Figs. 10 and 11.
@@ -27,17 +26,13 @@ var supportSweep = []struct {
 }
 
 // sweep runs the support sweep once and returns per-(dataset, h) runtime and
-// result counts; both Fig. 10 and Fig. 11 are views of it. Each point is
-// measured twice — optimizer on (planning against a profile shared across
-// the dataset's sweep, warm after the first threshold) and optimizer off —
-// so Fig. 10 doubles as the optimizer's headline wall-time comparison.
+// result counts; both Fig. 10 and Fig. 11 are views of it.
 type sweepPoint struct {
-	Dataset      string
-	H            int
-	Runtime      time.Duration
-	RuntimeNoOpt time.Duration
-	CINDs        int
-	ARs          int
+	Dataset string
+	H       int
+	Runtime time.Duration
+	CINDs   int
+	ARs     int
 }
 
 var sweepCache = map[string][]sweepPoint{}
@@ -53,27 +48,15 @@ func runSweep(opts Options) []sweepPoint {
 	var points []sweepPoint
 	for _, entry := range supportSweep {
 		ds := dataset(entry.Dataset, opts.Scale)
-		// Sweep from the cheapest (highest) threshold down so the shared
-		// profile is warm before the expensive low-h runs; the points are
-		// re-sorted into ascending order for the report.
-		prof := opt.NewProfile()
-		first := len(points)
-		for i := len(entry.Thresholds) - 1; i >= 0; i-- {
-			h := entry.Thresholds[i]
-			res, _, elapsed := timedDiscover(entry.Dataset, ds, core.Config{Support: h, Workers: opts.Workers, Profile: prof})
-			_, _, elapsedOff := timedDiscover(entry.Dataset+"-noopt", ds, core.Config{Support: h, Workers: opts.Workers, DisableOptimizer: true})
+		for _, h := range entry.Thresholds {
+			res, _, elapsed := timedDiscover(entry.Dataset, ds, core.Config{Support: h, Workers: opts.Workers})
 			points = append(points, sweepPoint{
-				Dataset:      entry.Dataset,
-				H:            h,
-				Runtime:      elapsed,
-				RuntimeNoOpt: elapsedOff,
-				CINDs:        len(res.CINDs),
-				ARs:          len(res.ARs),
+				Dataset: entry.Dataset,
+				H:       h,
+				Runtime: elapsed,
+				CINDs:   len(res.CINDs),
+				ARs:     len(res.ARs),
 			})
-		}
-		seg := points[first:]
-		for i, j := 0, len(seg)-1; i < j; i, j = i+1, j-1 {
-			seg[i], seg[j] = seg[j], seg[i]
 		}
 	}
 	cacheMu.Lock()
@@ -89,14 +72,13 @@ func RunFig10(opts Options) (*Report, error) {
 	rep := &Report{
 		ID:     "fig10",
 		Title:  "Runtime by support threshold",
-		Header: []string{"Dataset", "h", "Runtime", "No-opt"},
+		Header: []string{"Dataset", "h", "Runtime"},
 		Notes: []string{
 			"paper: runtimes are flat for large h and rise sharply below h≈10",
-			"No-opt reruns the point with the plan optimizer off; the Runtime column plans against a profile shared across the dataset's sweep",
 		},
 	}
 	for _, p := range runSweep(opts) {
-		rep.Rows = append(rep.Rows, []string{p.Dataset, fmt.Sprintf("%d", p.H), fmtDuration(p.Runtime), fmtDuration(p.RuntimeNoOpt)})
+		rep.Rows = append(rep.Rows, []string{p.Dataset, fmt.Sprintf("%d", p.H), fmtDuration(p.Runtime)})
 	}
 	return rep, nil
 }

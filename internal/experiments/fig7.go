@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cinderella"
 	"repro/internal/core"
-	"repro/internal/dataflow/opt"
 	"repro/internal/reldb"
 )
 
@@ -35,30 +34,19 @@ func RunFig7(opts Options) (*Report, error) {
 	rep := &Report{
 		ID:     "fig7",
 		Title:  "RDFind vs. Cinderella (runtimes; FAIL(oom) = aborted run)",
-		Header: []string{"Dataset", "h", "RDFind", "RD/noopt", "Cin/Pos", "Cin*/Pos", "Cin/My", "Cin*/My", "Pli"},
+		Header: []string{"Dataset", "h", "RDFind", "Cin/Pos", "Cin*/Pos", "Cin/My", "Cin*/My", "Pli"},
 		Notes: []string{
 			"paper: RDFind wins by 8–39x on Countries, up to 419x on Diseasome; standard Cinderella fails all Diseasome runs, Cinderella* fails h=5,10",
 			"the Pli column is not in the paper's figure (it excludes the variant as slower than Cinderella, §8.1); it is measured here to substantiate that claim",
-			"RD/noopt reruns RDFind with the plan optimizer off; the RDFind column plans against a profile shared across the dataset's sweep (warm after the first threshold)",
 		},
 	}
 	for _, name := range []string{"Countries", "Diseasome"} {
 		ds := dataset(name, opts.Scale)
-		// One profile per dataset, swept from the cheapest (highest) threshold
-		// down: the cheap runs record into it first, so by the time the
-		// expensive low-h runs execute the planner is warm — the self-tuning
-		// loop the optimizer-off companion column is measured against. Rows
-		// are re-sorted into the paper's ascending order afterwards.
-		prof := opt.NewProfile()
-		rowByH := map[int][]string{}
-		for i := len(thresholds) - 1; i >= 0; i-- {
-			h := thresholds[i]
+		for _, h := range thresholds {
 			row := []string{name, fmt.Sprintf("%d", h)}
 
-			_, _, elapsed := timedDiscover(name, ds, core.Config{Support: h, Workers: 1, Profile: prof})
+			_, _, elapsed := timedDiscover(name, ds, core.Config{Support: h, Workers: 1})
 			row = append(row, fmtDuration(elapsed))
-			_, _, elapsedOff := timedDiscover(name+"-noopt", ds, core.Config{Support: h, Workers: 1, DisableOptimizer: true})
-			row = append(row, fmtDuration(elapsedOff))
 
 			for _, variant := range []struct {
 				optimized bool
@@ -98,10 +86,7 @@ func RunFig7(opts Options) (*Report, error) {
 			default:
 				row = append(row, fmtDuration(time.Since(start)))
 			}
-			rowByH[h] = row
-		}
-		for _, h := range thresholds {
-			rep.Rows = append(rep.Rows, rowByH[h])
+			rep.Rows = append(rep.Rows, row)
 		}
 	}
 	return rep, nil

@@ -40,15 +40,10 @@ const (
 
 // candSetCodec spills Pair[cind.Capture, *candSet]. The value layout is a
 // varint group count, one flags byte, then either a uvarint-counted list of
-// 11-byte captures (exact sets) or a bloom.Filter binary image (approximate
-// sets). Bitmap-backed exact sets (Config.BitmapSets) encode under the same
-// exact flag as their live captures in sorted universe order, so the wire
-// format is identical to the map representation's — and, unlike map
-// iteration, byte-deterministic. Map iteration order is nondeterministic, so
-// two encodings of the same map set may differ byte-wise — harmless, because
-// the spill path only compares key bytes, never value bytes. Decoding always
-// allocates fresh objects (bitmap sets decode to the map form; mergeCandSets
-// handles every mixed pairing), which keeps in-place mutation safe.
+// 11-byte captures (exact sets: the live captures in capture order, so the
+// encoding is byte-deterministic) or a bloom.Filter binary image (approximate
+// sets). Decoding always allocates fresh objects — an exact set decodes to
+// its own universe with every bit live — which keeps in-place mutation safe.
 type candSetCodec struct{}
 
 func (candSetCodec) AppendKey(dst []byte, k cind.Capture) []byte {
@@ -88,13 +83,10 @@ func (candSetCodec) DecodeValue(src []byte) *candSet {
 	src = src[1:]
 	cs := &candSet{count: int(count), lineage: flags&candSetLineage != 0}
 	if flags&candSetHasExact != 0 {
-		sz, n := binary.Uvarint(src)
+		cs.refs, n = capturesAt(src)
 		src = src[n:]
-		cs.exact = make(map[cind.Capture]struct{}, sz)
-		for i := uint64(0); i < sz; i++ {
-			cs.exact[cind.CaptureAt(src)] = struct{}{}
-			src = src[cind.CaptureWireSize:]
-		}
+		cs.bits = dataflow.NewBitmap(len(cs.refs))
+		cs.bits.SetAll()
 	}
 	if flags&candSetHasBloom != 0 {
 		f, _, err := bloom.FromBinary(src)

@@ -14,22 +14,44 @@ import (
 	"repro/internal/rdf"
 )
 
-// Wire-parity tests for the bitmap candidate-set representation
-// (Config.BitmapSets): a bitmap set must encode through candSetCodec to the
-// same logical value as the map set holding the same captures, the bitmap
-// encoding must be byte-deterministic, and mergeCandSets must intersect
-// correctly across every mixed representation pairing — these are the
-// invariants that let the spill path and the cluster collective frames carry
-// either representation interchangeably.
+// Tests for the bitmap candidate-set representation against a map-backed
+// reference (refSet): a bitmap set must round-trip through candSetCodec to
+// the live captures the reference holds, its encoding must be
+// byte-deterministic, and mergeCandSets must keep exactly what intersecting
+// the references keeps.
 
-// bitsSet builds a bitmap candSet over the given universe with exactly the
-// live captures selected, the way ext/candidates-exact builds them.
+// refSet is the reference representation of an exact candidate set.
+type refSet map[cind.Capture]struct{}
+
+func mapSet(live ...cind.Capture) refSet {
+	m := refSet{}
+	for _, c := range live {
+		m[c] = struct{}{}
+	}
+	return m
+}
+
+// intersect is the reference merge: the captures in both sets.
+func (a refSet) intersect(b refSet) refSet {
+	out := refSet{}
+	for c := range a {
+		if _, ok := b[c]; ok {
+			out[c] = struct{}{}
+		}
+	}
+	return out
+}
+
+// bitsSet builds a bitmap candSet over the given universe (put into capture
+// order first) with exactly the live captures selected, the way
+// ext/candidates-exact builds them.
 func bitsSet(universe []cind.Capture, live ...cind.Capture) *candSet {
-	refs := sortedUniverse(universe, AnyArity)
+	refs := append([]cind.Capture{}, universe...) // non-nil even when empty: an exact set
+	slices.SortFunc(refs, cind.CompareCaptures)
 	bits := dataflow.NewBitmap(len(refs))
 	for _, c := range live {
-		i := searchCapture(refs, c)
-		if i >= len(refs) || refs[i] != c {
+		i, ok := slices.BinarySearchFunc(refs, c, cind.CompareCaptures)
+		if !ok {
 			panic("bitsSet: live capture not in universe")
 		}
 		bits.Set(i)
@@ -37,24 +59,16 @@ func bitsSet(universe []cind.Capture, live ...cind.Capture) *candSet {
 	return &candSet{refs: refs, bits: bits, count: 1}
 }
 
-func mapSet(live ...cind.Capture) *candSet {
-	m := map[cind.Capture]struct{}{}
-	for _, c := range live {
-		m[c] = struct{}{}
-	}
-	return &candSet{exact: m, count: 1}
-}
-
-func liveMap(cs *candSet) map[cind.Capture]struct{} {
-	m := map[cind.Capture]struct{}{}
+func liveMap(cs *candSet) refSet {
+	m := refSet{}
 	cs.liveRefs(func(c cind.Capture) { m[c] = struct{}{} })
 	return m
 }
 
-// TestCandSetCodecBitmapMapParity: a bitmap set and a map set holding the
-// same live captures decode to the same exact set through the spill/wire
-// codec, and the bitmap encoding (sorted universe order) is deterministic —
-// two encodings of the same set are byte-identical.
+// TestCandSetCodecBitmapMapParity: a bitmap set decodes through the
+// spill/wire codec to the live captures the map reference holds, and the
+// encoding (capture order) is deterministic — two encodings of the same set
+// are byte-identical.
 func TestCandSetCodecBitmapMapParity(t *testing.T) {
 	var universe []cind.Capture
 	for v := rdf.Value(0); v < 9; v++ {
@@ -64,52 +78,42 @@ func TestCandSetCodecBitmapMapParity(t *testing.T) {
 
 	codec := candSetCodec{}
 	bm := bitsSet(universe, live...)
-	mp := mapSet(live...)
-
-	encBits := codec.AppendValue(nil, bm)
-	encMap := codec.AppendValue(nil, mp)
-
-	decBits := codec.DecodeValue(encBits)
-	decMap := codec.DecodeValue(encMap)
-	// Decoding always yields the map form; both representations must decode
-	// to the same live set with the same bookkeeping.
-	if decBits.refs != nil {
-		t.Error("decoded bitmap set still carries a universe (should be map form)")
+	enc := codec.AppendValue(nil, bm)
+	dec := codec.DecodeValue(enc)
+	if !reflect.DeepEqual(liveMap(dec), mapSet(live...)) {
+		t.Errorf("round-trip kept %v, want %v", liveMap(dec), mapSet(live...))
 	}
-	if !reflect.DeepEqual(decBits.exact, decMap.exact) {
-		t.Errorf("decoded sets differ:\nbitmap: %v\nmap:    %v", decBits.exact, decMap.exact)
+	// A decoded set owns a fresh universe of just its live captures, still in
+	// capture order, so later merges may clear its bits freely.
+	if !slices.Equal(dec.refs, live) || dec.liveLen() != len(live) {
+		t.Errorf("decoded universe %v with %d live, want %v all live", dec.refs, dec.liveLen(), live)
 	}
-	if !reflect.DeepEqual(liveMap(bm), decBits.exact) {
-		t.Errorf("bitmap round-trip lost captures: %v vs %v", liveMap(bm), decBits.exact)
-	}
-	if decBits.count != 1 || decBits.lineage || decBits.approx != nil {
-		t.Errorf("bitmap round-trip bookkeeping: %+v", decBits)
+	if dec.count != 1 || dec.lineage || dec.approx != nil {
+		t.Errorf("round-trip bookkeeping: %+v", dec)
 	}
 
-	// Bitmap encodings are deterministic (sorted universe order), so repeated
-	// encodings — and encodings of an independently built equal set — are
-	// byte-identical. Map encodings make no such promise (map order).
-	if again := codec.AppendValue(nil, bm); !bytes.Equal(encBits, again) {
+	// Repeated encodings — and encodings of an independently built equal set
+	// — are byte-identical.
+	if again := codec.AppendValue(nil, bm); !bytes.Equal(enc, again) {
 		t.Error("re-encoding the same bitmap set produced different bytes")
 	}
 	rebuilt := bitsSet(universe, live[3], live[1], live[0], live[2])
-	if enc := codec.AppendValue(nil, rebuilt); !bytes.Equal(encBits, enc) {
+	if other := codec.AppendValue(nil, rebuilt); !bytes.Equal(enc, other) {
 		t.Error("equal bitmap sets encoded to different bytes")
 	}
 
 	// All-cleared bitmap (every candidate refuted): encodes as an empty exact
 	// set, still flagged exact so the decode keeps it distinguishable from a
 	// pure-Bloom set.
-	empty := bitsSet(universe)
-	dec := codec.DecodeValue(codec.AppendValue(nil, empty))
-	if dec.exact == nil || len(dec.exact) != 0 {
-		t.Errorf("empty bitmap set decoded to %+v, want empty exact map", dec)
+	empty := codec.DecodeValue(codec.AppendValue(nil, bitsSet(universe)))
+	if !empty.hasExact() || empty.liveLen() != 0 {
+		t.Errorf("empty bitmap set decoded to %+v, want an empty exact set", empty)
 	}
 }
 
-// TestMergeCandSetsBitmap covers the bitmap arms of Algorithm 3's merge:
-// bits x bits, bits x map, bits x bloom (and the swapped orders), with
-// count/lineage bookkeeping and no mutation of the shared universe slice.
+// TestMergeCandSetsBitmap covers the exact arms of Algorithm 3's merge against
+// the map reference: bits x bits, a decoded set on either side, bits x bloom,
+// with count/lineage bookkeeping and no mutation of the shared universe slice.
 func TestMergeCandSetsBitmap(t *testing.T) {
 	mk := func(v rdf.Value) cind.Capture { return cap(rdf.Subject, cind.Unary(rdf.Predicate, v)) }
 	c1, c2, c3, c4 := mk(1), mk(2), mk(3), mk(4)
@@ -120,7 +124,7 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 		if m.count != count || m.lineage != lineage {
 			t.Errorf("merge bookkeeping: count=%d lineage=%v, want %d/%v", m.count, m.lineage, count, lineage)
 		}
-		if got, exp := liveMap(m), liveMap(mapSet(caps...)); !reflect.DeepEqual(got, exp) {
+		if got, exp := liveMap(m), mapSet(caps...); !reflect.DeepEqual(got, exp) {
 			t.Errorf("merge kept %v, want %v", got, exp)
 		}
 	}
@@ -132,9 +136,12 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 	other := []cind.Capture{c2, c3}
 	want(t, mergeCandSets(bitsSet(universe, c1, c2), bitsSet(other, c2, c3)), 2, false, c2)
 
-	// bits ∩ map, both orders.
-	want(t, mergeCandSets(bitsSet(universe, c1, c2, c4), mapSet(c2, c3, c4)), 2, false, c2, c4)
-	want(t, mergeCandSets(mapSet(c2, c3, c4), bitsSet(universe, c1, c2, c4)), 2, false, c2, c4)
+	// bits ∩ a set that crossed the spill/wire codec, both orders.
+	decoded := func() *candSet {
+		return candSetCodec{}.DecodeValue(candSetCodec{}.AppendValue(nil, bitsSet(universe, c2, c3, c4)))
+	}
+	want(t, mergeCandSets(bitsSet(universe, c1, c2, c4), decoded()), 2, false, c2, c4)
+	want(t, mergeCandSets(decoded(), bitsSet(universe, c1, c2, c4)), 2, false, c2, c4)
 
 	// bits ∩ bloom: true members survive the probe, lineage is inherited.
 	f := bloom.NewBytes(64, 4)
@@ -150,13 +157,13 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 
 	// The shared universe slice is never mutated: siblings of the same group
 	// keep their own selections after one dependent's merge clears bits.
-	shared := sortedUniverse(universe, AnyArity)
+	shared := slices.Clone(universe)
 	depA := &candSet{refs: shared, bits: dataflow.NewBitmap(len(shared)), count: 1}
 	depA.bits.SetAll()
 	depB := &candSet{refs: shared, bits: dataflow.NewBitmap(len(shared)), count: 1}
 	depB.bits.SetAll()
 	before := append([]cind.Capture(nil), shared...)
-	mergeCandSets(depA, mapSet(c1))
+	mergeCandSets(depA, bitsSet(universe, c1))
 	if !reflect.DeepEqual(shared, before) {
 		t.Error("merge reordered the shared universe slice")
 	}
@@ -166,7 +173,7 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 
 	// bits ∩ bits on seeded random universe pairs of every relative shape,
 	// with bits cleared on both sides: the merge that walks the two sorted
-	// universes together keeps what intersecting the map forms keeps, and
+	// universes together keeps what intersecting the map references keeps, and
 	// writes to neither universe nor to a sibling's selection.
 	rng := rand.New(rand.NewSource(3))
 	pool := capturePool(6000)
@@ -214,7 +221,7 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 				refsA := append([]cind.Capture(nil), a.refs...)
 				refsB := append([]cind.Capture(nil), b.refs...)
 
-				exp := liveMap(mergeCandSets(mapSet(liveA...), mapSet(liveB...)))
+				exp := mapSet(liveA...).intersect(mapSet(liveB...))
 				got := mergeCandSets(a, b)
 				if !reflect.DeepEqual(liveMap(got), exp) {
 					t.Errorf("bitmap merge kept %d captures, map merge %d", got.liveLen(), len(exp))
@@ -234,8 +241,8 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 }
 
 // capturePool returns n distinct captures in a seeded random order, mixing
-// projections and unary and binary conditions so that every field of
-// captureLess decides some comparison.
+// projections and unary and binary conditions so that every field of the
+// capture order decides some comparison.
 func capturePool(n int) []cind.Capture {
 	rng := rand.New(rand.NewSource(29))
 	seen := map[cind.Capture]bool{}
@@ -280,32 +287,49 @@ func BenchmarkMergeIntoBits(b *testing.B) {
 	}
 }
 
-// TestBroadCINDsBitmapSetsEquivalence: extraction with bitmap candidate sets
-// produces exactly the CINDs (and supports) of the map representation, across
-// worker counts and both extraction strategies.
-func TestBroadCINDsBitmapSetsEquivalence(t *testing.T) {
+// TestBroadCINDsMatchMapReference: extraction with bitmap candidate sets
+// produces exactly the CINDs (and supports) of a map-backed reference that
+// intersects, per dependent capture, the groups it occurs in — across worker
+// counts and both extraction strategies.
+func TestBroadCINDsMatchMapReference(t *testing.T) {
 	ds := randomDataset(300, 4)
+	const h = 2
+	cands, count := map[cind.Capture]refSet{}, map[cind.Capture]int{}
+	for _, g := range dataflow.Collect(groupsFromDataset(dataflow.NewContext(1), ds)) {
+		members := mapSet(g.Captures...)
+		for _, dep := range g.Captures {
+			if count[dep]++; count[dep] > 1 {
+				cands[dep] = cands[dep].intersect(members)
+			} else {
+				cands[dep] = members
+			}
+		}
+	}
+	want := map[cind.CIND]bool{}
+	for dep, refs := range cands {
+		for r := range refs {
+			if r != dep && count[dep] >= h {
+				want[cind.CIND{Inclusion: cind.Inclusion{Dep: dep, Ref: r}, Support: count[dep]}] = true
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("reference extraction found nothing (vacuous comparison)")
+	}
 	for _, w := range []int{1, 3} {
 		for _, direct := range []bool{false, true} {
-			run := func(bitmap bool) map[cind.CIND]bool {
-				got, err := BroadCINDs(groupsFromDataset(dataflow.NewContext(w), ds),
-					Config{Support: 2, DirectExtraction: direct, BitmapSets: bitmap})
-				if err != nil {
-					t.Fatalf("w=%d direct=%v bitmap=%v: %v", w, direct, bitmap, err)
-				}
-				set := map[cind.CIND]bool{}
-				for _, c := range got {
-					set[c] = true
-				}
-				return set
+			broad, err := BroadCINDs(groupsFromDataset(dataflow.NewContext(w), ds),
+				Config{Support: h, DirectExtraction: direct})
+			if err != nil {
+				t.Fatalf("w=%d direct=%v: %v", w, direct, err)
 			}
-			bm, mp := run(true), run(false)
-			if !reflect.DeepEqual(bm, mp) {
-				t.Errorf("w=%d direct=%v: bitmap sets found %d CINDs, map sets %d",
-					w, direct, len(bm), len(mp))
+			got := map[cind.CIND]bool{}
+			for _, c := range broad {
+				got[c] = true
 			}
-			if len(bm) == 0 {
-				t.Errorf("w=%d direct=%v: extraction found nothing (vacuous comparison)", w, direct)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("w=%d direct=%v: bitmap sets found %d CINDs, map reference %d",
+					w, direct, len(got), len(want))
 			}
 		}
 	}

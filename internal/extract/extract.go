@@ -14,7 +14,7 @@ package extract
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/capture"
@@ -88,15 +88,8 @@ type Config struct {
 	// DirectExtraction, since spilling does not change the plan and therefore
 	// cannot violate the exact-only definition of RDFind-DE.
 	SpillOnLoadLimit bool
-	// BitmapSets selects the columnar representation for exact candidate
-	// sets: one sorted referenced-capture universe shared by all dependent
-	// captures of a group, plus a per-dependent selection bitmap over it —
-	// |G|/64 words per candidate instead of a |G|-entry hash map. Merging
-	// clears bits instead of deleting keys, and the wire/spill codec encodes
-	// the live captures under the same exact-set flag as the map
-	// representation, so encodings stay format-compatible (and become
-	// deterministic: universe order is sorted). Results are identical; core
-	// enables it whenever the engine's columnar batch execution is on.
+	// BitmapSets is ignored. Compile-only shim: benchmark/layers.go:120 is its
+	// sole reader, and the next [benchmark] PR removes it.
 	BitmapSets bool
 }
 
@@ -122,18 +115,29 @@ func (c Config) bloomBytes() int {
 	return c.BloomBytes
 }
 
+// GroupOrderError reports a capture group whose captures are not strictly
+// ascending under cind.CompareCaptures. The CGCreator emits groups in that
+// order and the bitmap candidate sets index into it, so a hand-built group
+// that breaks it fails the run instead of yielding a wrong bitmap.
+type GroupOrderError struct {
+	// Prev and Next are the first adjacent pair with Prev ≥ Next.
+	Prev, Next cind.Capture
+}
+
+func (e *GroupOrderError) Error() string {
+	return fmt.Sprintf("extract: capture group not strictly ascending: %+v before %+v", e.Prev, e.Next)
+}
+
 // candSet is a CIND candidate set: a dependent capture's referenced captures
 // plus the number of capture groups seen so far (which sums to the support).
-// Exactly one representation is set: an exact hash map, an exact bitmap
-// (refs+bits: the sorted capture universe of the originating group, shared by
-// all of its dependents, with bit i live meaning refs[i] is a candidate — the
-// columnar form selected by Config.BitmapSets), or a Bloom filter. The
-// lineage flag records whether any Bloom filter took part in building the
-// set; such candidates are uncertain and require validation (Algorithm 3 —
-// we track lineage with OR rather than the paper's AND so that Bloom false
-// positives can never leak into results).
+// Exactly one representation is set: an exact bitmap (refs+bits: the capture
+// universe of the originating group in capture order, shared by all of its
+// dependents, with bit i live meaning refs[i] is a candidate) or a Bloom
+// filter. The lineage flag records whether any Bloom filter took part in
+// building the set; such candidates are uncertain and require validation
+// (Algorithm 3 — we track lineage with OR rather than the paper's AND so that
+// Bloom false positives can never leak into results).
 type candSet struct {
-	exact   map[cind.Capture]struct{}
 	refs    []cind.Capture
 	bits    dataflow.Bitmap
 	approx  *bloom.Filter
@@ -141,64 +145,24 @@ type candSet struct {
 	lineage bool
 }
 
-// liveRefs iterates the exact referenced captures, whichever representation
-// holds them (never called on pure-Bloom sets). Bitmap sets iterate in sorted
-// universe order; map sets in map order — consumers are order-insensitive.
+// liveRefs iterates the exact referenced captures in capture order (never
+// called on pure-Bloom sets).
 func (cs *candSet) liveRefs(f func(cind.Capture)) {
-	if cs.refs != nil {
-		cs.bits.ForEach(func(i int) { f(cs.refs[i]) })
-		return
-	}
-	for r := range cs.exact {
-		f(r)
-	}
+	cs.bits.ForEach(func(i int) { f(cs.refs[i]) })
 }
 
 // liveLen returns the exact-set cardinality (0 for pure-Bloom sets).
-func (cs *candSet) liveLen() int {
-	if cs.refs != nil {
-		return cs.bits.Count()
-	}
-	return len(cs.exact)
-}
+func (cs *candSet) liveLen() int { return cs.bits.Count() }
 
-// hasExact reports whether the set carries an exact representation (map or
-// bitmap) rather than only a Bloom filter.
-func (cs *candSet) hasExact() bool { return cs.exact != nil || cs.refs != nil }
+// hasExact reports whether the set carries the exact representation rather
+// than only a Bloom filter.
+func (cs *candSet) hasExact() bool { return cs.refs != nil }
 
-// containsRef reports exact-set membership (map lookup or binary search over
-// the sorted universe plus a bit probe).
+// containsRef reports exact-set membership: binary search over the ordered
+// universe plus a bit probe.
 func (cs *candSet) containsRef(r cind.Capture) bool {
-	if cs.refs != nil {
-		i := searchCapture(cs.refs, r)
-		return i < len(cs.refs) && cs.refs[i] == r && cs.bits.Get(i)
-	}
-	_, ok := cs.exact[r]
-	return ok
-}
-
-// captureLess orders captures by (projection, condition attributes, condition
-// values) — the total order of the bitmap universes.
-func captureLess(a, b cind.Capture) bool {
-	if a.Proj != b.Proj {
-		return a.Proj < b.Proj
-	}
-	if a.Cond.A1 != b.Cond.A1 {
-		return a.Cond.A1 < b.Cond.A1
-	}
-	if a.Cond.A2 != b.Cond.A2 {
-		return a.Cond.A2 < b.Cond.A2
-	}
-	if a.Cond.V1 != b.Cond.V1 {
-		return a.Cond.V1 < b.Cond.V1
-	}
-	return a.Cond.V2 < b.Cond.V2
-}
-
-// searchCapture returns the first index i with !captureLess(refs[i], c),
-// i.e. the binary-search insertion point of c in a sorted universe.
-func searchCapture(refs []cind.Capture, c cind.Capture) int {
-	return sort.Search(len(refs), func(i int) bool { return !captureLess(refs[i], c) })
+	i, ok := slices.BinarySearchFunc(cs.refs, r, cind.CompareCaptures)
+	return ok && cs.bits.Get(i)
 }
 
 // workUnit is a slice of a dominant capture group: the dependent captures
@@ -225,13 +189,11 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 	outcome := Outcome{Degraded: false}
 
 	// Expand every group to its implication closure so that Lemma 3's
-	// membership test sees subsumed unary captures (see DESIGN.md).
-	// pruneBySupport consumes the closure through two separate narrow chains
-	// (the capture counters and the group pruning); the optimizer's
-	// shared-prefix rule pins it — at the second consumer on a cold run, at
-	// the first once a profile remembers the sharing — where a hand-placed
-	// Materialize call used to.
-	closed := dataflow.Map(groups, "ext/close", capture.Close)
+	// membership test sees subsumed unary captures (see DESIGN.md). Several
+	// narrow chains consume the closure (the capture counters, the group
+	// pruning, the strategy split), so it is pinned here: a pending chain
+	// would replay capture.Close once per consumer.
+	closed := dataflow.Map(groups, "ext/close", capture.Close).Materialize()
 
 	// Capture-support pruning (steps 1–3): captures occurring in fewer than
 	// h groups cannot take part in any broad CIND — neither as dependent
@@ -278,35 +240,28 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 	bloomBytes := cfg.bloomBytes()
 	normalCands := dataflow.FlatMap(normal, "ext/candidates-exact",
 		func(g capture.Group, emit func(dataflow.Pair[cind.Capture, *candSet])) {
-			if cfg.BitmapSets {
-				// One sorted universe per group, shared by every dependent;
-				// each dependent's set is an all-ones bitmap with its own
-				// capture cleared — |G|/64 words instead of a |G|-entry map.
-				universe := sortedUniverse(g.Captures, cfg.RefArity)
-				for _, dep := range g.Captures {
-					if !cfg.DepArity.matches(dep) {
-						continue
-					}
+			// One ordered universe per group, shared by every dependent; each
+			// dependent's set is an all-ones bitmap with its own capture
+			// cleared — |G|/64 words per candidate.
+			universe, err := orderedUniverse(g.Captures, cfg.RefArity)
+			if err != nil {
+				groups.Context().Fail("ext/candidates-exact", err)
+				return
+			}
+			at := 0 // dep's index in universe, when it is in it
+			for _, dep := range g.Captures {
+				inUniverse := cfg.RefArity.matches(dep)
+				if cfg.DepArity.matches(dep) {
 					bits := dataflow.NewBitmap(len(universe))
 					bits.SetAll()
-					if i := searchCapture(universe, dep); i < len(universe) && universe[i] == dep {
-						bits.Clear(i)
+					if inUniverse {
+						bits.Clear(at)
 					}
 					emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{refs: universe, bits: bits, count: 1}})
 				}
-				return
-			}
-			for _, dep := range g.Captures {
-				if !cfg.DepArity.matches(dep) {
-					continue
+				if inUniverse {
+					at++
 				}
-				refs := make(map[cind.Capture]struct{}, len(g.Captures)-1)
-				for _, r := range g.Captures {
-					if r != dep && cfg.RefArity.matches(r) {
-						refs[r] = struct{}{}
-					}
-				}
-				emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{exact: refs, count: 1}})
 			}
 		})
 	unitCands := dataflow.FlatMap(units, "ext/candidates-bloom",
@@ -438,8 +393,10 @@ func pruneBySupport(closed *dataflow.Dataset[capture.Group], h int) *dataflow.Da
 		}
 		return capture.Group{Captures: kept}
 	})
+	// The strategy split and the load estimate both consume the pruned
+	// groups; pin them like the closure.
 	return dataflow.Filter(pruned, "ext/drop-empty",
-		func(g capture.Group) bool { return len(g.Captures) > 0 })
+		func(g capture.Group) bool { return len(g.Captures) > 0 }).Materialize()
 }
 
 // splitDominant implements the load balancing of §7.2 (steps 4–7): the
@@ -515,97 +472,65 @@ func emptyGroups(d *dataflow.Dataset[capture.Group]) *dataflow.Dataset[capture.G
 }
 
 // mergeCandSets is Algorithm 3: intersect two candidate sets, distinguishing
-// exact/exact, Bloom/Bloom, bitmap, and mixed cases, summing the group counts
-// and propagating Bloom lineage. The intersection is associative and
-// commutative — probing an element against two Bloom filters succeeds exactly
-// when it passes their bit-wise AND — so reduction order does not matter.
+// exact/exact, Bloom/Bloom, and mixed cases, summing the group counts and
+// propagating Bloom lineage. The intersection is associative and commutative
+// — probing an element against two Bloom filters succeeds exactly when it
+// passes their bit-wise AND — so reduction order does not matter.
 func mergeCandSets(a, b *candSet) *candSet {
 	count := a.count + b.count
 	lineage := a.lineage || b.lineage
 	var res *candSet
-	switch {
-	case a.refs != nil || b.refs != nil:
+	if a.refs != nil || b.refs != nil {
 		res = mergeIntoBits(a, b)
-	case a.exact != nil && b.exact != nil:
-		// Intersect the smaller into the larger for speed.
-		small, large := a, b
-		if len(small.exact) > len(large.exact) {
-			small, large = large, small
-		}
-		for r := range small.exact {
-			if _, ok := large.exact[r]; !ok {
-				delete(small.exact, r)
-			}
-		}
-		res = small
-	case a.approx != nil && b.approx != nil:
+	} else {
 		a.approx.Intersect(b.approx)
 		res = a
-	default:
-		// Mixed: probe the exact side against the Bloom filter and keep the
-		// survivors as the (still possibly over-approximate) exact set.
-		exact, blm := a, b
-		if exact.exact == nil {
-			exact, blm = b, a
-		}
-		for r := range exact.exact {
-			if !blm.approx.Test(r.Key()) {
-				delete(exact.exact, r)
-			}
-		}
-		res = exact
 	}
 	res.count = count
 	res.lineage = lineage
 	return res
 }
 
-// mergeIntoBits intersects when at least one side is bitmap-backed: the
-// bitmap side (the smaller-cardinality one if both are) tests each live
-// capture against the other representation and clears misses. Clearing bits
-// never touches the shared universe slice, so siblings of the originating
-// group are unaffected. The caller overwrites count/lineage.
+// mergeIntoBits intersects when at least one side is exact: the exact side
+// (the smaller-cardinality one if both are) tests each live capture against
+// the other side and clears misses; against a Bloom filter the survivors are
+// the (still possibly over-approximate) exact set. Clearing bits never
+// touches the shared universe slice, so siblings of the originating group are
+// unaffected. The caller overwrites count/lineage.
 func mergeIntoBits(a, b *candSet) *candSet {
 	if a.refs == nil || (b.refs != nil && a.bits.Count() > b.bits.Count()) {
 		a, b = b, a
 	}
-	switch {
-	case b.refs != nil:
-		// Both universes are sorted and a's live bits come in ascending
-		// order, so one cursor into b.refs only ever moves forward.
-		pos := 0
-		a.bits.ForEach(func(i int) {
-			c := a.refs[i]
-			pos = gallopCapture(b.refs, pos, c)
-			if pos == len(b.refs) || b.refs[pos] != c || !b.bits.Get(pos) {
-				a.bits.Clear(i)
-			}
-		})
-	case b.exact != nil:
-		a.bits.ForEach(func(i int) {
-			if _, ok := b.exact[a.refs[i]]; !ok {
-				a.bits.Clear(i)
-			}
-		})
-	default:
+	if b.refs == nil {
 		a.bits.ForEach(func(i int) {
 			if !b.approx.Test(a.refs[i].Key()) {
 				a.bits.Clear(i)
 			}
 		})
+		return a
 	}
+	// Both universes are in capture order and a's live bits come in ascending
+	// order, so one cursor into b.refs only ever moves forward.
+	pos := 0
+	a.bits.ForEach(func(i int) {
+		c := a.refs[i]
+		pos = gallopCapture(b.refs, pos, c)
+		if pos == len(b.refs) || b.refs[pos] != c || !b.bits.Get(pos) {
+			a.bits.Clear(i)
+		}
+	})
 	return a
 }
 
-// gallopCapture returns the first index i ≥ from with !captureLess(refs[i], c)
-// in a sorted universe, given that every entry before from is less than c:
-// searchCapture resumed from a previous hit. It doubles its step from `from`
-// until it overshoots c, then binary-searches the last step, so a run of
-// lookups with ascending c costs O(log gap) each and O(|refs|) at most in
+// gallopCapture returns the first index i ≥ from with refs[i] ≥ c in a
+// universe in capture order, given that every entry before from is less than
+// c: a binary search resumed from a previous hit. It doubles its step from
+// `from` until it overshoots c, then binary-searches the last step, so a run
+// of lookups with ascending c costs O(log gap) each and O(|refs|) at most in
 // total, however unequal the two sides are.
 func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
 	lo, step := from, 1
-	for lo+step <= len(refs) && captureLess(refs[lo+step-1], c) {
+	for lo+step <= len(refs) && cind.CompareCaptures(refs[lo+step-1], c) < 0 {
 		lo += step
 		step <<= 1
 	}
@@ -613,7 +538,7 @@ func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
 	hi := min(lo+step-1, len(refs))
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if captureLess(refs[mid], c) {
+		if cind.CompareCaptures(refs[mid], c) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -622,18 +547,20 @@ func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
 	return lo
 }
 
-// sortedUniverse filters a group's captures by the referenced arity and
-// sorts a fresh copy (the group's own slice is shared with work units and
-// must not be reordered) — the capture universe bitmap sets index into.
-func sortedUniverse(captures []cind.Capture, ref Arity) []cind.Capture {
+// orderedUniverse filters a group's captures by the referenced arity into a
+// fresh slice — the capture universe bitmap sets index into — and reports a
+// *GroupOrderError unless the group is strictly ascending in capture order.
+func orderedUniverse(captures []cind.Capture, ref Arity) ([]cind.Capture, error) {
 	universe := make([]cind.Capture, 0, len(captures))
-	for _, c := range captures {
+	for i, c := range captures {
+		if i > 0 && cind.CompareCaptures(captures[i-1], c) >= 0 {
+			return nil, &GroupOrderError{Prev: captures[i-1], Next: c}
+		}
 		if ref.matches(c) {
 			universe = append(universe, c)
 		}
 	}
-	sort.Slice(universe, func(i, j int) bool { return captureLess(universe[i], universe[j]) })
-	return universe
+	return universe, nil
 }
 
 // validate resolves uncertain candidate sets (step 9–10): the uncertain map

@@ -1,17 +1,23 @@
 package extract
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/capture"
 	"repro/internal/cind"
 	"repro/internal/dataflow"
+	"repro/internal/fcdetect"
 	"repro/internal/naive"
 	"repro/internal/rdf"
 )
@@ -197,13 +203,7 @@ func TestMergeCandSets(t *testing.T) {
 	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
 	c3 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 3))
 
-	exact := func(caps ...cind.Capture) *candSet {
-		m := map[cind.Capture]struct{}{}
-		for _, c := range caps {
-			m[c] = struct{}{}
-		}
-		return &candSet{exact: m, count: 1}
-	}
+	exact := func(caps ...cind.Capture) *candSet { return bitsSet(caps, caps...) }
 	blm := func(caps ...cind.Capture) *candSet {
 		f := bloom.NewBytes(64, 4)
 		for _, c := range caps {
@@ -214,16 +214,16 @@ func TestMergeCandSets(t *testing.T) {
 
 	// exact ∩ exact
 	m := mergeCandSets(exact(c1, c2, c3), exact(c2, c3))
-	if len(m.exact) != 2 || m.count != 2 || m.lineage {
+	if m.liveLen() != 2 || m.count != 2 || m.lineage {
 		t.Errorf("exact/exact merge wrong: %+v", m)
 	}
 
 	// exact ∩ bloom: probing keeps members present in the filter
 	m = mergeCandSets(exact(c1, c2), blm(c2))
-	if m.exact == nil || m.count != 2 || !m.lineage {
+	if !m.hasExact() || m.count != 2 || !m.lineage {
 		t.Errorf("mixed merge wrong: %+v", m)
 	}
-	if _, ok := m.exact[c2]; !ok {
+	if !m.containsRef(c2) {
 		t.Errorf("mixed merge dropped true member")
 	}
 
@@ -235,7 +235,7 @@ func TestMergeCandSets(t *testing.T) {
 
 	// order invariance of the mixed case
 	m2 := mergeCandSets(blm(c2), exact(c1, c2))
-	if m2.exact == nil || m2.count != 2 || !m2.lineage {
+	if !m2.hasExact() || m2.count != 2 || !m2.lineage {
 		t.Errorf("mixed merge (swapped) wrong: %+v", m2)
 	}
 }
@@ -404,4 +404,125 @@ func randomDataset(n, card int) *rdf.Dataset {
 		ds.Add(fmt.Sprintf("s%d", s), fmt.Sprintf("p%d", p), fmt.Sprintf("o%d", o))
 	}
 	return ds
+}
+
+// onCluster replays driver on an in-process cluster: the coordinator's
+// Context on this goroutine, one worker goroutine per rank.
+func onCluster(t *testing.T, workers int, driver func(c *dataflow.Context)) {
+	t.Helper()
+	addr := filepath.Join(t.TempDir(), "coord.sock")
+	var wg sync.WaitGroup
+	cl, err := dataflow.StartCluster(dataflow.ClusterConfig{
+		Workers: workers, Network: "unix", Addr: addr,
+		HeartbeatInterval: 20 * time.Millisecond, HeartbeatDeadline: 5 * time.Second,
+		Spawn: func(rank int) error {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w, err := dataflow.DialWorker("unix", addr, rank)
+				if err != nil {
+					return
+				}
+				defer w.Close()
+				c := dataflow.NewContext(0, dataflow.WithWorkerConn(w))
+				driver(c)
+				if c.Err() == nil {
+					w.Goodbye()
+				}
+			}()
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	c := dataflow.NewContext(0, dataflow.WithCluster(cl))
+	driver(c)
+	if err := c.Err(); err != nil {
+		t.Errorf("cluster run failed: %v", err)
+	}
+	cl.Close()
+	wg.Wait()
+}
+
+// TestClosureComputedOnce: the implication closure and the support pruning
+// each have several consumers inside BroadCINDs, and each must still run as
+// exactly one stage over exactly the groups the process holds — on one
+// worker, on two, and on every rank of a 2-rank cluster, where the ranks'
+// shares add up to the single-process group count.
+func TestClosureComputedOnce(t *testing.T) {
+	ds := randomDataset(300, 5)
+	const h = 2
+	// run extracts on c and returns how many groups this process held.
+	run := func(c *dataflow.Context) int64 {
+		triples := dataflow.Parallelize(c, "input", ds.Triples)
+		fc := fcdetect.Detect(triples, h, fcdetect.Options{})
+		groups := capture.BuildGroups(triples, fc, fcdetect.Options{})
+		var held int64
+		for _, p := range groups.Partitions() {
+			held += int64(len(p))
+		}
+		if _, err := BroadCINDs(groups, Config{Support: h}); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		for _, op := range []string{"ext/close", "ext/prune-groups"} {
+			var in []int64
+			for _, sp := range c.Stats().Spans() {
+				ops := []string{sp.Name}
+				for _, f := range sp.FusedOps {
+					ops = append(ops, f.Name)
+				}
+				if slices.Contains(ops, op) {
+					in = append(in, sp.RecordsIn)
+				}
+			}
+			if len(in) != 1 || in[0] != held {
+				t.Errorf("rank %d workers %d: %s ran over %v records, want one span over %d",
+					c.Rank(), c.Workers(), op, in, held)
+			}
+		}
+		return held
+	}
+	want := run(dataflow.NewContext(1))
+	if want == 0 {
+		t.Fatal("vacuous: no capture groups")
+	}
+	if got := run(dataflow.NewContext(2)); got != want {
+		t.Errorf("2 workers hold %d groups, 1 worker %d", got, want)
+	}
+	var onRanks atomic.Int64
+	onCluster(t, 2, func(c *dataflow.Context) { onRanks.Add(run(c)) })
+	if got := onRanks.Load(); got != want {
+		t.Errorf("cluster ranks hold %d groups, single process %d", got, want)
+	}
+}
+
+// TestUnorderedGroupFailsStage: a hand-built group that is not strictly
+// ascending in capture order must fail the run with a *GroupOrderError, on
+// the exact path and with duplicates as well as inversions.
+func TestUnorderedGroupFailsStage(t *testing.T) {
+	c1 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 1))
+	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
+	c3 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 3))
+	for name, bad := range map[string][]cind.Capture{
+		"inverted":  {c1, c3, c2},
+		"duplicate": {c1, c2, c2},
+	} {
+		ctx := dataflow.NewContext(2)
+		groups := dataflow.Parallelize(ctx, "groups", []capture.Group{
+			{Captures: []cind.Capture{c1, c2, c3}}, {Captures: bad}, {Captures: []cind.Capture{c1, c2}},
+		})
+		got, err := BroadCINDs(groups, Config{Support: 1, DirectExtraction: true})
+		var oe *GroupOrderError
+		if !errors.As(err, &oe) || len(got) != 0 {
+			t.Fatalf("%s: BroadCINDs = %d CINDs, %v; want a *GroupOrderError", name, len(got), err)
+		}
+		if cind.CompareCaptures(oe.Prev, oe.Next) < 0 {
+			t.Errorf("%s: error names an ordered pair: %v", name, oe)
+		}
+		var se *dataflow.StageError
+		if !errors.As(err, &se) || se.Stage != "ext/candidates-exact" {
+			t.Errorf("%s: failure not attributed to ext/candidates-exact: %v", name, err)
+		}
+	}
 }

@@ -45,12 +45,6 @@ type Span struct {
 	// fused chain, which materializes only its final output) wrote; zero for
 	// wide operators and sources.
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches counts the column batches a fused chain's columnar execution
-	// (dataflow batch.go) delivered to its sink; BatchFill is the fraction of
-	// their lanes still selected (1.0 = no Filter cleared anything). Both zero
-	// on record-at-a-time execution.
-	Batches   int64   `json:"batches,omitempty"`
-	BatchFill float64 `json:"batch_fill,omitempty"`
 	// CombinerIn/CombinerOut are the record counts before and after combiner
 	// pre-aggregation (ReduceByKey's early aggregation); zero when the stage
 	// has no combiner.
@@ -85,37 +79,6 @@ type Span struct {
 type FusedOp struct {
 	Name      string `json:"name"`
 	RecordsIn int64  `json:"records_in"`
-}
-
-// CostInputs is the subset of a span's statistics a cost model consumes:
-// the primitive quantities (records, bytes moved or spilled, wall time,
-// allocation volume) with the display-oriented fields stripped. The plan
-// optimizer's profile stores exactly these per stage.
-type CostInputs struct {
-	RecordsIn         int64
-	RecordsOut        int64
-	WallMS            float64
-	ShuffleBytes      int64
-	SpilledBytes      int64
-	MaterializedBytes int64
-	CombinerIn        int64
-	CombinerOut       int64
-	AllocBytes        int64
-}
-
-// CostInputs extracts the cost-model observation from a recorded span.
-func (s Span) CostInputs() CostInputs {
-	return CostInputs{
-		RecordsIn:         s.RecordsIn,
-		RecordsOut:        s.RecordsOut,
-		WallMS:            s.WallMS,
-		ShuffleBytes:      s.ShuffleBytes,
-		SpilledBytes:      s.SpilledBytes,
-		MaterializedBytes: s.MaterializedBytes,
-		CombinerIn:        s.CombinerIn,
-		CombinerOut:       s.CombinerOut,
-		AllocBytes:        int64(s.AllocBytesDelta),
-	}
 }
 
 // CombinerHitRate is the fraction of records the combiner eliminated before
@@ -192,9 +155,6 @@ func writeSpanNodes(w io.Writer, nodes []*spanNode, depth int) error {
 				indent, 32-2*depth, n.segment, fmtMS(s.WallMS), s.RecordsIn, s.RecordsOut, s.MaxWorkerRecords)
 			if len(s.FusedOps) > 0 {
 				line += fmt.Sprintf("  fused=%d", len(s.FusedOps))
-			}
-			if s.Batches > 0 {
-				line += fmt.Sprintf("  batches=%d/%.0f%%", s.Batches, s.BatchFill*100)
 			}
 			if s.ShuffleBytes > 0 {
 				line += fmt.Sprintf("  shuffle=%s", fmtBytes(s.ShuffleBytes))
