@@ -8,7 +8,9 @@ package rdfind
 //
 //	go run ./cmd/benchsuite -exp all -scale 1 | tee experiments.txt
 //
-// EXPERIMENTS.md records a full-scale run next to the paper's numbers.
+// EXPERIMENTS.md records a full-scale run next to the paper's numbers. These
+// regenerate reports; the numbers a performance claim rests on come from
+// benchmark/ (see BENCHMARK.json).
 
 import (
 	"io"

@@ -3,26 +3,21 @@
 // Usage:
 //
 //	benchsuite -list
-//	benchsuite [-scale F] [-workers N] [-out DIR] -exp <id>|all
+//	benchsuite [-scale F] [-workers N] -exp <id>|all
 //
 // Experiment IDs follow DESIGN.md: table2, fig2, fig4, fig7, fig8, fig9,
-// fig10, fig11, fig12, fig13, sec86, fig14, appB. Reports are printed as
-// aligned text tables with the paper's published observations attached as
-// notes for comparison; EXPERIMENTS.md records a full run.
-//
-// With -out, every experiment additionally writes a machine-readable
-// BENCH_<id>.json record (schema rdfind-bench/v1): the report rows plus
-// wall time, work accounting, and per-stage trace spans for each pipeline
-// run. benchdiff compares two such records.
+// fig10, fig11, fig12, fig13, sec86, fig14, appB, ablation. Reports are
+// printed as aligned text tables with the paper's published observations
+// attached as notes for comparison; EXPERIMENTS.md records a full run.
+// Performance numbers come from benchmark/ (see BENCHMARK.json), not from
+// these reports.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -39,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "", "experiment id (see -list) or 'all'")
 	scale := fs.Float64("scale", 1.0, "dataset scale factor (1 = DESIGN.md default sizes)")
 	workers := fs.Int("workers", 4, "dataflow workers where the experiment does not vary them")
-	out := fs.String("out", "", "directory for machine-readable BENCH_<id>.json records (empty = none)")
 	timeout := fs.Duration("timeout", 0, "abort the whole suite after this duration (0 = no limit), exit code 4")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
@@ -60,55 +54,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *exp == "" {
-		fmt.Fprintln(stderr, "usage: benchsuite -exp <id>|all [-scale F] [-workers N] [-out DIR]")
+		fmt.Fprintln(stderr, "usage: benchsuite -exp <id>|all [-scale F] [-workers N]")
 		fs.PrintDefaults()
 		return 2
 	}
 
-	ids := []string{*exp}
-	if strings.EqualFold(*exp, "all") {
-		ids = experiments.IDs()
-	}
-	opts := experiments.Options{Scale: *scale, Workers: *workers}
 	start := time.Now()
-	for _, id := range ids {
-		if *out == "" {
-			if err := experiments.Run(id, opts, stdout); err != nil {
-				fmt.Fprintln(stderr, "benchsuite:", err)
-				return 1
-			}
-			continue
-		}
-		// Benched mode: collect the machine-readable record and render its
-		// report rows, so -out changes the artifacts but not the output.
-		rec, err := experiments.RunBench(id, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchsuite:", err)
-			return 1
-		}
-		rep := &experiments.Report{ID: rec.Experiment, Title: rec.Title,
-			Header: rec.Header, Rows: rec.Rows, Notes: rec.Notes}
-		if _, err := rep.WriteTo(stdout); err != nil {
-			fmt.Fprintln(stderr, "benchsuite:", err)
-			return 1
-		}
-		if err := writeRecord(*out, rec); err != nil {
-			fmt.Fprintln(stderr, "benchsuite:", err)
-			return 1
-		}
+	if err := experiments.Run(*exp, experiments.Options{Scale: *scale, Workers: *workers}, stdout); err != nil {
+		fmt.Fprintln(stderr, "benchsuite:", err)
+		return 1
 	}
 	fmt.Fprintf(stdout, "total: %v (scale %g, %d workers)\n", time.Since(start).Round(time.Millisecond), *scale, *workers)
 	return 0
-}
-
-func writeRecord(dir string, rec *experiments.BenchRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+rec.Experiment+".json")
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -2,14 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-
-	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 func TestListAndUsage(t *testing.T) {
@@ -17,8 +10,9 @@ func TestListAndUsage(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	if !strings.Contains(out.String(), "fig9") {
-		t.Errorf("-list output lacks experiment ids: %s", out.String())
+	const want = "experiments: table2, fig2, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, sec86, fig14, appB, ablation (or: all)\n"
+	if out.String() != want {
+		t.Errorf("-list printed %q, want %q", out.String(), want)
 	}
 	if code := run(nil, &out, &errOut); code != 2 {
 		t.Errorf("no -exp exit %d, want 2", code)
@@ -26,41 +20,8 @@ func TestListAndUsage(t *testing.T) {
 	if code := run([]string{"-exp", "nope"}, &out, &errOut); code != 1 {
 		t.Errorf("unknown experiment exit %d, want 1", code)
 	}
-}
-
-// TestOutWritesValidRecord runs a small real experiment with -out and checks
-// the BENCH file parses, carries the schema, and reconciles its accounting.
-func TestOutWritesValidRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real experiment")
-	}
-	dir := t.TempDir()
-	var out, errOut bytes.Buffer
-	code := run([]string{"-exp", "table2", "-scale", "0.02", "-workers", "2", "-out", dir}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_table2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec experiments.BenchRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Schema != experiments.BenchSchema || rec.Experiment != "table2" {
-		t.Errorf("record header: schema=%q experiment=%q", rec.Schema, rec.Experiment)
-	}
-	if rec.WallMS <= 0 || len(rec.Rows) == 0 {
-		t.Errorf("incomplete record: wall=%v rows=%d", rec.WallMS, len(rec.Rows))
-	}
-	for _, pr := range rec.Runs {
-		if got := metrics.TotalRecordsIn(pr.Spans); got != pr.TotalWork {
-			t.Errorf("run %q: span records-in %d != total work %d", pr.Label, got, pr.TotalWork)
-		}
-	}
-	// The report must still have been rendered to stdout.
-	if !strings.Contains(out.String(), "== table2:") {
-		t.Errorf("report not rendered with -out:\n%s", out.String())
+	// There is no -out: performance records come from benchmark/ only.
+	if code := run([]string{"-out", t.TempDir(), "-exp", "table2"}, &out, &errOut); code != 2 {
+		t.Errorf("-out exit %d, want 2", code)
 	}
 }

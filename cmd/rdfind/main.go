@@ -252,7 +252,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return exitUsage
 		}
 		holds := rdfind.Holds(ds, inc)
-		fmt.Fprintf(stdout, "%s  holds=%v support=%d\n", inc.Format(ds.Dict), holds, rdfind.Support(ds, inc.Dep))
+		out := newResultWriter(stdout)
+		fmt.Fprintf(out, "%s  holds=%v support=%d\n", inc.Format(ds.Dict), holds, rdfind.Support(ds, inc.Dep))
+		if code := flushResult(out, stderr); code != exitOK {
+			return code
+		}
 		if !holds {
 			return exitDiscovery
 		}

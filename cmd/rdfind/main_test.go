@@ -398,10 +398,11 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space
 
 // TestStdoutWriteErrorFailsRun: a result that could not be written in full is
 // a failed run in every output format, reported on stderr, not exit 0 with a
-// truncated file.
+// truncated file. The -check statement holds, so its exit 1 is the write's.
 func TestStdoutWriteErrorFailsRun(t *testing.T) {
 	query := []string{"-query", "SELECT ?m WHERE { ?m <http://example.org/located> ?c }"}
-	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}, query, append(query, "-json")} {
+	check := []string{"-check", "(o, p=<http://example.org/located>) <= (s, p=<http://example.org/cityIn>)"}
+	for _, format := range [][]string{nil, {"-format", "json"}, {"-json"}, query, append(query, "-json"), check} {
 		args := append([]string{"-support", "2", "-workers", "1"}, format...)
 		var stderr bytes.Buffer
 		code := run(append(args, "testdata/museums.nt"), failingWriter{}, &stderr)

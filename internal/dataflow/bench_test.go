@@ -54,19 +54,6 @@ func BenchmarkGroupByKey(b *testing.B) {
 	}
 }
 
-func BenchmarkDistinct(b *testing.B) {
-	c := NewContext(4)
-	data := make([]int, 100000)
-	for i := range data {
-		data[i] = i % 1000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Parallelize(c, "in", data)
-		Distinct(d, "distinct")
-	}
-}
-
 func BenchmarkGlobalReduce(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -116,9 +116,10 @@ func WithFaultPlan(p *FaultPlan) Option {
 
 // WithMemoryBudget bounds the keyed-operator state (aggregation maps and
 // shuffle routing buffers) to roughly n bytes across all workers. Under the
-// budget, ReduceByKey and GroupByKey over record types with a registered
-// PairCodec switch to the spill-to-disk execution of spill.go; operators
-// without a codec are unaffected. Non-positive budgets disable spilling.
+// budget, ReduceByKey over record types with a registered PairCodec switches
+// to the spill-to-disk execution of spill.go; GroupByKey, CoGroup and
+// operators without a codec are unaffected. Non-positive budgets disable
+// spilling.
 func WithMemoryBudget(n int64) Option {
 	return func(c *Context) {
 		if n > 0 {
@@ -256,7 +257,7 @@ type Dataset[T any] struct {
 	plan  *chain[T] // pending narrow-operator chain; nil once materialized
 	// distinct is an upper bound on the number of distinct shuffle keys in
 	// the dataset when one is known (0 = unknown). Operators that aggregate
-	// by key (ReduceByKey, GroupByKey, Distinct) set it on their outputs and
+	// by key (ReduceByKey, GroupByKey) set it on their outputs and
 	// use it to pre-size downstream aggregation maps; record-subset operators
 	// (Filter) propagate it, since a subset cannot add keys.
 	distinct int64
@@ -728,11 +729,6 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, combi
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string) *Dataset[Pair[K, []V]] {
 	c := d.ctx
 	d.force()
-	if c.memBudget > 0 && !c.distributed() {
-		if codec, ok := pairCodecFor[K, V](); ok {
-			return groupByKeySpill(d, name, codec)
-		}
-	}
 	sp := c.begin(name)
 	counts := partLens(d.parts)
 	shuffled, bytes, ok := shuffleByKey(d, name)
@@ -853,82 +849,6 @@ func Union[T any](a, b *Dataset[T], name string) *Dataset[T] {
 		hint = a.distinct + b.distinct
 	}
 	return &Dataset[T]{ctx: c, parts: out, distinct: hint}
-}
-
-// Distinct removes duplicate records via a hash shuffle, so equal records
-// meet on one worker. It is the engine-level form of the early-aggregated
-// deduplication RDFind's capture-evidence stage performs.
-//
-// It runs directly on T — records are deduplicated partition-locally
-// (name/combine, the early aggregation), shuffled by their own hash, and
-// deduplicated once more at the target (name/reduce) — instead of boxing
-// every record into a Pair[T, struct{}] and delegating to ReduceByKey. Within
-// each partition, output records keep first-occurrence order.
-func Distinct[T comparable](d *Dataset[T], name string) *Dataset[T] {
-	c := d.ctx
-	d.force()
-	sp := c.begin(name)
-	pre := make([][]T, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name+"/combine", func(w int) error {
-		in := d.parts[w]
-		seen := make(map[T]struct{}, mapSizeHint(len(in), d.distinct))
-		local := pre[w][:0] // a retried worker reuses its previous attempt's buffer
-		for _, t := range in {
-			if _, dup := seen[t]; !dup {
-				seen[t] = struct{}{}
-				local = append(local, t)
-			}
-		}
-		pre[w] = local
-		counts[w] = int64(len(in))
-		return nil
-	}) {
-		return empty[T](c)
-	}
-	sp.combinerIn = sumCounts(counts)
-	sp.combinerOut = totalLen(pre)
-	var (
-		shuffled [][]T
-		bytes    int64
-		ok       bool
-	)
-	if c.distributed() {
-		// Route each record by the seeded hash of its own encoding, so equal
-		// records meet on one rank cluster-wide.
-		shuffled, bytes, ok = distShuffleRecords(c, name, pre, nil)
-	} else {
-		shuffled, bytes, ok = shuffleParts(c, name, pre, func(t T) int {
-			return hashPartition(c, t)
-		})
-	}
-	if !ok {
-		return empty[T](c)
-	}
-	sp.shuffleBytes = bytes
-	out := make([][]T, c.workers)
-	if !c.runStage(name+"/reduce", func(w int) error {
-		in := shuffled[w]
-		bound := int64(len(in)) // post-combine, the partition length is tight
-		if d.distinct > 0 && d.distinct < bound {
-			bound = d.distinct
-		}
-		seen := make(map[T]struct{}, bound)
-		local := out[w][:0]
-		for _, t := range in {
-			if _, dup := seen[t]; !dup {
-				seen[t] = struct{}{}
-				local = append(local, t)
-			}
-		}
-		out[w] = local
-		return nil
-	}) {
-		return empty[T](c)
-	}
-	c.finish(sp, counts, totalLen(out))
-	// Every surviving record is a distinct key by construction.
-	return &Dataset[T]{ctx: c, parts: out, distinct: totalLen(out)}
 }
 
 // PartitionBy redistributes records by an explicit partition function,

@@ -223,22 +223,6 @@ func TestUnionContextMismatchPanics(t *testing.T) {
 	Union(Parallelize(NewContext(2), "a", ints(1)), Parallelize(NewContext(2), "b", ints(1)), "bad")
 }
 
-func TestDistinct(t *testing.T) {
-	c := NewContext(4)
-	d := Parallelize(c, "in", []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
-	got := Collect(Distinct(d, "distinct"))
-	sort.Ints(got)
-	want := []int{1, 2, 3, 4, 5, 6, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Distinct = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Distinct = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestGlobalReduce(t *testing.T) {
 	c := NewContext(4)
 	d := Parallelize(c, "in", ints(10))

@@ -229,9 +229,8 @@ func distShufflePairs[K comparable, V any](c *Context, name string, parts [][]Pa
 }
 
 // distShuffleRecords is the cross-process repartition of unkeyed records
-// (Distinct, PartitionBy). A nil target routes each record by the seeded
-// hash of its own encoding; an explicit target must be a pure function of
-// the record so every process agrees on placements.
+// (PartitionBy). target must be a pure function of the record so every
+// process agrees on placements.
 func distShuffleRecords[T any](c *Context, name string, parts [][]T, target func(T) int) ([][]T, int64, bool) {
 	if c.failed() {
 		return nil, 0, false
@@ -254,12 +253,7 @@ func distShuffleRecords[T any](c *Context, name string, parts [][]T, target func
 	var scratch []byte
 	for _, rec := range parts[rank] {
 		scratch = codec.AppendValue(scratch[:0], rec)
-		t := 0
-		if target != nil {
-			t = target(rec)
-		} else {
-			t = c.distPartition(scratch)
-		}
+		t := target(rec)
 		buckets[t] = appendBlob(buckets[t], scratch)
 	}
 	var body []byte

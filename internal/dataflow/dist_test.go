@@ -17,7 +17,7 @@ import (
 )
 
 // distProgram is the driver every process of the test cluster replays: a
-// keyed shuffle (ReduceByKey), an unkeyed repartition (Distinct), a CoGroup,
+// keyed shuffle (ReduceByKey), an unkeyed repartition (PartitionBy), a CoGroup,
 // a gather (Len), and a GlobalReduce — one of each collective shape. The
 // returned slice is sorted, so it is comparable across partitioning regimes
 // (single-process maphash vs the cluster's seeded hash).
@@ -28,7 +28,7 @@ func distProgram(c *Context, n int) ([]Pair[int, int], int, int64) {
 	})
 	sums := ReduceByKey(keyed, "sum", func(a, b int) int { return a + b })
 
-	mods := Distinct(Map(d, "mod", func(v int) int { return v % 5 }), "mods")
+	mods := PartitionBy(Map(d, "mod", func(v int) int { return v % 5 }), "mods", func(v int) int { return v })
 	tags := Map(mods, "tag", func(v int) Pair[int, string] {
 		return Pair[int, string]{Key: v % 17, Val: "x"}
 	})
@@ -404,7 +404,7 @@ func TestDistMissingCodecIsTerminal(t *testing.T) {
 	type opaque struct{ x int } // no codec registered for this type
 	driver := func(c *Context) {
 		d := Parallelize(c, "input", []opaque{{1}, {2}, {3}})
-		Collect(Distinct(d, "dedup"))
+		Collect(PartitionBy(d, "place", func(o opaque) int { return o.x }))
 	}
 	_, err := runDistCluster(t, 3, ClusterConfig{Workers: 2}, driver)
 	var mce *MissingCodecError

@@ -6,7 +6,7 @@ import "strings"
 // FlatMap, Filter, and the output side of MapPartitions — do not execute when
 // they are called: they append to a pending chain on the Dataset, and the
 // whole chain runs as ONE fused stage when something needs the data. A wide
-// operator (ReduceByKey, GroupByKey, CoGroup, Distinct, PartitionBy, Union),
+// operator (ReduceByKey, GroupByKey, CoGroup, PartitionBy, Union),
 // Collect, GlobalReduce, Len, Partitions, or String forces materialization;
 // the fused stage streams every source record through all chained functions
 // in a single pass — one goroutine fan-out, one output buffer per worker,

@@ -1,27 +1,25 @@
-// Out-of-core execution for the keyed operators.
+// Out-of-core execution for the keyed aggregation.
 //
 // When a Context carries a memory budget (WithMemoryBudget) and a PairCodec
-// is registered for an operator's record type, ReduceByKey and GroupByKey
-// switch to a spilling implementation that bounds the engine's resident state
-// instead of holding the whole shuffle and aggregation in memory:
+// is registered for the operator's record type, ReduceByKey switches to a
+// spilling implementation that bounds the engine's resident state instead of
+// holding the whole shuffle and aggregation in memory:
 //
-//   - The combine/scatter phase aggregates (or, for GroupByKey, merely
-//     routes) records into a bounded map and encodes overflow into
-//     per-target chunk buffers. Full chunks are appended to a per-worker
-//     temporary file; partial chunks stay in memory, so a generous budget
-//     degenerates to an in-memory (if serialized) shuffle with no disk I/O.
-//   - The reduce/group phase streams each target's chunks in source-worker
-//     order and re-aggregates under the same bound. Overflowing aggregation
-//     state is flushed as a run sorted by encoded key bytes; runs are
-//     recombined with an external k-way merge (multi-pass above mergeFanIn
-//     for ReduceByKey), which restores exactly one record per key.
+//   - The combine/scatter phase aggregates records into a bounded map and
+//     encodes overflow into per-target chunk buffers. Full chunks are
+//     appended to a per-worker temporary file; partial chunks stay in memory,
+//     so a generous budget degenerates to an in-memory (if serialized)
+//     shuffle with no disk I/O.
+//   - The reduce phase streams each target's chunks in source-worker order
+//     and re-aggregates under the same bound. Overflowing aggregation state
+//     is flushed as a run sorted by encoded key bytes; runs are recombined
+//     with an external k-way merge (multi-pass above mergeFanIn), which
+//     restores exactly one record per key.
 //
 // The result is identical, as a multiset per partition, to the in-memory
-// operators: records route through the same hashPartition, ReduceByKey's
-// combine function is associative and commutative by contract, and
-// GroupByKey's value order is preserved because chunks keep source order,
-// runs are flushed in stream order, and the merge concatenates equal keys in
-// run order. Only the (already arbitrary) map-iteration output order differs.
+// operator: records route through the same hashPartition and ReduceByKey's
+// combine function is associative and commutative by contract. Only the
+// (already arbitrary) map-iteration output order differs.
 //
 // Temporary files are created with os.CreateTemp and unlinked immediately,
 // so closing the handle — or crashing — is the only cleanup needed. A worker
@@ -60,8 +58,8 @@ type PairCodec[K comparable, V any] interface {
 // pairCodecs maps reflect.TypeOf(Pair[K, V]{}) to its registered PairCodec.
 var pairCodecs sync.Map
 
-// RegisterPairCodec makes codec available to budgeted ReduceByKey/GroupByKey
-// over Pair[K, V]. Packages register their record types in init; the latest
+// RegisterPairCodec makes codec available to budgeted ReduceByKey over
+// Pair[K, V]. Packages register their record types in init; the latest
 // registration for a type wins. Operators whose record type has no codec run
 // in memory regardless of the budget.
 //
@@ -95,7 +93,7 @@ const mapEntryOverhead = 48
 // the worker's share funds the aggregation map, the other half the routing
 // chunks (one per target worker).
 type spillParams struct {
-	maxEntries int // aggregation-map entries (or buffered group values) before a run flush
+	maxEntries int // aggregation-map entries before a run flush
 	chunkCap   int // bytes per in-memory routing chunk before it goes to disk
 }
 
@@ -402,9 +400,6 @@ func appendRunEntry[K comparable, V any](rw *sortedRunWriter, codec PairCodec[K,
 }
 
 // flush sorts the buffered entries by key bytes and writes them as one run.
-// The sort is stable: GroupByKey emits a key's values as multiple frames with
-// equal key bytes whose relative order encodes insertion order and must
-// survive the sort (for ReduceByKey keys are unique, so stability is free).
 func (rw *sortedRunWriter) flush(file **spillFile, dir string, sp *activeSpan) (segment, error) {
 	sort.SliceStable(rw.entries, func(i, j int) bool {
 		a, b := rw.entries[i], rw.entries[j]
@@ -720,132 +715,4 @@ func mergeReduceRuns[K comparable, V any](c *Context, file *spillFile, runs []se
 		return nil, err
 	}
 	return dst, nil
-}
-
-// groupByKeySpill is the budgeted GroupByKey. Phase 1 (name/scatter) routes
-// every record — no pre-aggregation, preserving per-key value order — and
-// phase 2 (name/group) streams each target in source order, spilling
-// key-sorted runs whose merge concatenates equal keys' values in stream
-// order, reproducing the in-memory operator's value order exactly.
-func groupByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, codec PairCodec[K, V]) *Dataset[Pair[K, []V]] {
-	c := d.ctx
-	sp := c.begin(name)
-	params := c.spillParams(samplePairSize(d.parts))
-
-	files := make([]*spillFile, c.workers)
-	chunks := make([][]chunkList, c.workers)
-	counts := make([]int64, c.workers)
-	crossing := make([]int64, c.workers)
-	defer closeSpillFiles(files)
-	if !c.runStage(name+"/scatter", func(w int) error {
-		files[w].close()
-		files[w] = nil
-		cl := make([]chunkList, c.workers)
-		chunks[w] = cl
-		crossing[w] = 0
-		in := d.parts[w]
-		counts[w] = int64(len(in))
-		var scratch []byte
-		for _, kv := range in {
-			t := hashPartition(c, kv.Key)
-			before := len(cl[t].tail)
-			cl[t].tail = appendFrame(cl[t].tail, codec, kv.Key, kv.Val, &scratch)
-			if t != w {
-				crossing[w] += int64(len(cl[t].tail) - before)
-			}
-			if len(cl[t].tail) >= params.chunkCap {
-				if err := flushChunk(&cl[t], &files[w], c.spillDir, sp); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}) {
-		return empty[Pair[K, []V]](c)
-	}
-	sp.shuffleBytes = sumCounts(crossing)
-
-	out := make([][]Pair[K, []V], c.workers)
-	runFiles := make([]*spillFile, c.workers)
-	defer closeSpillFiles(runFiles)
-	if !c.runStage(name+"/group", func(t int) error {
-		runFiles[t].close()
-		runFiles[t] = nil
-		agg := make(map[K][]V, mapSizeHint(0, d.distinct))
-		buffered := 0 // values held in agg, the group-side budget unit
-		rw := &sortedRunWriter{}
-		var runs []segment
-		flushRun := func() error {
-			if buffered == 0 {
-				return nil
-			}
-			// One frame per value; within a key, insertion order, which the
-			// stable run sort preserves.
-			for k, vs := range agg {
-				for _, v := range vs {
-					appendRunEntry(rw, codec, k, v)
-				}
-			}
-			clear(agg)
-			buffered = 0
-			seg, err := rw.flush(&runFiles[t], c.spillDir, sp)
-			if err != nil {
-				return err
-			}
-			runs = append(runs, seg)
-			return nil
-		}
-		if err := replayChunks(c, files, chunks, t, func(kb, vb []byte) error {
-			if buffered >= params.maxEntries {
-				if err := flushRun(); err != nil {
-					return err
-				}
-			}
-			k := codec.DecodeKey(kb)
-			agg[k] = append(agg[k], codec.DecodeValue(vb))
-			buffered++
-			return nil
-		}); err != nil {
-			return err
-		}
-		if len(runs) == 0 {
-			local := make([]Pair[K, []V], 0, len(agg))
-			for k, vs := range agg {
-				local = append(local, Pair[K, []V]{k, vs})
-			}
-			out[t] = local
-			return nil
-		}
-		if err := flushRun(); err != nil {
-			return err
-		}
-		sp.mergePasses.Add(1)
-		var local []Pair[K, []V]
-		var vs []V
-		var curK []byte
-		have := false
-		err := mergeRunGroup(c, runFiles[t], runs, 0, func(kb, vb []byte, last bool) error {
-			if !have || !bytes.Equal(curK, kb) {
-				curK = append(curK[:0], kb...)
-				vs = nil
-				have = true
-			}
-			vs = append(vs, codec.DecodeValue(vb))
-			if last {
-				local = append(local, Pair[K, []V]{codec.DecodeKey(curK), vs})
-				vs = nil
-				have = false
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		out[t] = local
-		return nil
-	}) {
-		return empty[Pair[K, []V]](c)
-	}
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[Pair[K, []V]]{ctx: c, parts: out, distinct: totalLen(out)}
 }

@@ -157,8 +157,7 @@ func sumCounts(counts []int64) int64 {
 
 // estimateMaterializedBytes estimates the bytes a narrow stage's output
 // partitions occupy, one sample record per partition extrapolated like the
-// shuffle estimate below. Fused chains materialize only their final output;
-// benchdiff gates on its regression.
+// shuffle estimate below. Fused chains materialize only their final output.
 func estimateMaterializedBytes[T any](parts [][]T) int64 {
 	var total int64
 	for _, p := range parts {

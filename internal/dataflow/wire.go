@@ -7,7 +7,7 @@
 // keyed shuffle encodes its records with the operator's registered PairCodec
 // in exactly the uvarint-framed [klen, key, vlen, val] layout spill files use
 // (appendFrame/decodeFrame), so every record type that can spill to disk can
-// also cross the network unchanged. Non-pair records (Distinct inputs,
+// also cross the network unchanged. Non-pair records (PartitionBy inputs,
 // Collect/GlobalReduce values) use the lighter ValueCodec registry below;
 // registering a PairCodec automatically derives the matching ValueCodec.
 package dataflow

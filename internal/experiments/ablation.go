@@ -26,7 +26,7 @@ func RunAblation(opts Options) (*Report, error) {
 	}
 	baseline := -1
 	for _, size := range sizes {
-		res, _, elapsed := timedDiscover(fmt.Sprintf("bloom-%dB", size), ds, core.Config{Support: h, Workers: opts.Workers, BloomBytes: size})
+		res, _, elapsed := timedDiscover(ds, core.Config{Support: h, Workers: opts.Workers, BloomBytes: size})
 		n := len(res.CINDs) + len(res.ARs)
 		if baseline < 0 {
 			baseline = n

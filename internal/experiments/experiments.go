@@ -5,7 +5,7 @@
 // the same rows/series the paper plots, which EXPERIMENTS.md compares
 // against the published results.
 //
-// Absolute numbers differ from the paper (single core and scaled-down
+// Absolute numbers differ from the paper (one small machine and scaled-down
 // datasets versus a 10-node cluster and the original corpora); the reports
 // are about shape: who wins, by what factor, where the curves bend.
 package experiments
@@ -13,11 +13,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/cind"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/rdf"
 )
@@ -110,9 +111,6 @@ var registry = []struct {
 	{"fig14", RunFig14, "Query minimization, LUBM Q2 (Figure 14)"},
 	{"appB", RunAppB, "Use-case CINDs and ARs (Appendix B)"},
 	{"ablation", RunAblation, "Candidate-set Bloom size ablation (§7.2)"},
-	{"dist", RunDist, "Distributed execution and fault recovery"},
-	{"partition", RunPartition, "Ingest partitioning ablation (hash vs subject locality)"},
-	{"serve", RunServe, "Concurrent query serving under mixed load"},
 }
 
 // IDs returns the registered experiment identifiers in order.
@@ -177,6 +175,24 @@ func dataset(name string, scale float64) *rdf.Dataset {
 	ds := spec.Generate(scale)
 	datasetCache[key] = ds
 	return ds
+}
+
+// timedDiscover times one core.TryDiscover and panics on error, like
+// core.Discover.
+func timedDiscover(ds *rdf.Dataset, cfg core.Config) (*cind.Result, *core.RunStats, time.Duration) {
+	res, stats, elapsed, err := timedTryDiscover(ds, cfg)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return res, stats, elapsed
+}
+
+// timedTryDiscover is timedDiscover with the error (load limit, injected
+// fault) returned.
+func timedTryDiscover(ds *rdf.Dataset, cfg core.Config) (*cind.Result, *core.RunStats, time.Duration, error) {
+	start := time.Now()
+	res, stats, err := core.TryDiscover(ds, cfg)
+	return res, stats, time.Since(start), err
 }
 
 // fmtDuration renders a duration with millisecond resolution.

@@ -49,7 +49,7 @@ func runSweep(opts Options) []sweepPoint {
 	for _, entry := range supportSweep {
 		ds := dataset(entry.Dataset, opts.Scale)
 		for _, h := range entry.Thresholds {
-			res, _, elapsed := timedDiscover(entry.Dataset, ds, core.Config{Support: h, Workers: opts.Workers})
+			res, _, elapsed := timedDiscover(ds, core.Config{Support: h, Workers: opts.Workers})
 			points = append(points, sweepPoint{
 				Dataset: entry.Dataset,
 				H:       h,

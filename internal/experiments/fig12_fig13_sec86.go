@@ -23,7 +23,7 @@ const memGrant = 30_000_000
 // the grant.
 func timeVariantBounded(name string, opts Options, h int, v core.Variant, limit int64) (time.Duration, int, bool, error) {
 	ds := dataset(name, opts.Scale)
-	res, _, elapsed, err := timedTryDiscover(name, ds, core.Config{
+	res, _, elapsed, err := timedTryDiscover(ds, core.Config{
 		Support: h, Workers: opts.Workers, Variant: v, LoadLimit: limit,
 	})
 	if errors.Is(err, extract.ErrLoadLimit) {

@@ -34,7 +34,7 @@ func RunFig14(opts Options) (*Report, error) {
 	if h < 2 {
 		h = 2
 	}
-	res, _, _ := timedDiscover("LUBM-1(x2)", ds, core.Config{Support: h, Workers: opts.Workers})
+	res, _, _ := timedDiscover(ds, core.Config{Support: h, Workers: opts.Workers})
 	st := triplestore.New(ds)
 
 	q, err := sparql.Parse(lubmQ2)
@@ -109,7 +109,7 @@ func RunAppB(opts Options) (*Report, error) {
 	// DBpedia: subproperty hint and the AC/DC pair.
 	{
 		ds := dataset("DB14-MPCE", opts.Scale)
-		res, _, _ := timedDiscover("DB14-MPCE", ds, core.Config{Support: 25, Workers: opts.Workers})
+		res, _, _ := timedDiscover(ds, core.Config{Support: 25, Workers: opts.Workers})
 		checks = append(checks,
 			findCIND(ds, res, "ontology: subproperty",
 				cap(ds, rdf.Subject, "associatedBand"), cap(ds, rdf.Subject, "associatedMusicalArtist")),
@@ -117,7 +117,7 @@ func RunAppB(opts Options) (*Report, error) {
 				cap(ds, rdf.Object, "associatedBand"), cap(ds, rdf.Object, "associatedMusicalArtist")),
 		)
 		// The AC/DC fact needs a low threshold (support 26 in the paper).
-		low, _, _ := timedDiscover("DB14-MPCE(low-h)", ds, core.Config{Support: 20, Workers: opts.Workers})
+		low, _, _ := timedDiscover(ds, core.Config{Support: 20, Workers: opts.Workers})
 		angus := capBin(ds, rdf.Subject, "writer", "dbr:Angus_Young")
 		malcolm := capBin(ds, rdf.Subject, "writer", "dbr:Malcolm_Young")
 		checks = append(checks, findCIND(ds, low, "knowledge: co-written songs", angus, malcolm))
@@ -129,7 +129,7 @@ func RunAppB(opts Options) (*Report, error) {
 	// LinkedMDB: the performance-class association rule.
 	{
 		ds := dataset("LinkedMDB", opts.Scale)
-		res, _, _ := timedDiscover("LinkedMDB", ds, core.Config{Support: 100, Workers: opts.Workers})
+		res, _, _ := timedDiscover(ds, core.Config{Support: 100, Workers: opts.Workers})
 		perf, okP := ds.Dict.Lookup("lmdb:performance")
 		typ, okT := ds.Dict.Lookup("rdf:type")
 		c := check{useCase: "ontology: class discovery", render: "o=lmdb:performance → p=rdf:type"}
@@ -146,7 +146,7 @@ func RunAppB(opts Options) (*Report, error) {
 	// DrugBank: nested drug targets and the classification hierarchy.
 	{
 		ds := dataset("DrugBank", opts.Scale)
-		res, _, _ := timedDiscover("DrugBank", ds, core.Config{Support: 5, Workers: opts.Workers})
+		res, _, _ := timedDiscover(ds, core.Config{Support: 5, Workers: opts.Workers})
 		sub := capBinSP(ds, rdf.Object, "drug00001", "target")
 		super := capBinSP(ds, rdf.Object, "drug00000", "target")
 		checks = append(checks, findCIND(ds, res, "knowledge: drug target nesting", sub, super))

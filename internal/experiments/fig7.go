@@ -45,7 +45,7 @@ func RunFig7(opts Options) (*Report, error) {
 		for _, h := range thresholds {
 			row := []string{name, fmt.Sprintf("%d", h)}
 
-			_, _, elapsed := timedDiscover(name, ds, core.Config{Support: h, Workers: 1})
+			_, _, elapsed := timedDiscover(ds, core.Config{Support: h, Workers: 1})
 			row = append(row, fmtDuration(elapsed))
 
 			for _, variant := range []struct {

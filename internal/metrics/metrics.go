@@ -3,9 +3,8 @@
 // collected in a Registry, plus the Span model the dataflow engine uses for
 // per-stage tracing (see span.go). The paper's evaluation (§8) is entirely
 // about where time and work go — per-operator costs, scale-out speedups,
-// load-balancing effects — so every performance claim this repo makes is
-// backed by these primitives: the benchsuite serializes them into
-// BENCH_<exp>.json files and benchdiff compares two such files.
+// load-balancing effects — and these primitives are how a run accounts for
+// them: `rdfind -stats` and the experiment reports read them.
 //
 // All types are safe for concurrent use. Snapshots are plain structs with
 // JSON tags, so callers can embed them into larger machine-readable reports.
@@ -104,36 +103,6 @@ type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the recorded
-// observations by linear interpolation inside the bucket holding the target
-// rank. Observations in the overflow bucket report the last bound — a
-// deliberate underestimate, so callers comparing latency quantiles should
-// pick bounds that cover their tail. An empty histogram reports 0.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum, lower := 0.0, 0.0
-	for i, c := range s.Counts {
-		if i >= len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1] // overflow bucket
-		}
-		upper := s.Bounds[i]
-		next := cum + float64(c)
-		if next >= rank && c > 0 {
-			return lower + (rank-cum)/float64(c)*(upper-lower)
-		}
-		cum, lower = next, upper
-	}
-	return lower
-}
-
 // Snapshot copies the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
@@ -200,25 +169,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		h = NewHistogram(nil)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// HistogramWith returns the named histogram, creating it with the given
-// bucket bounds on first use (nil bounds select the defaults). Bounds only
-// apply at creation; a later call with different bounds returns the existing
-// histogram unchanged. Serving-latency call sites use this to get finer
-// sub-millisecond resolution than DefaultLatencyBuckets.
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histograms == nil {
-		r.histograms = make(map[string]*Histogram)
-	}
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds)
 		r.histograms[name] = h
 	}
 	return h

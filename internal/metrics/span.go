@@ -216,8 +216,8 @@ func fmtBytes(n int64) string {
 }
 
 // TotalRecordsIn sums the spans' input-record counts; by construction the
-// dataflow engine keeps it equal to Stats.TotalWork, which is how BENCH
-// files can be cross-checked against the work accounting.
+// dataflow engine keeps it equal to Stats.TotalWork, which is how a span
+// export can be cross-checked against the work accounting.
 func TotalRecordsIn(spans []Span) int64 {
 	var total int64
 	for _, s := range spans {
