@@ -3,6 +3,8 @@ package rdfind
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -64,12 +66,16 @@ func TestFaultFacadeInjectionRoundTrip(t *testing.T) {
 }
 
 func TestFaultFacadeCancelAndLenient(t *testing.T) {
-	ds, malformed, err := ReadNTriplesLenient(strings.NewReader(facadeDoc+"broken line\n"), 0)
+	path := filepath.Join(t.TempDir(), "dirty.nt")
+	if err := os.WriteFile(path, []byte(facadeDoc+"broken line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, malformed, err := ReadSource(Source{Inputs: []string{path}, Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(malformed) != 1 || malformed[0].Line != 7 {
-		t.Fatalf("malformed = %v, want one error on line 7", malformed)
+	if len(malformed) != 1 || malformed[0].Path != path || malformed[0].Err.Line != 7 {
+		t.Fatalf("malformed = %v, want one error on line 7 of %s", malformed, path)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -37,9 +37,10 @@ import (
 // Tables are gathered per file, not per rank: with files interleaved across
 // ranks, rank-level tables would intern terms in rank order, not document
 // order, and the IDs would diverge from a sequential read. Keying by global
-// file index keeps the merge exactly the one mergeShards performs in
-// memory, so the Source differential suite can demand byte-identical
-// dictionaries across every ingest mode.
+// file index keeps the merge exactly the document-order fold of
+// Dataset.AppendBlock that single-process ingest performs, so the Source
+// differential suite can demand byte-identical dictionaries across every
+// ingest mode.
 
 // tripleCodec ships rdf.Triple over the wire for the placement shuffle.
 type tripleCodec struct{}
@@ -125,7 +126,8 @@ func ingestLocal(h *harness, resolved *source.Resolved, part source.Partitioner,
 			}
 			for _, bt := range blk.Triples {
 				t := rdf.Triple{S: remap[bt.S], P: remap[bt.P], O: remap[bt.O]}
-				parts[part.Place(t, workers)] = append(parts[part.Place(t, workers)], t)
+				w := part.Place(t, workers)
+				parts[w] = append(parts[w], t)
 			}
 			for _, e := range blk.Errs {
 				ing.Skipped = append(ing.Skipped, source.Malformed{Path: path, Err: e})

@@ -42,10 +42,11 @@ func writeSplitNT(t *testing.T, ds *rdf.Dataset, dir string, nfiles int) string 
 	return filepath.Join(dir, "part-*.nt")
 }
 
-// slurpBaseline reads the resolved files through the legacy slurp reader
-// (concatenated in canonical order) and discovers over the result: the
-// pre-streaming ingest path every streamed mode must match byte for byte.
-func slurpBaseline(t *testing.T, spec source.Spec, cfg Config) (string, *rdf.Dataset) {
+// slurpBaseline concatenates the resolved files in canonical order, reads
+// the bytes as one document through one StreamNTriples call, and discovers
+// over the result: the single-document read every multi-file ingest mode
+// must match byte for byte. It also returns the lines a lenient spec skips.
+func slurpBaseline(t *testing.T, spec source.Spec, cfg Config) (string, *rdf.Dataset, []*rdf.SyntaxError) {
 	t.Helper()
 	resolved, err := spec.Resolve()
 	if err != nil {
@@ -59,12 +60,19 @@ func slurpBaseline(t *testing.T, spec source.Spec, cfg Config) (string, *rdf.Dat
 		}
 		concat.Write(b)
 	}
-	ds, err := rdf.ReadNTriples(&concat)
+	ds := rdf.NewDataset()
+	var skipped []*rdf.SyntaxError
+	var remap []rdf.Value
+	err = rdf.StreamNTriples(&concat, rdf.StreamConfig{Lenient: spec.Lenient}, func(blk *rdf.TermBlock) error {
+		remap = ds.AppendBlock(blk, remap)
+		skipped = append(skipped, blk.Errs...)
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("ReadNTriples: %v", err)
+		t.Fatalf("StreamNTriples: %v", err)
 	}
 	res, _ := Discover(ds, cfg)
-	return res.Format(ds.Dict), ds
+	return res.Format(ds.Dict), ds, skipped
 }
 
 // sameDict fails unless the two dictionaries issued identical IDs.
@@ -131,15 +139,15 @@ func runDistributedSource(t *testing.T, spec source.Spec, cfg Config, workers in
 }
 
 // TestSourceSingleProcessMatchesSlurp: streamed single-process ingest over
-// split files must reproduce the legacy slurp reader byte for byte —
-// result and dictionary — across partitioners, shard counts, and block
-// geometries.
+// split files must reproduce the concatenated single-document read byte for
+// byte — result and dictionary — across partitioners, shard counts, and
+// block geometries.
 func TestSourceSingleProcessMatchesSlurp(t *testing.T) {
 	ds := skewedDataset(500, 17)
 	dir := t.TempDir()
 	glob := writeSplitNT(t, ds, dir, 3)
 	cfg := Config{Support: 2, Workers: 4}
-	want, wantDS := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, cfg)
+	want, wantDS, _ := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, cfg)
 
 	for _, part := range []string{"hash", "subject"} {
 		for _, shards := range []int{1, 4} {
@@ -181,7 +189,7 @@ func TestSourceClusterMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	glob := writeSplitNT(t, ds, dir, 5)
 	cfg := Config{Support: 2}
-	want, wantDS := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, Config{Support: 2, Workers: 4})
+	want, wantDS, _ := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, Config{Support: 2, Workers: 4})
 
 	for _, part := range []string{"hash", "subject"} {
 		for _, w := range []int{1, 2, 4} {
@@ -228,7 +236,7 @@ func TestSourceClusterSurvivesWorkerKillDuringIngest(t *testing.T) {
 	ds := skewedDataset(500, 17)
 	dir := t.TempDir()
 	glob := writeSplitNT(t, ds, dir, 4)
-	want, wantDS := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, Config{Support: 2, Workers: 2})
+	want, wantDS, _ := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, Config{Support: 2, Workers: 2})
 
 	for _, seq := range []int{0, 1} {
 		label := fmt.Sprintf("kill:1@%d", seq)
@@ -247,8 +255,8 @@ func TestSourceClusterSurvivesWorkerKillDuringIngest(t *testing.T) {
 }
 
 // TestSourceLenientParity: streamed lenient ingest must skip exactly the
-// lines the legacy lenient reader skips, and report them attributed to
-// their file.
+// lines a lenient read of the concatenated files skips, and report them
+// attributed to their file.
 func TestSourceLenientParity(t *testing.T) {
 	ds := skewedDataset(200, 7)
 	dir := t.TempDir()
@@ -279,30 +287,14 @@ func TestSourceLenientParity(t *testing.T) {
 		}
 	}
 
-	// Legacy lenient baseline over the same concatenation.
-	resolved, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var concat bytes.Buffer
-	for _, f := range resolved.Files {
-		raw, err := os.ReadFile(f.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		concat.Write(raw)
-	}
-	legacy, skipped, err := rdf.ReadNTriplesLenient(&concat, 0)
-	if err != nil {
-		t.Fatalf("ReadNTriplesLenient: %v", err)
-	}
+	// Lenient baseline over the same concatenation, read as one document.
+	want, wantDS, skipped := slurpBaseline(t, spec, Config{Support: 2, Workers: 2})
 	if len(skipped) != 2 {
-		t.Fatalf("legacy reader skipped %d lines, want 2", len(skipped))
+		t.Fatalf("baseline skipped %d lines, want 2", len(skipped))
 	}
-	lres, _ := Discover(legacy, Config{Support: 2, Workers: 2})
-	if got, want := res.Format(dict), lres.Format(legacy.Dict); got != want {
-		t.Errorf("lenient streamed output diverged from legacy (%d vs %d bytes)",
+	if got := res.Format(dict); got != want {
+		t.Errorf("lenient streamed output diverged from the baseline (%d vs %d bytes)",
 			len(got), len(want))
 	}
-	sameDict(t, "lenient", dict, legacy.Dict)
+	sameDict(t, "lenient", dict, wantDS.Dict)
 }

@@ -9,14 +9,10 @@ import (
 	"repro/internal/rdf"
 )
 
-// Ingest microbenchmarks: the sequential bufio reader vs the parallel
-// byte-slice kernel at several shard counts. Run with
+// BenchmarkStreamNTriples measures the N-Triples reader at several shard
+// counts, folding its blocks into a Dataset the way ingest does. Run with
 //
-//	go test ./internal/rdf -run '^$' -bench Ingest -benchmem
-//
-// Even at one shard the parallel kernel should win on allocations: it slices
-// terms out of the input buffer and materializes a string only on a term's
-// first occurrence, where the sequential path materializes every line.
+//	go test ./internal/rdf -run '^$' -bench StreamNTriples -benchmem
 
 // benchDocument synthesizes an N-Triples corpus with term reuse patterns like
 // real data: many subjects, few predicates, a mid-sized object vocabulary.
@@ -33,24 +29,19 @@ func benchDocument(triples int) []byte {
 	return []byte(b.String())
 }
 
-func BenchmarkIngestSequential(b *testing.B) {
-	data := benchDocument(50000)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rdf.ReadNTriples(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIngestParallel(b *testing.B) {
+func BenchmarkStreamNTriples(b *testing.B) {
 	data := benchDocument(50000)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := rdf.ParseNTriples(data, shards); err != nil {
+				ds := rdf.NewDataset()
+				var remap []rdf.Value
+				err := rdf.StreamNTriples(bytes.NewReader(data), rdf.StreamConfig{Shards: shards}, func(blk *rdf.TermBlock) error {
+					remap = ds.AppendBlock(blk, remap)
+					return nil
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,18 +14,6 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{byStr: make(map[string]Value)}
 }
 
-// NewDictionarySized returns an empty dictionary pre-sized for about n terms,
-// so bulk loaders (the parallel ingest merge) avoid incremental map growth.
-func NewDictionarySized(n int) *Dictionary {
-	if n < 0 {
-		n = 0
-	}
-	return &Dictionary{
-		byStr: make(map[string]Value, n),
-		byID:  make([]string, 0, n),
-	}
-}
-
 // Encode interns s and returns its ID, assigning the next free ID on first
 // sight.
 func (d *Dictionary) Encode(s string) Value {

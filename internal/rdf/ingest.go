@@ -3,31 +3,24 @@ package rdf
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"sort"
-	"sync"
 )
 
-// This file implements the parallel ingest path: the input document is split
-// into byte-range chunks aligned on line boundaries, each chunk is parsed and
-// dictionary-encoded by its own goroutine against a private per-shard term
-// table, and the shards are then merged deterministically into one global
-// Dictionary. The merge walks the shards in document order and interns each
-// shard's terms in their first-occurrence order, so every term receives
-// exactly the ID the sequential reader would have assigned — parallel and
-// sequential ingest are byte-for-byte interchangeable (the determinism suite
-// pins this for shard counts 1, 2, 4, and 8).
+// This file holds the N-Triples scanning kernel that StreamNTriples
+// (stream.go) runs on every chunk: scanShard parses one chunk of complete
+// lines and dictionary-encodes it against a private per-chunk term table.
+// Chunks are scanned concurrently and merged in document order, interning
+// each chunk's terms in their first-occurrence order, so every term receives
+// exactly the ID a sequential line-by-line read would assign, at any shard
+// count or chunk size.
 //
-// The shard scanner works directly on the input bytes: lines and terms are
-// slices of the input buffer, and a string is materialized only when a term
-// is new to the shard's table (a map lookup keyed by string(b) does not
-// allocate in Go). That makes the kernel allocation-lean compared to the
-// sequential bufio.Scanner path, which materializes every line: the parallel
-// path wins even at one shard on one core, and scales with shard count on
-// multi-core machines.
+// The scanner works directly on the input bytes: lines and terms are slices
+// of the chunk buffer, and a string is materialized only when a term is new
+// to the chunk's table (a map lookup keyed by string(b) does not allocate in
+// Go).
 
-// shardDict is a per-shard term table: terms in first-occurrence order plus
-// the reverse index. IDs are shard-local and remapped during the merge.
+// shardDict is a per-chunk term table: terms in first-occurrence order plus
+// the reverse index. IDs are chunk-local and remapped when the block is
+// appended to a Dataset.
 type shardDict struct {
 	byStr map[string]uint32
 	order []string
@@ -75,119 +68,9 @@ type shardResult struct {
 	errs    []*SyntaxError // malformed lines, in chunk order
 }
 
-// ParseNTriples parses an N-Triples document held in memory using the given
-// number of parallel shards (values below 1 select 1). The resulting dataset
-// — triple order and dictionary ID assignment included — is identical to
-// ReadNTriples over the same bytes; a malformed line aborts with the
-// document's first *SyntaxError, like the sequential strict reader.
-func ParseNTriples(data []byte, shards int) (*Dataset, error) {
-	ds, _, err := parseNTriplesParallel(data, shards, 0, false)
-	return ds, err
-}
-
-// ParseNTriplesLenient is ParseNTriples in lenient mode: malformed lines are
-// skipped and reported as *SyntaxErrors (capped at maxErrors, non-positive
-// selecting DefaultMaxParseErrors), mirroring ReadNTriplesLenient.
-func ParseNTriplesLenient(data []byte, shards, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	if maxErrors <= 0 {
-		maxErrors = DefaultMaxParseErrors
-	}
-	return parseNTriplesParallel(data, shards, maxErrors, true)
-}
-
-// ReadNTriplesParallel reads the whole stream into memory and parses it with
-// ParseNTriples. For inputs already held as bytes, call ParseNTriples
-// directly and avoid the copy.
-func ReadNTriplesParallel(r io.Reader, shards int) (*Dataset, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ntriples: %w", err)
-	}
-	return ParseNTriples(data, shards)
-}
-
-// ReadNTriplesParallelLenient is ReadNTriplesParallel in lenient mode.
-func ReadNTriplesParallelLenient(r io.Reader, shards, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ntriples: %w", err)
-	}
-	return ParseNTriplesLenient(data, shards, maxErrors)
-}
-
-// parseNTriplesParallel is the shared strict/lenient driver: chunk, scan the
-// chunks concurrently, then merge deterministically.
-func parseNTriplesParallel(data []byte, shards, maxErrors int, lenient bool) (*Dataset, []*SyntaxError, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	chunks := splitChunks(data, shards)
-
-	// Scan every chunk concurrently. Each worker needs its chunk's starting
-	// line number up front for error reporting; complete lines end in '\n',
-	// and chunk boundaries sit just after one, so a newline count per
-	// preceding chunk is exact.
-	results := make([]shardResult, len(chunks))
-	startLine := 1
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		lines := bytes.Count(chunk, []byte{'\n'})
-		wg.Add(1)
-		go func(i int, chunk []byte, startLine, lines int) {
-			defer wg.Done()
-			results[i] = scanShard(chunk, startLine, lines)
-		}(i, chunk, startLine, lines)
-		startLine += lines
-	}
-	wg.Wait()
-
-	// Error reconciliation mirrors the sequential readers exactly.
-	var malformed []*SyntaxError
-	for _, res := range results {
-		malformed = append(malformed, res.errs...)
-	}
-	sort.Slice(malformed, func(i, j int) bool { return malformed[i].Line < malformed[j].Line })
-	if !lenient {
-		if len(malformed) > 0 {
-			return nil, nil, malformed[0]
-		}
-	} else if len(malformed) > maxErrors {
-		over := malformed[maxErrors]
-		return nil, malformed[:maxErrors], fmt.Errorf(
-			"ntriples: more than %d malformed lines, giving up (line %d: %v)",
-			maxErrors, over.Line, over.Err)
-	}
-
-	return mergeShards(results), malformed, nil
-}
-
-// splitChunks cuts data into n byte ranges aligned just after '\n', so no
-// line straddles two chunks. Chunks may be empty when lines are long or the
-// input is small; the concatenation of all chunks is always the whole input.
-func splitChunks(data []byte, n int) [][]byte {
-	chunks := make([][]byte, 0, n)
-	start := 0
-	for i := 1; i < n; i++ {
-		target := len(data) * i / n
-		if target < start {
-			target = start
-		}
-		end := target
-		if nl := bytes.IndexByte(data[target:], '\n'); nl >= 0 {
-			end = target + nl + 1
-		} else {
-			end = len(data)
-		}
-		chunks = append(chunks, data[start:end])
-		start = end
-	}
-	return append(chunks, data[start:])
-}
-
 // scanShard parses one chunk of about the given number of lines into
-// shard-local triples. It is the parallel counterpart of the sequential
-// scanning loop in readNTriples: the same trimming, the same skip rules, the
-// same per-line grammar.
+// chunk-local triples. Lines are trimmed; blank and '#' comment lines are
+// skipped; every other line must be one statement.
 func scanShard(chunk []byte, startLine, lines int) shardResult {
 	res := shardResult{dict: newShardDict(lines)}
 	if lines > 0 {
@@ -238,41 +121,8 @@ func scanShard(chunk []byte, startLine, lines int) shardResult {
 	return res
 }
 
-// mergeShards builds the global dataset: shards are visited in document
-// order, each shard's terms are interned in their first-occurrence order
-// (already-known terms keep their earlier ID), and the shard's triples are
-// remapped through the resulting local→global table. Because sequential
-// ingest also assigns IDs in document first-occurrence order, the merged
-// dictionary is identical to the sequential one.
-func mergeShards(results []shardResult) *Dataset {
-	terms, triples := 0, 0
-	for _, res := range results {
-		terms += len(res.dict.order)
-		triples += len(res.triples)
-	}
-	ds := &Dataset{
-		Dict:    NewDictionarySized(terms),
-		Triples: make([]Triple, 0, triples),
-	}
-	var remap []Value
-	for _, res := range results {
-		remap = remap[:0]
-		for _, term := range res.dict.order {
-			remap = append(remap, ds.Dict.Encode(term))
-		}
-		for _, lt := range res.triples {
-			ds.Triples = append(ds.Triples, Triple{
-				S: remap[lt.S],
-				P: remap[lt.P],
-				O: remap[lt.O],
-			})
-		}
-	}
-	return ds
-}
-
-// parseLineBytes is parseNTriplesLine over a byte slice, so shard scanning
-// can slice the input buffer instead of materializing line strings.
+// parseLineBytes splits one trimmed statement into its three terms, slicing
+// the input buffer instead of materializing strings.
 func parseLineBytes(line []byte) (s, p, o []byte, err error) {
 	rest := line
 	if s, rest, err = scanTermBytes(rest); err != nil {
@@ -291,8 +141,10 @@ func parseLineBytes(line []byte) (s, p, o []byte, err error) {
 	return s, p, o, nil
 }
 
-// scanTermBytes is scanTerm over a byte slice; the two must accept exactly
-// the same grammar (the ingest equivalence test cross-checks them).
+// scanTermBytes consumes one term (URI, blank node, or literal) from the
+// front of the input and returns it with the unconsumed remainder. The
+// reader parity fuzzer holds it to the string-based reference grammar in
+// reference_test.go.
 func scanTermBytes(in []byte) (term, rest []byte, err error) {
 	for len(in) > 0 && (in[0] == ' ' || in[0] == '\t') {
 		in = in[1:]

@@ -9,7 +9,7 @@ import (
 
 func TestFaultStrictParseErrorCarriesLineNumber(t *testing.T) {
 	doc := "<a> <b> <c> .\n# comment\n\n<a> <b> garbage .\n<d> <e> <f> .\n"
-	_, err := ReadNTriples(strings.NewReader(doc))
+	_, _, err := streamNT(doc, StreamConfig{})
 	if err == nil {
 		t.Fatal("malformed line parsed")
 	}
@@ -37,7 +37,7 @@ func TestFaultLenientSkipsMalformedLines(t *testing.T) {
 		`<x> "unterminated .`, // bad literal
 		"<d> <e> <f> .",
 	}, "\n")
-	ds, malformed, err := ReadNTriplesLenient(strings.NewReader(doc), 10)
+	ds, malformed, err := streamNT(doc, StreamConfig{Lenient: true, MaxErrors: 10})
 	if err != nil {
 		t.Fatalf("lenient mode aborted: %v", err)
 	}
@@ -60,24 +60,22 @@ func TestFaultLenientErrorCapGivesUp(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fmt.Fprintf(&b, "garbage line %d\n", i)
 	}
-	ds, malformed, err := ReadNTriplesLenient(strings.NewReader(b.String()), 5)
+	ds, _, err := streamNT(b.String(), StreamConfig{Lenient: true, MaxErrors: 5})
 	if err == nil {
 		t.Fatal("exceeding the malformed-line cap must fail")
 	}
 	if ds != nil {
 		t.Error("a capped-out parse must not return a dataset")
 	}
-	if len(malformed) != 5 {
-		t.Errorf("reported %d malformed lines, want the cap of 5", len(malformed))
-	}
-	if !strings.Contains(err.Error(), "more than 5 malformed lines") {
-		t.Errorf("error %q should mention the cap", err)
+	// Lines 2–6 fill the cap; line 7 is the first one over it.
+	if !strings.Contains(err.Error(), "more than 5 malformed lines, giving up (line 7:") {
+		t.Errorf("error %q should mention the cap and the line over it", err)
 	}
 }
 
 func TestFaultLenientDefaultsCap(t *testing.T) {
 	// Non-positive caps select the default; a clean document is unaffected.
-	ds, malformed, err := ReadNTriplesLenient(strings.NewReader("<a> <b> <c> .\n"), 0)
+	ds, malformed, err := streamNT("<a> <b> <c> .\n", StreamConfig{Lenient: true})
 	if err != nil || len(malformed) != 0 || len(ds.Triples) != 1 {
 		t.Errorf("clean parse: ds=%v malformed=%v err=%v", ds, malformed, err)
 	}
@@ -88,11 +86,11 @@ func TestFaultLenientDefaultsCap(t *testing.T) {
 
 func TestFaultLenientAgreesWithStrictOnCleanInput(t *testing.T) {
 	doc := "<a> <p> <b> .\n<b> <p> <c> .\n<c> <q> \"v\"^^<t> .\n"
-	strict, err := ReadNTriples(strings.NewReader(doc))
+	strict, _, err := streamNT(doc, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, malformed, err := ReadNTriplesLenient(strings.NewReader(doc), 0)
+	lenient, malformed, err := streamNT(doc, StreamConfig{Lenient: true})
 	if err != nil || len(malformed) != 0 {
 		t.Fatalf("lenient parse of clean input: malformed=%v err=%v", malformed, err)
 	}

@@ -4,14 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
-// This file implements a reader and writer for the N-Triples serialization
-// (https://www.w3.org/TR/n-triples/), the input format of RDFind (App. C).
-// Terms are kept in their surface form — "<uri>", "_:blank", or a literal
-// with optional datatype/language tag — so that parsing and writing round-
-// trip. The paper treats blank nodes as URIs; we keep them as opaque terms,
+// This file holds the N-Triples serialization's
+// (https://www.w3.org/TR/n-triples/) error type and writer; the reader is
+// StreamNTriples (stream.go). N-Triples is the input format of RDFind
+// (App. C). Terms are kept in their surface form — "<uri>", "_:blank", or a
+// literal with optional datatype/language tag — so that reading and writing
+// round-trip. The paper treats blank nodes as URIs; we keep them as opaque terms,
 // which has the same effect.
 
 // SyntaxError describes one malformed N-Triples line, with its 1-based line
@@ -29,129 +29,6 @@ func (e *SyntaxError) Unwrap() error { return e.Err }
 // DefaultMaxParseErrors is the malformed-line cap of the lenient reader when
 // the caller does not set one.
 const DefaultMaxParseErrors = 1000
-
-// ReadNTriples parses an N-Triples document into a dataset. Blank lines and
-// comment lines (starting with '#') are skipped. Malformed lines yield a
-// *SyntaxError naming the line number.
-func ReadNTriples(r io.Reader) (*Dataset, error) {
-	ds, _, err := readNTriples(r, 0, false)
-	return ds, err
-}
-
-// ReadNTriplesLenient parses an N-Triples document, skipping malformed lines
-// instead of aborting on the first: large dirty inputs degrade gracefully.
-// The skipped lines are reported as *SyntaxErrors, capped at maxErrors
-// (non-positive selects DefaultMaxParseErrors); when the document exceeds
-// the cap, parsing stops with a non-nil error so a fundamentally broken file
-// cannot masquerade as a dirty one. I/O errors always abort.
-func ReadNTriplesLenient(r io.Reader, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	if maxErrors <= 0 {
-		maxErrors = DefaultMaxParseErrors
-	}
-	return readNTriples(r, maxErrors, true)
-}
-
-// readNTriples is the shared scanning loop of the strict and lenient modes.
-func readNTriples(r io.Reader, maxErrors int, lenient bool) (*Dataset, []*SyntaxError, error) {
-	ds := NewDataset()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	var malformed []*SyntaxError
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, p, o, err := parseNTriplesLine(line)
-		if err != nil {
-			serr := &SyntaxError{Line: lineNo, Err: err}
-			if !lenient {
-				return nil, nil, serr
-			}
-			malformed = append(malformed, serr)
-			if len(malformed) > maxErrors {
-				return nil, malformed[:maxErrors], fmt.Errorf(
-					"ntriples: more than %d malformed lines, giving up (line %d: %v)",
-					maxErrors, lineNo, err)
-			}
-			continue
-		}
-		ds.Add(s, p, o)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, malformed, fmt.Errorf("ntriples: %w", err)
-	}
-	return ds, malformed, nil
-}
-
-// parseNTriplesLine splits one statement into its three terms.
-func parseNTriplesLine(line string) (s, p, o string, err error) {
-	rest := line
-	if s, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("subject: %w", err)
-	}
-	if p, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("predicate: %w", err)
-	}
-	if o, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("object: %w", err)
-	}
-	rest = strings.TrimSpace(rest)
-	if rest != "." {
-		return "", "", "", fmt.Errorf("expected terminating '.', got %q", rest)
-	}
-	return s, p, o, nil
-}
-
-// scanTerm consumes one term (URI, blank node, or literal) from the front of
-// the input and returns it with the unconsumed remainder.
-func scanTerm(in string) (term, rest string, err error) {
-	in = strings.TrimLeft(in, " \t")
-	if in == "" {
-		return "", "", fmt.Errorf("unexpected end of line")
-	}
-	switch in[0] {
-	case '<':
-		end := strings.IndexByte(in, '>')
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated URI")
-		}
-		return in[:end+1], in[end+1:], nil
-	case '_':
-		end := strings.IndexAny(in, " \t")
-		if end < 0 {
-			end = len(in)
-		}
-		return in[:end], in[end:], nil
-	case '"':
-		end := closingQuote(in)
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated literal")
-		}
-		// Absorb an optional datatype (^^<...>) or language tag (@xx).
-		rest = in[end+1:]
-		if strings.HasPrefix(rest, "^^<") {
-			gt := strings.IndexByte(rest, '>')
-			if gt < 0 {
-				return "", "", fmt.Errorf("unterminated datatype URI")
-			}
-			end += gt + 1
-			rest = rest[gt+1:]
-		} else if strings.HasPrefix(rest, "@") {
-			n := 1
-			for n < len(rest) && rest[n] != ' ' && rest[n] != '\t' {
-				n++
-			}
-			end += n
-			rest = rest[n:]
-		}
-		return in[:end+1], rest, nil
-	default:
-		return "", "", fmt.Errorf("unexpected character %q", in[0])
-	}
-}
 
 // closingQuote finds the index of the unescaped closing quote of a literal
 // that starts at in[0] == '"'.

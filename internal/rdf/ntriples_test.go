@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -14,7 +13,7 @@ func TestReadNTriplesBasic(t *testing.T) {
 
 _:b0 <http://ex.org/label> "a literal" .
 `
-	ds, err := ReadNTriples(strings.NewReader(doc))
+	ds, _, err := streamNT(doc, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestReadNTriplesLiteralVariants(t *testing.T) {
 <a:s> <a:p> "esc \" quote" .
 <a:s> <a:p> "dot . inside" .
 `
-	ds, err := ReadNTriples(strings.NewReader(doc))
+	ds, _, err := streamNT(doc, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestReadNTriplesErrors(t *testing.T) {
 		`!bang <a:p> <a:o> .`,         // bad first character
 	}
 	for _, doc := range bad {
-		if _, err := ReadNTriples(strings.NewReader(doc)); err == nil {
+		if _, _, err := streamNT(doc, StreamConfig{}); err == nil {
 			t.Errorf("no error for malformed line %q", doc)
 		}
 	}
@@ -81,7 +80,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if err := WriteNTriples(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadNTriples(&buf)
+	back, _, err := streamNT(buf.String(), StreamConfig{})
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\ndocument:\n%s", err, buf.String())
 	}
@@ -110,7 +109,7 @@ func TestWriteNTriplesWrapsBareTerms(t *testing.T) {
 	if buf.String() != want {
 		t.Errorf("output = %q, want %q", buf.String(), want)
 	}
-	if _, err := ReadNTriples(&buf); err != nil {
+	if _, _, err := streamNT(buf.String(), StreamConfig{}); err != nil {
 		t.Errorf("written document does not re-parse: %v", err)
 	}
 }

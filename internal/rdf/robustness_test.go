@@ -17,7 +17,9 @@ func TestNTriplesNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		ReadNTriples(strings.NewReader(input))
+		for _, cfg := range []StreamConfig{{}, {Shards: 3, BlockBytes: 5, Lenient: true}} {
+			streamNT(input, cfg)
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -33,7 +35,8 @@ func TestTurtleNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		ReadTurtle(strings.NewReader(input))
+		streamTTL(input, 16)
+		streamTTL(input, turtleWindow)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -54,39 +57,8 @@ func TestTurtleNeverPanics(t *testing.T) {
 					t.Errorf("panic on %q: %v", in, r)
 				}
 			}()
-			ReadTurtle(strings.NewReader(in))
+			streamTTL(in, 16)
+			streamTTL(in, turtleWindow)
 		}()
-	}
-}
-
-func TestParseTermNeverPanics(t *testing.T) {
-	f := func(input string) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Logf("panic on %q: %v", input, r)
-				ok = false
-			}
-		}()
-		ParseTerm(input)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSnapshotReadNeverPanics(t *testing.T) {
-	f := func(input []byte) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Logf("panic on %x: %v", input, r)
-				ok = false
-			}
-		}()
-		ReadSnapshot(strings.NewReader(string(input)))
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -15,13 +15,14 @@ import (
 // — in document order. Nothing proportional to the input is ever held in
 // memory by the reader itself; peak footprint is O(shards × block size).
 //
-// The N-Triples path reuses the byte-range shard scanner from ingest.go:
-// chunks are cut on line boundaries as they are read, scanned concurrently,
-// and re-sequenced so blocks are emitted in document order. Because shard
-// merging (interning each block's terms in first-occurrence order) assigns
-// exactly the IDs a sequential read would, a consumer that folds the blocks
-// into a Dictionary in emission order reproduces the slurp readers byte for
-// byte at any shard count or block size — the stream parity suite pins this.
+// The N-Triples path runs the chunk scanner from ingest.go: chunks are cut
+// on line boundaries as they are read, scanned concurrently, and
+// re-sequenced so blocks are emitted in document order. Because
+// AppendBlock interns each block's terms in first-occurrence order, a
+// consumer that folds the blocks into a Dataset in emission order assigns
+// exactly the IDs a sequential line-by-line read would, at any shard count
+// or block size — the reader parity fuzzer pins this against the reference
+// reader in reference_test.go.
 //
 // The Turtle path wraps the statement parser in a sliding window: parse
 // statements from the window; when a parse fails (or succeeds suspiciously
@@ -60,7 +61,7 @@ type StreamConfig struct {
 	// Turtle reader has no lenient mode and ignores this.
 	Lenient bool
 	// MaxErrors caps lenient-mode malformed lines (values <= 0 select
-	// DefaultMaxParseErrors), mirroring ReadNTriplesLenient.
+	// DefaultMaxParseErrors). Exceeding the cap fails the stream.
 	MaxErrors int
 }
 
@@ -80,8 +81,8 @@ const (
 // AppendBlock interns blk's terms into the dataset's dictionary and appends
 // its triples in document order. remap is scratch reused across calls; pass
 // the previous return value (or nil). Folding a document's blocks in
-// emission order reproduces the slurp readers' dictionary and triple order
-// exactly.
+// emission order yields the same dictionary and triple order at any shard
+// count, block size or Turtle window.
 func (ds *Dataset) AppendBlock(blk *TermBlock, remap []Value) []Value {
 	remap = remap[:0]
 	for _, term := range blk.Terms {
@@ -97,7 +98,8 @@ func (ds *Dataset) AppendBlock(blk *TermBlock, remap []Value) []Value {
 // emitting TermBlocks in document order. In strict mode the first malformed
 // line aborts with its *SyntaxError (blocks already emitted must be
 // discarded by the caller); in lenient mode malformed lines ride along on
-// each block's Errs, with the cap enforced exactly like ReadNTriplesLenient.
+// each block's Errs until more than cfg.MaxErrors have been seen, which
+// fails the stream with an error naming the first line over the cap.
 // A non-nil error from emit stops the stream and is returned unchanged.
 func StreamNTriples(r io.Reader, cfg StreamConfig, emit func(*TermBlock) error) error {
 	shards := cfg.Shards
@@ -268,8 +270,9 @@ var errTurtleWindow = errors.New("turtle: statement too close to window edge")
 
 // StreamTurtle parses a Turtle document from r through a bounded sliding
 // window, emitting TermBlocks of about cfg.BlockTriples triples in document
-// order. Terms use their N-Triples surface form, so a consumer folding the
-// blocks reproduces ReadTurtle exactly. Statements larger than the window
+// order. Terms use their N-Triples surface form, so a dataset folded from
+// Turtle blocks is interchangeable with one read from the equivalent
+// N-Triples. Statements larger than the window
 // grow it transiently; peak memory is O(largest statement + window).
 func StreamTurtle(r io.Reader, cfg StreamConfig, emit func(*TermBlock) error) error {
 	blockTriples := cfg.BlockTriples
@@ -345,14 +348,17 @@ func streamTurtle(r io.Reader, window, blockTriples int, emit func(*TermBlock) e
 			}
 			break
 		}
-		savePos, saveLine, savePending := p.pos, p.line, len(p.pending)
+		// A retry must start from the statement's exact parser state: a
+		// directive updates base or prefixes before its closing '.', and a
+		// relative @base re-resolved against its own value would apply twice.
+		savePos, saveLine, savePending, saveBase := p.pos, p.line, len(p.pending), p.base
 		err := p.statement()
 		if err == nil && !eofInput && len(p.input)-p.pos < turtleMargin {
 			err = errTurtleWindow
 		}
 		if err != nil {
 			if !eofInput {
-				p.pos, p.line = savePos, saveLine
+				p.pos, p.line, p.base = savePos, saveLine, saveBase
 				p.pending = p.pending[:savePending]
 				if rerr := refill(); rerr != nil {
 					return rerr

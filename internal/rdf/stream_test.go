@@ -8,35 +8,62 @@ import (
 	"testing"
 )
 
-// collectStream folds a streamed document into a Dataset plus the
-// accumulated lenient errors, the way the source layer consumes blocks.
-func collectStream(t *testing.T, data []byte, cfg StreamConfig) (*Dataset, []*SyntaxError, error) {
-	t.Helper()
+// collect folds the blocks a streaming reader emits into one Dataset, the
+// way Resolved.ReadDataset does, and gathers the lenient malformed-line
+// reports in document order. On error the dataset is nil.
+func collect(stream func(emit func(*TermBlock) error) error) (*Dataset, []*SyntaxError, error) {
 	ds := NewDataset()
 	var errs []*SyntaxError
 	var remap []Value
-	err := StreamNTriples(bytes.NewReader(data), cfg, func(blk *TermBlock) error {
+	err := stream(func(blk *TermBlock) error {
 		remap = ds.AppendBlock(blk, remap)
 		errs = append(errs, blk.Errs...)
 		return nil
 	})
-	return ds, errs, err
+	if err != nil {
+		return nil, errs, err
+	}
+	return ds, errs, nil
 }
 
+// streamNT reads an N-Triples document through StreamNTriples.
+func streamNT(in string, cfg StreamConfig) (*Dataset, []*SyntaxError, error) {
+	return collect(func(emit func(*TermBlock) error) error {
+		return StreamNTriples(strings.NewReader(in), cfg, emit)
+	})
+}
+
+// streamTTL reads a Turtle document through a window of the given size, in
+// blocks of three triples so block edges fall inside statements' output.
+func streamTTL(in string, window int) (*Dataset, error) {
+	ds, _, err := collect(func(emit func(*TermBlock) error) error {
+		return streamTurtle(strings.NewReader(in), window, 3, emit)
+	})
+	return ds, err
+}
+
+// refNT reads an N-Triples document through the reference reader.
+func refNT(t *testing.T, in string) *Dataset {
+	t.Helper()
+	ds, _, err := readNTriples(strings.NewReader(in), 0, false)
+	if err != nil {
+		t.Fatalf("reference reader: %v", err)
+	}
+	return ds
+}
+
+// sameDatasets asserts full dataset equality: the dictionary's ID
+// assignment and the encoded triple sequence.
 func sameDatasets(t *testing.T, label string, got, want *Dataset) {
 	t.Helper()
-	if got.Dict.Len() != want.Dict.Len() {
-		t.Fatalf("%s: dictionary has %d terms, want %d", label, got.Dict.Len(), want.Dict.Len())
+	if got.Size() != want.Size() || got.Dict.Len() != want.Dict.Len() {
+		t.Fatalf("%s: %d triples/%d terms, want %d/%d",
+			label, got.Size(), got.Dict.Len(), want.Size(), want.Dict.Len())
 	}
 	for id := 0; id < want.Dict.Len(); id++ {
-		term := want.Dict.Decode(Value(id))
-		gotID, ok := got.Dict.Lookup(term)
-		if !ok || gotID != Value(id) {
-			t.Fatalf("%s: term %q has ID %d (present=%v), want %d", label, term, gotID, ok, id)
+		if g, w := got.Dict.Decode(Value(id)), want.Dict.Decode(Value(id)); g != w {
+			t.Fatalf("%s: term %d = %q, want %q", label, id, g, w)
 		}
-	}
-	if len(got.Triples) != len(want.Triples) {
-		t.Fatalf("%s: %d triples, want %d", label, len(got.Triples), len(want.Triples))
 	}
 	for i := range want.Triples {
 		if got.Triples[i] != want.Triples[i] {
@@ -45,22 +72,19 @@ func sameDatasets(t *testing.T, label string, got, want *Dataset) {
 	}
 }
 
-// TestStreamNTriplesParity: streamed ingest reproduces the slurp readers'
-// dictionary IDs and triple order at every shard count and block size,
-// including block sizes far below a line length.
+// TestStreamNTriplesParity: streamed ingest reproduces the reference
+// reader's dictionary IDs and triple order at every shard count and block
+// size, including block sizes far below a line length.
 func TestStreamNTriplesParity(t *testing.T) {
 	data, err := os.ReadFile("../../cmd/rdfind/testdata/museums.nt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReadNTriples(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refNT(t, string(data))
 	for _, shards := range []int{1, 2, 4} {
 		for _, blockBytes := range []int{7, 64, 1024, 1 << 20} {
 			label := fmt.Sprintf("shards=%d block=%d", shards, blockBytes)
-			got, errs, err := collectStream(t, data, StreamConfig{Shards: shards, BlockBytes: blockBytes})
+			got, errs, err := streamNT(string(data), StreamConfig{Shards: shards, BlockBytes: blockBytes})
 			if err != nil || len(errs) != 0 {
 				t.Fatalf("%s: errs=%v err=%v", label, errs, err)
 			}
@@ -69,25 +93,13 @@ func TestStreamNTriplesParity(t *testing.T) {
 	}
 }
 
-// TestStreamNTriplesOddInputs mirrors the parallel-ingest edge cases on the
-// streaming path.
+// TestStreamNTriplesOddInputs covers chunking edge cases: inputs smaller
+// than the block, blank and comment lines, no trailing newline, CRLF.
 func TestStreamNTriplesOddInputs(t *testing.T) {
-	inputs := []string{
-		"",
-		"\n\n\n",
-		"# only a comment\n",
-		"<a> <b> <c> .", // no trailing newline
-		"<a> <b> <c> .\r\n<a> <b> \"x\"@en .\r\n",
-		"<a> <b> \"v\\\"q\"^^<t> .\n_:b1 <p> _:b2 .\n",
-		strings.Repeat("<s> <p> <o> .\n", 100),
-	}
-	for _, in := range inputs {
-		want, err := ReadNTriples(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("%q: sequential: %v", in, err)
-		}
+	for _, in := range oddInputs {
+		want := refNT(t, in)
 		for _, cfg := range []StreamConfig{{}, {Shards: 4, BlockBytes: 5}, {Shards: 2, BlockBytes: 37}} {
-			got, _, err := collectStream(t, []byte(in), cfg)
+			got, _, err := streamNT(in, cfg)
 			if err != nil {
 				t.Fatalf("%q cfg=%+v: %v", in, cfg, err)
 			}
@@ -97,59 +109,18 @@ func TestStreamNTriplesOddInputs(t *testing.T) {
 }
 
 // TestStreamNTriplesStrictError: strict streaming reports the document's
-// first malformed line regardless of shard or block geometry.
+// first malformed line regardless of which block found it.
 func TestStreamNTriplesStrictError(t *testing.T) {
-	in := []byte("<a> <b> <c> .\nbroken line\n<d> <e> <f> .\nalso broken\n")
-	for _, cfg := range []StreamConfig{{}, {Shards: 4, BlockBytes: 8}} {
-		_, _, err := collectStream(t, in, cfg)
-		serr, ok := err.(*SyntaxError)
-		if !ok {
-			t.Fatalf("cfg=%+v: error %v (%T), want *SyntaxError", cfg, err, err)
-		}
-		if serr.Line != 2 {
-			t.Errorf("cfg=%+v: first error at line %d, want 2", cfg, serr.Line)
-		}
+	for _, cfg := range []StreamConfig{{}, {Shards: 4, BlockBytes: 8}, {Shards: 2, BlockBytes: 1}} {
+		checkFirstError(t, fmt.Sprintf("cfg=%+v", cfg), cfg)
 	}
 }
 
 // TestStreamNTriplesLenientParity: lenient streaming reports the same
-// skipped lines as the slurp lenient reader, and over the cap gives up with
-// the identical error message.
+// skipped lines as the reference lenient reader, and over the cap gives up
+// with the identical error message.
 func TestStreamNTriplesLenientParity(t *testing.T) {
-	in := []byte("<a> <b> <c> .\nbad 1\n<d> <e> <f> .\nbad 2\nbad 3\n<g> <h> <i> .\n")
-	wantDS, wantErrs, err := ReadNTriplesLenient(bytes.NewReader(in), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []StreamConfig{
-		{Lenient: true, MaxErrors: 10},
-		{Lenient: true, MaxErrors: 10, Shards: 3, BlockBytes: 6},
-	} {
-		ds, errs, err := collectStream(t, in, cfg)
-		if err != nil {
-			t.Fatalf("cfg=%+v: %v", cfg, err)
-		}
-		sameDatasets(t, fmt.Sprintf("lenient cfg=%+v", cfg), ds, wantDS)
-		if len(errs) != len(wantErrs) {
-			t.Fatalf("cfg=%+v: %d syntax errors, want %d", cfg, len(errs), len(wantErrs))
-		}
-		for i := range wantErrs {
-			if errs[i].Line != wantErrs[i].Line {
-				t.Errorf("cfg=%+v: error %d at line %d, want %d", cfg, i, errs[i].Line, wantErrs[i].Line)
-			}
-		}
-	}
-
-	_, _, seqErr := ReadNTriplesLenient(bytes.NewReader(in), 2)
-	for _, cfg := range []StreamConfig{
-		{Lenient: true, MaxErrors: 2},
-		{Lenient: true, MaxErrors: 2, Shards: 4, BlockBytes: 4},
-	} {
-		_, _, err := collectStream(t, in, cfg)
-		if err == nil || err.Error() != seqErr.Error() {
-			t.Errorf("cfg=%+v: over-cap error %v, want %v", cfg, err, seqErr)
-		}
-	}
+	checkLenient(t, []StreamConfig{{}, {Shards: 3, BlockBytes: 6}}, []StreamConfig{{}, {Shards: 4, BlockBytes: 4}})
 }
 
 // TestStreamNTriplesEmitStop: a non-nil error from emit stops the stream
@@ -215,20 +186,18 @@ ex:last ex:prop "v" .
 `
 
 // TestStreamTurtleParity: the windowed incremental parser produces exactly
-// the statements of the slurp parser at any window size, including windows
-// small enough to force a refill-and-retry inside nearly every statement.
+// the statements of a whole-document parse at any window size and block
+// size, including windows small enough to force a refill-and-retry inside
+// nearly every statement.
 func TestStreamTurtleParity(t *testing.T) {
-	want, err := ReadTurtle(strings.NewReader(turtleStreamDoc))
+	want, err := streamTTL(turtleStreamDoc, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, window := range []int{16, 23, 64, 256, 64 << 10} {
 		for _, blockTriples := range []int{1, 3, 4096} {
-			got := NewDataset()
-			var remap []Value
-			err := streamTurtle(strings.NewReader(turtleStreamDoc), window, blockTriples, func(blk *TermBlock) error {
-				remap = got.AppendBlock(blk, remap)
-				return nil
+			got, _, err := collect(func(emit func(*TermBlock) error) error {
+				return streamTurtle(strings.NewReader(turtleStreamDoc), window, blockTriples, emit)
 			})
 			label := fmt.Sprintf("window=%d block=%d", window, blockTriples)
 			if err != nil {
@@ -239,43 +208,76 @@ func TestStreamTurtleParity(t *testing.T) {
 	}
 }
 
+// TestStreamTurtleDirectiveAtWindowEdge: a directive that ends just before a
+// non-final window edge is parsed twice (the retry guards against truncated
+// tokens), and the second parse must see the parser state of the first. A
+// relative @base or BASE re-resolved against its own value used to apply
+// twice; a relative @prefix is resolved against the base, so re-applying it
+// is idempotent.
+func TestStreamTurtleDirectiveAtWindowEdge(t *testing.T) {
+	if got, err := streamTTL("@base<0>.<><><>.", 16); err != nil || got.Dict.Decode(0) != "<0>" {
+		t.Fatalf("minimal case: term 0 = %q, err %v; want <0>", got.Dict.Decode(0), err)
+	}
+	cases := []struct{ head, tail, want string }{
+		{"@base <http://x/a/> .\n", "@base <b/> .\n<s> <p> <o> .\n", "<http://x/a/b/s>"},
+		{"BASE <http://x/a/>\n", "BASE <b/>\n<s> <p> <o> .\n", "<http://x/a/b/s>"},
+		{"@base <http://x/> .\n", "@prefix ex: <a/> .\nex:s ex:p ex:o .\n", "<http://x/a/s>"},
+		{"@base <http://x/> .\n@prefix ex: <y/> .\n", "@prefix ex: <a/> .\nex:s ex:p ex:o .\n", "<http://x/a/s>"},
+	}
+	for _, c := range cases {
+		// Slide the second directive across every offset of the edge.
+		for _, window := range []int{16, 23, 64} {
+			for pad := 0; pad <= window; pad++ {
+				doc := c.head + "#" + strings.Repeat("x", pad) + "\n" + c.tail
+				got, err := streamTTL(doc, window)
+				if err != nil || got.Dict.Decode(0) != c.want {
+					t.Fatalf("window=%d pad=%d %q: subject %q, err %v; want %s", window, pad, doc, got.Dict.Decode(0), err, c.want)
+				}
+			}
+		}
+	}
+	// The same edge at the default 64 KiB window, where the second
+	// directive's '.' lands 0–9 bytes before the second refill's end.
+	for gap := 0; gap < 10; gap++ {
+		head := "@base <http://x/a/> .\n"
+		tail := "@base <b/> ."
+		pad := 2*turtleWindow - gap - len(head) - len(tail) - 1
+		doc := head + "#" + strings.Repeat("x", pad-1) + "\n" + tail + "\n<s> <p> <o> .\n"
+		got, _, err := collect(func(emit func(*TermBlock) error) error {
+			return StreamTurtle(strings.NewReader(doc), StreamConfig{}, emit)
+		})
+		if err != nil || got.Dict.Decode(0) != "<http://x/a/b/s>" {
+			t.Fatalf("gap=%d: subject %q, err %v; want <http://x/a/b/s>", gap, got.Dict.Decode(0), err)
+		}
+	}
+}
+
 // TestStreamTurtleLargeStatementGrowsWindow: a statement longer than the
 // window parses by transiently growing it.
 func TestStreamTurtleLargeStatementGrowsWindow(t *testing.T) {
 	long := strings.Repeat("x", 4096)
 	doc := "@prefix ex: <http://e.org/> .\nex:s ex:p \"" + long + "\" .\n"
-	want, err := ReadTurtle(strings.NewReader(doc))
+	got, err := streamTTL(doc, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := NewDataset()
-	var remap []Value
-	if err := streamTurtle(strings.NewReader(doc), 32, 4096, func(blk *TermBlock) error {
-		remap = got.AppendBlock(blk, remap)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if o := got.Dict.Decode(got.Triples[0].O); o != `"`+long+`"` {
+		t.Fatalf("long literal came back as %d bytes", len(o))
 	}
-	sameDatasets(t, "long literal", got, want)
 }
 
 // TestStreamTurtleErrors: real syntax errors still surface (with their line
 // numbers) rather than being mistaken for window truncation.
 func TestStreamTurtleErrors(t *testing.T) {
-	cases := []string{
-		"@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ,, .\n",
-		"ex:s ex:p ex:o .\n", // undeclared prefix
-		"@prefix ex: <http://e.org/> .\nex:s ex:p [ ex:q ex:r ] .\n",
+	cases := map[string]string{
+		"@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ,, .\n": "turtle: line 2: malformed object at \", .\\n\"",
+		"ex:s ex:p ex:o .\n": `turtle: line 1: undeclared prefix "ex"`,
+		"@prefix ex: <http://e.org/> .\nex:s ex:p [ ex:q ex:r ] .\n": `turtle: line 2: anonymous blank nodes '[...]' are not supported`,
 	}
-	for _, doc := range cases {
-		_, wantErr := ReadTurtle(strings.NewReader(doc))
-		if wantErr == nil {
-			t.Fatalf("%q: slurp parser accepted it", doc)
-		}
+	for doc, want := range cases {
 		for _, window := range []int{16, 64 << 10} {
-			err := streamTurtle(strings.NewReader(doc), window, 4096, func(*TermBlock) error { return nil })
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Errorf("%q window=%d: err %v, want %v", doc, window, err, wantErr)
+			if _, err := streamTTL(doc, window); err == nil || err.Error() != want {
+				t.Errorf("%q window=%d: err %v, want %s", doc, window, err, want)
 			}
 		}
 	}

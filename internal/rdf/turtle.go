@@ -2,12 +2,12 @@ package rdf
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"unicode"
 )
 
-// This file implements a reader for the Turtle subset commonly found in
+// This file implements the statement parser StreamTurtle (stream.go) runs
+// over its sliding window, for the Turtle subset commonly found in
 // Linked Open Data dumps (the corpora RDFind targets): @prefix and @base
 // directives, prefixed names, the "a" keyword, predicate lists (";"),
 // object lists (","), blank-node labels, quoted literals with datatype or
@@ -22,23 +22,6 @@ const (
 	xsdBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
 	rdfType    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 )
-
-// ReadTurtle parses a Turtle document into a dataset. Terms are stored in
-// their N-Triples surface form, so datasets read from Turtle and from
-// N-Triples are interchangeable. The input is decoded as a bounded-window
-// stream (see StreamTurtle); only the dataset itself is materialized.
-func ReadTurtle(r io.Reader) (*Dataset, error) {
-	ds := NewDataset()
-	var remap []Value
-	err := StreamTurtle(r, StreamConfig{}, func(blk *TermBlock) error {
-		remap = ds.AppendBlock(blk, remap)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
 
 // stmtTriple is one parsed statement's worth of output, buffered on the
 // parser so a statement interrupted by the end of the streaming window can

@@ -18,7 +18,7 @@ func TestReadTurtleBasics(t *testing.T) {
 ex:patrick rdf:type ex:gradStudent .
 ex:patrick ex:memberOf ex:csd .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ ex:patrick a ex:GradStudent ;
     ex:memberOf ex:csd , ex:lab ;
     ex:age 27 .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ ex:a ex:height "1.86"^^xsd:decimal .
 ex:a ex:weight 72.5 .
 ex:a ex:active true .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReadTurtleBlankNodesAndBase(t *testing.T) {
 _:b1 ex:linksTo <relative> .
 <relative> ex:linksTo _:b1 .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ PREFIX ex: <http://ex.org/>
 BASE <http://base.org/>
 ex:a ex:p <rel> .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReadTurtleInteroperatesWithNTriples(t *testing.T) {
 @prefix ex: <http://ex.org/> .
 ex:s ex:p ex:o ; ex:q "lit"@en .
 `
-	ds, err := ReadTurtle(strings.NewReader(doc))
+	ds, err := streamTTL(doc, turtleWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ ex:s ex:p ex:o ; ex:q "lit"@en .
 	if err := WriteNTriples(&b, ds); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadNTriples(strings.NewReader(b.String()))
+	back, _, err := streamNT(b.String(), StreamConfig{})
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, b.String())
 	}
@@ -164,66 +164,8 @@ func TestReadTurtleErrors(t *testing.T) {
 		"prefix without IRI": `@prefix ex: nope .`,
 	}
 	for name, doc := range bad {
-		if _, err := ReadTurtle(strings.NewReader(doc)); err == nil {
+		if _, err := streamTTL(doc, turtleWindow); err == nil {
 			t.Errorf("%s: no error for %q", name, doc)
 		}
-	}
-}
-
-func TestParseTermKinds(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Term
-	}{
-		{"<http://e/x>", Term{Kind: IRI, Value: "http://e/x"}},
-		{"bare", Term{Kind: IRI, Value: "bare"}},
-		{"_:b7", Term{Kind: BlankNode, Value: "b7"}},
-		{`"hi"`, Term{Kind: Literal, Value: "hi"}},
-		{`"hi"@en`, Term{Kind: Literal, Value: "hi", Lang: "en"}},
-		{`"5"^^<http://www.w3.org/2001/XMLSchema#int>`, Term{Kind: Literal, Value: "5", Datatype: "http://www.w3.org/2001/XMLSchema#int"}},
-		{`"a \"b\" c"`, Term{Kind: Literal, Value: `a "b" c`}},
-	}
-	for _, c := range cases {
-		got, err := ParseTerm(c.in)
-		if err != nil {
-			t.Errorf("ParseTerm(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseTerm(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-		if c.in != "bare" {
-			if rt := got.String(); rt != c.in {
-				t.Errorf("round trip of %q gave %q", c.in, rt)
-			}
-		}
-	}
-}
-
-func TestParseTermErrors(t *testing.T) {
-	for _, in := range []string{"", "<open", "_:", `"open`, `"x"^^bad`, `"x"@`} {
-		if _, err := ParseTerm(in); err == nil {
-			t.Errorf("no error for %q", in)
-		}
-	}
-}
-
-func TestTermIsResource(t *testing.T) {
-	iri, _ := ParseTerm("<http://e/x>")
-	lit, _ := ParseTerm(`"x"`)
-	blank, _ := ParseTerm("_:b")
-	if !iri.IsResource() || lit.IsResource() || !blank.IsResource() {
-		t.Errorf("IsResource misclassifies")
-	}
-}
-
-func TestLiteralEscapingRoundTrip(t *testing.T) {
-	tricky := Term{Kind: Literal, Value: "line\nbreak\t\"quote\" back\\slash"}
-	parsed, err := ParseTerm(tricky.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed != tricky {
-		t.Errorf("escape round trip: %+v -> %+v", tricky, parsed)
 	}
 }

@@ -215,9 +215,8 @@ func maybeGunzip(r io.Reader) (io.Reader, error) {
 }
 
 // ReadDataset folds the whole resolved spec into one in-memory Dataset in
-// canonical document order — the streaming replacement for the old
-// slurp-readers used by serving and check modes, which still need the full
-// dataset resident. Lenient-mode skipped lines come back attributed to
+// canonical document order, for serving and check modes, which need the
+// full dataset resident. Lenient-mode skipped lines come back attributed to
 // their files.
 func (r *Resolved) ReadDataset() (*rdf.Dataset, []Malformed, error) {
 	ds := rdf.NewDataset()

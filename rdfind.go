@@ -13,7 +13,7 @@
 //
 // Quickstart:
 //
-//	ds, err := rdfind.ReadNTriplesFile("data.nt", 4)
+//	ds, _, err := rdfind.ReadSource(rdfind.Source{Inputs: []string{"data.nt"}, Shards: 4})
 //	if err != nil { ... }
 //	result, stats := rdfind.Discover(ds, rdfind.Config{Support: 100, Workers: 4})
 //	fmt.Print(result.Format(ds.Dict))
@@ -29,7 +29,6 @@ package rdfind
 import (
 	"context"
 	"io"
-	"os"
 
 	"repro/internal/cind"
 	"repro/internal/core"
@@ -268,58 +267,20 @@ func IsTransient(err error) bool { return dataflow.IsTransient(err) }
 func NewDataset() *Dataset { return rdf.NewDataset() }
 
 // ReadNTriples parses an N-Triples document. Malformed lines abort parsing
-// with a *SyntaxError naming the line.
-func ReadNTriples(r io.Reader) (*Dataset, error) { return rdf.ReadNTriples(r) }
-
-// ReadNTriplesLenient parses an N-Triples document, skipping malformed lines
-// (reported as *SyntaxErrors, capped at maxErrors; non-positive selects
-// rdf.DefaultMaxParseErrors) instead of aborting on the first.
-func ReadNTriplesLenient(r io.Reader, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	return rdf.ReadNTriplesLenient(r, maxErrors)
-}
-
-// ParseNTriples parses an in-memory N-Triples document with the given number
-// of parallel ingest shards. The result — triple order and dictionary ID
-// assignment included — is identical to ReadNTriples over the same bytes.
-func ParseNTriples(data []byte, shards int) (*Dataset, error) {
-	return rdf.ParseNTriples(data, shards)
-}
-
-// ParseNTriplesLenient is ParseNTriples in lenient mode, skipping up to
-// maxErrors malformed lines.
-func ParseNTriplesLenient(data []byte, shards, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	return rdf.ParseNTriplesLenient(data, shards, maxErrors)
-}
-
-// ReadNTriplesFile parses an N-Triples file from disk using the given number
-// of parallel ingest shards (values below 1 select 1; the parallel kernel at
-// one shard already beats the sequential reader through its allocation-lean
-// scanning).
-func ReadNTriplesFile(path string, shards int) (*Dataset, error) {
-	data, err := os.ReadFile(path)
+// with a *SyntaxError naming the line. Files, Turtle, gzip and lenient input
+// are read with ReadSource.
+func ReadNTriples(r io.Reader) (*Dataset, error) {
+	ds := rdf.NewDataset()
+	var remap []rdf.Value
+	err := rdf.StreamNTriples(r, rdf.StreamConfig{}, func(blk *rdf.TermBlock) error {
+		remap = ds.AppendBlock(blk, remap)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return rdf.ParseNTriples(data, shards)
+	return ds, nil
 }
-
-// ReadNTriplesFileLenient parses an N-Triples file from disk in lenient
-// mode, skipping up to maxErrors malformed lines, with the given number of
-// parallel ingest shards.
-func ReadNTriplesFileLenient(path string, shards, maxErrors int) (*Dataset, []*SyntaxError, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rdf.ParseNTriplesLenient(data, shards, maxErrors)
-}
-
-// ReadTurtle parses a Turtle document (@prefix/@base directives, prefixed
-// names, the "a" keyword, ";" predicate lists and "," object lists, typed and
-// tagged literals). Terms are stored in their N-Triples surface form, so a
-// dataset read from Turtle is interchangeable with one read from the
-// equivalent N-Triples: same triples, same dictionary.
-func ReadTurtle(r io.Reader) (*Dataset, error) { return rdf.ReadTurtle(r) }
 
 // WriteNTriples serializes a dataset as N-Triples.
 func WriteNTriples(w io.Writer, ds *Dataset) error { return rdf.WriteNTriples(w, ds) }
