@@ -287,7 +287,7 @@ func FromBinary(src []byte) (*Filter, int, error) {
 		return nil, 0, errors.New("bloom: bad word count")
 	}
 	off += n
-	if uint64(len(src)-off) < words*8 {
+	if words > uint64(len(src)-off)/8 {
 		return nil, 0, errors.New("bloom: truncated bit array")
 	}
 	f := &Filter{bits: make([]uint64, words), nbits: words * 64, hashes: int(hashes)}

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,5 +200,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	full := New(100, 0.01).AppendBinary(nil)
 	if _, _, err := FromBinary(full[:len(full)-3]); err == nil {
 		t.Error("no error for truncated bit array")
+	}
+	// A word count whose byte size overflows 64 bits is truncation too.
+	huge := binary.AppendUvarint([]byte{0, 4}, 1<<61)
+	if _, _, err := FromBinary(append(huge, make([]byte, 16)...)); err == nil {
+		t.Error("no error for a word count of 2^61")
 	}
 }

@@ -27,12 +27,63 @@ import (
 	"repro/internal/rdf"
 )
 
-// Group is a set of captures whose interpretations share one value, duplicate-
-// free and in capture order (cind.CompareCaptures). Binary members subsume
-// their unary relaxations (§6.1); Close expands that closure when needed. A
-// partition's groups share one backing array: do not append to or reorder one.
-type Group struct {
+// Group is a capture group: the ids of its captures, strictly ascending. An
+// id indexes Groups.Captures, which is in capture order (cind.CompareCaptures),
+// so id order is capture order. Binary members subsume their unary
+// relaxations (§6.1); Groups.Close expands that closure. A partition's groups
+// share one backing array: do not append to or write into one.
+type Group []uint32
+
+// Groups is the CGCreator's output: the groups, one record each, and the
+// capture table that gives their ids meaning, built alike on every process.
+type Groups struct {
+	*dataflow.Dataset[Group]
+	// Captures holds the capture with id i at index i, in capture order.
 	Captures []cind.Capture
+	// relax holds, per id, the ids of a binary capture's two unary
+	// relaxations; a unary capture relaxes to itself.
+	relax [][2]uint32
+}
+
+// NewGroups pairs groups with the capture table their ids index. The table
+// must be in capture order and hold both unary relaxations (same projection)
+// of each of its binary captures, as BuildGroups' table does; a relaxation it
+// lacks is reported and left out of the closure.
+func NewGroups(groups *dataflow.Dataset[Group], captures []cind.Capture) (*Groups, error) {
+	gs := &Groups{Dataset: groups, Captures: captures, relax: make([][2]uint32, len(captures))}
+	var err error
+	for id, c := range captures {
+		gs.relax[id] = [2]uint32{uint32(id), uint32(id)}
+		for i, u := range c.Cond.UnaryParts() { // a unary capture relaxes to itself
+			r, ok := slices.BinarySearchFunc(captures, cind.Capture{Proj: c.Proj, Cond: u}, cind.CompareCaptures)
+			if !ok {
+				err, r = fmt.Errorf("capture: the table lacks the relaxation %+v of %+v", u, c), id
+			}
+			gs.relax[id][i] = uint32(r)
+		}
+	}
+	return gs, err
+}
+
+// Close returns g's implication closure: g plus the unary relaxations of its
+// binary members, strictly ascending, appended to *arena — or g itself when
+// it has no binary member. g must be strictly ascending.
+func (gs *Groups) Close(g Group, arena *[]uint32) Group {
+	start := len(*arena)
+	for _, id := range g {
+		if r := gs.relax[id]; r[0] != id {
+			if len(*arena) == start {
+				*arena = append(*arena, g...)
+			}
+			*arena = append(*arena, r[0], r[1])
+		}
+	}
+	if len(*arena) == start {
+		return g
+	}
+	slices.Sort((*arena)[start:])
+	*arena = (*arena)[:start+len(slices.Compact((*arena)[start:]))]
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 // evidence is value<<32 | capture id.
@@ -121,7 +172,7 @@ func (t *table) appendEvidences(dst []evidence, tr rdf.Triple) []evidence {
 
 // BuildGroups runs Algorithm 2 over the triples and groups the evidences by
 // value; all workers share the FCDetector's unary index and the capture table.
-func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *dataflow.Dataset[Group] {
+func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *Groups {
 	ctx := triples.Context()
 	t, err := newTable(fc, opts.PredicatesOnlyInConditions)
 	if err != nil {
@@ -130,7 +181,7 @@ func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opt
 	// On a failed engine (worker fault, cancellation) schedule nothing: the
 	// caller observes the failure via Context.Err.
 	if ctx.Err() != nil {
-		return dataflow.Parallelize(ctx, "cgc/aborted", []Group(nil))
+		return &Groups{Dataset: dataflow.Parallelize(ctx, "cgc/aborted", []Group(nil))}
 	}
 
 	// The same value/capture pair arises once per matching triple: sort and
@@ -149,65 +200,43 @@ func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opt
 	byValue := dataflow.PartitionBy(local, "cgc/exchange", func(e evidence) int { return int(e >> 32) })
 	groups := dataflow.MapPartitions(byValue, "cgc/cut-groups",
 		func(_ int, evs []evidence, emit func(Group)) {
-			if err := cutGroups(evs, t.captures, emit); err != nil {
+			if err := cutGroups(evs, len(t.captures), emit); err != nil {
 				ctx.Fail("cgc/cut-groups", err)
 			}
 		})
-	ctx.Stats().Metrics().Counter("capture.groups").Add(int64(groups.Len()))
-	return groups
+	gs, err := NewGroups(groups, t.captures)
+	if err != nil {
+		ctx.Fail("cgc/captures", err)
+	}
+	ctx.Stats().Metrics().Counter("capture.groups").Add(int64(gs.Len()))
+	return gs
 }
 
 // cutGroups turns the evidences that met in one partition into its groups:
 // sorted and deduplicated once more they are the groups laid end to end, so
-// the ids are translated into one arena (an id the table never issued can
-// only come off the wire), which is cut where the value changes. Groups are
-// emitted from the largest value down: terms are numbered by first occurrence,
-// so frequent values, whose groups are the large ones, have small ids, and
-// Algorithm 3 intersects cheaply when a candidate set meets small groups first.
-func cutGroups(in []evidence, captures []cind.Capture, emit func(Group)) error {
+// their capture ids go into one arena (an id at or beyond the table's n
+// captures can only come off the wire), cut where the value changes. Groups
+// are emitted from the largest value down: terms are numbered by first
+// occurrence, so the large groups of frequent values come last and a
+// dependent's candidate set starts small in ext/candidates-exact.
+func cutGroups(in []evidence, n int, emit func(Group)) error {
 	evs := slices.Clone(in)
 	slices.Sort(evs)
 	evs = slices.Compact(evs)
-	arena := make([]cind.Capture, len(evs))
+	arena := make(Group, len(evs))
 	for i, e := range evs {
-		if int(uint32(e)) >= len(captures) {
+		if int(uint32(e)) >= n {
 			return fmt.Errorf("%w: capture evidence %#x", dataflow.ErrCorruptRecord, uint64(e))
 		}
-		arena[i] = captures[uint32(e)]
+		arena[i] = uint32(e)
 	}
 	for end, i := len(evs), len(evs)-1; i >= 0; i-- {
 		if i == 0 || evs[i-1]>>32 != evs[i]>>32 {
-			emit(Group{Captures: arena[i:end:end]})
+			emit(arena[i:end:end])
 			end = i
 		}
 	}
 	return nil
-}
-
-// Close expands a group to its implication closure: every binary member also
-// asserts membership of its two unary relaxations (with the same projection
-// attribute), because a binary capture evidence subsumes the unary ones. The
-// result is again a Group; one without binary members is returned as it is.
-func Close(g Group) Group {
-	binaries := 0
-	for _, c := range g.Captures {
-		if c.Cond.IsBinary() {
-			binaries++
-		}
-	}
-	if binaries == 0 {
-		return g
-	}
-	out := append(make([]cind.Capture, 0, len(g.Captures)+2*binaries), g.Captures...)
-	for _, c := range g.Captures {
-		if c.Cond.IsBinary() {
-			out = append(out,
-				cind.Capture{Proj: c.Proj, Cond: cind.Unary(c.Cond.A1, c.Cond.V1)},
-				cind.Capture{Proj: c.Proj, Cond: cind.Unary(c.Cond.A2, c.Cond.V2)})
-		}
-	}
-	slices.SortFunc(out, cind.CompareCaptures)
-	return Group{Captures: slices.Compact(out)}
 }
 
 // Evidences cross processes in the cgc/exchange of a distributed run. Bytes

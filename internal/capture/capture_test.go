@@ -2,6 +2,7 @@ package capture
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -65,16 +66,59 @@ func expectedClosedGroups(ds *rdf.Dataset, h int, opts naive.Options) map[string
 	return out
 }
 
-func buildClosedGroups(ds *rdf.Dataset, h, workers int, opts fcdetect.Options) ([]Group, *rdf.Dataset) {
+func buildClosedGroups(ds *rdf.Dataset, h, workers int, opts fcdetect.Options) ([][]cind.Capture, *rdf.Dataset) {
 	ctx := dataflow.NewContext(workers)
 	triples := dataflow.Parallelize(ctx, "input", ds.Triples)
 	fc := fcdetect.Detect(triples, h, opts)
-	groups := dataflow.Collect(BuildGroups(triples, fc, opts))
-	closed := make([]Group, len(groups))
-	for i, g := range groups {
-		closed[i] = Close(g)
-	}
+	gs := BuildGroups(triples, fc, opts)
+	closed, _ := closeAll(gs, dataflow.Collect(gs.Dataset))
 	return closed, ds
+}
+
+// closeAll closes groups through gs and renders them as captures; members
+// counts the raw, unclosed members.
+func closeAll(gs *Groups, groups []Group) (closed [][]cind.Capture, members int) {
+	var arena []uint32
+	for _, g := range groups {
+		members += len(g)
+		closed = append(closed, render(gs, gs.Close(g, &arena)))
+	}
+	return closed, members
+}
+
+// render translates a group's ids into its captures.
+func render(gs *Groups, g Group) []cind.Capture {
+	out := make([]cind.Capture, len(g))
+	for i, id := range g {
+		out[i] = gs.Captures[id]
+	}
+	return out
+}
+
+// tableOf interns captures into a table in capture order, with no groups.
+func tableOf(t *testing.T, captures ...cind.Capture) *Groups {
+	t.Helper()
+	table := slices.SortedFunc(slices.Values(captures), cind.CompareCaptures)
+	gs, err := NewGroups(nil, slices.Compact(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gs
+}
+
+// idsOf returns the group of the given captures, which the table must hold.
+func idsOf(t *testing.T, gs *Groups, captures ...cind.Capture) Group {
+	t.Helper()
+	var g Group
+	for _, c := range captures {
+		id, ok := slices.BinarySearchFunc(gs.Captures, c, cind.CompareCaptures)
+		if !ok {
+			t.Fatalf("capture %+v not in the table", c)
+		}
+		g = append(g, uint32(id))
+	}
+	slices.Sort(g)
+	return slices.Compact(g)
 }
 
 // TestGroupsMatchFirstPrinciples compares the closed capture groups with the
@@ -91,8 +135,8 @@ func TestGroupsMatchFirstPrinciples(t *testing.T) {
 				closed, _ := buildClosedGroups(ds, h, w, fcdetect.Options{})
 				got := make(map[string]int)
 				for _, g := range closed {
-					members := make([]string, 0, len(g.Captures))
-					for _, c := range g.Captures {
+					members := make([]string, 0, len(g))
+					for _, c := range g {
 						members = append(members, c.Format(ds.Dict))
 					}
 					sort.Strings(members)
@@ -125,11 +169,11 @@ func TestPaperGroupExample(t *testing.T) {
 	}
 	found := false
 	for _, g := range closed {
-		if len(g.Captures) != len(want) {
+		if len(g) != len(want) {
 			continue
 		}
 		all := true
-		for _, c := range g.Captures {
+		for _, c := range g {
 			if !want[c] {
 				all = false
 				break
@@ -143,7 +187,7 @@ func TestPaperGroupExample(t *testing.T) {
 		t.Errorf("patrick's group {(s, p=rdf:type), (s, p=undergradFrom)} not found among %d groups", len(closed))
 		for _, g := range closed {
 			var members []string
-			for _, c := range g.Captures {
+			for _, c := range g {
 				members = append(members, c.Format(ds.Dict))
 			}
 			t.Logf("  group: %s", strings.Join(members, ", "))
@@ -163,14 +207,16 @@ func TestBinarySubsumption(t *testing.T) {
 	ctx := dataflow.NewContext(2)
 	triples := dataflow.Parallelize(ctx, "input", ds.Triples)
 	fc := fcdetect.Detect(triples, 2, fcdetect.Options{})
-	raw := dataflow.Collect(BuildGroups(triples, fc, fcdetect.Options{}))
+	gs := BuildGroups(triples, fc, fcdetect.Options{})
 	id := func(s string) rdf.Value { return fixtures.MustID(ds, s) }
 
 	binary := cind.NewCapture(rdf.Subject, cind.Binary(rdf.Predicate, id("p"), rdf.Object, id("x")))
 	unary := cind.NewCapture(rdf.Subject, cind.Unary(rdf.Predicate, id("p")))
-	for _, g := range raw {
+	var arena []uint32
+	for _, raw := range dataflow.Collect(gs.Dataset) {
+		g := render(gs, raw)
 		hasBinary := false
-		for _, c := range g.Captures {
+		for _, c := range g {
 			if c == binary {
 				hasBinary = true
 			}
@@ -178,14 +224,13 @@ func TestBinarySubsumption(t *testing.T) {
 		if !hasBinary {
 			continue
 		}
-		for _, c := range g.Captures {
+		for _, c := range g {
 			if c == unary {
 				t.Errorf("raw group contains both the binary capture and its subsumed unary relaxation")
 			}
 		}
-		closed := Close(g)
 		foundUnary := false
-		for _, c := range closed.Captures {
+		for _, c := range render(gs, gs.Close(raw, &arena)) {
 			if c == unary {
 				foundUnary = true
 			}
@@ -197,25 +242,24 @@ func TestBinarySubsumption(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndDuplicateFree(t *testing.T) {
-	g := Group{Captures: []cind.Capture{
-		cind.NewCapture(rdf.Subject, cind.Binary(rdf.Predicate, 1, rdf.Object, 2)),
-		cind.NewCapture(rdf.Subject, cind.Unary(rdf.Predicate, 1)), // already implied
-		cind.NewCapture(rdf.Object, cind.Unary(rdf.Predicate, 1)),
-	}}
-	once := Close(g)
-	twice := Close(once)
-	if len(once.Captures) != 4 {
-		t.Fatalf("closure size = %d, want 4", len(once.Captures))
+	binary := cind.NewCapture(rdf.Subject, cind.Binary(rdf.Predicate, 1, rdf.Object, 2))
+	sp := cind.NewCapture(rdf.Subject, cind.Unary(rdf.Predicate, 1)) // already implied
+	so := cind.NewCapture(rdf.Subject, cind.Unary(rdf.Object, 2))
+	op := cind.NewCapture(rdf.Object, cind.Unary(rdf.Predicate, 1))
+	gs := tableOf(t, binary, sp, so, op)
+	var arena []uint32
+	once := gs.Close(idsOf(t, gs, binary, sp, op), &arena)
+	twice := gs.Close(once, &arena)
+	if len(once) != 4 {
+		t.Fatalf("closure size = %d, want 4", len(once))
 	}
-	if len(twice.Captures) != len(once.Captures) {
-		t.Errorf("closure not idempotent: %d -> %d", len(once.Captures), len(twice.Captures))
+	if !slices.Equal(twice, once) {
+		t.Errorf("closure not idempotent: %v -> %v", once, twice)
 	}
-	seen := map[cind.Capture]bool{}
-	for _, c := range once.Captures {
-		if seen[c] {
-			t.Errorf("duplicate member %+v", c)
+	for i := 1; i < len(once); i++ {
+		if once[i-1] >= once[i] {
+			t.Errorf("closure %v not strictly ascending", once)
 		}
-		seen[c] = true
 	}
 }
 
@@ -227,7 +271,7 @@ func TestGroupMembershipEqualsSupport(t *testing.T) {
 	closed, _ := buildClosedGroups(ds, h, 3, fcdetect.Options{})
 	counts := map[cind.Capture]int{}
 	for _, g := range closed {
-		for _, c := range g.Captures {
+		for _, c := range g {
 			counts[c]++
 		}
 	}

@@ -19,24 +19,20 @@ import (
 	"repro/internal/rdf"
 )
 
-// prunedSignature closes every group with the given closure, drops the
-// captures that occur in fewer than h closed groups and the groups that
-// empties — what the extractor's first steps do — and renders the rest as a
-// multiset of sorted member lists. members counts the raw, unclosed members.
-func prunedSignature(groups []Group, closure func(Group) Group, h int) (sig map[string]int, members int) {
-	closed := make([]Group, len(groups))
+// prunedSignature drops the captures that occur in fewer than h closed
+// groups and the groups that empties — what the extractor's first steps do —
+// and renders the rest as a multiset of sorted member lists.
+func prunedSignature(closed [][]cind.Capture, h int) map[string]int {
 	support := map[cind.Capture]int{}
-	for i, g := range groups {
-		members += len(g.Captures)
-		closed[i] = closure(g)
-		for _, c := range closed[i].Captures {
+	for _, g := range closed {
+		for _, c := range g {
 			support[c]++
 		}
 	}
-	sig = map[string]int{}
+	sig := map[string]int{}
 	for _, g := range closed {
 		var kept []string
-		for _, c := range g.Captures {
+		for _, c := range g {
 			if support[c] >= h {
 				kept = append(kept, fmt.Sprintf("%+v", c))
 			}
@@ -46,7 +42,7 @@ func prunedSignature(groups []Group, closure func(Group) Group, h int) (sig map[
 			sig[strings.Join(kept, "|")]++
 		}
 	}
-	return sig, members
+	return sig
 }
 
 func equalSignatures(a, b map[string]int) bool {
@@ -84,15 +80,21 @@ func TestGroupsMatchReference(t *testing.T) {
 					if variant.dropARs {
 						fc.ARs = nil
 					}
-					got := dataflow.Collect(BuildGroups(triples, fc, opts))
-					want := dataflow.Collect(referenceBuildGroups(triples, fc, opts))
-					for _, g := range got {
-						if !inCaptureOrder(g.Captures) || !inCaptureOrder(Close(g).Captures) {
-							t.Fatalf("%s: group or its closure not in capture order: %+v", label, g.Captures)
+					gs := BuildGroups(triples, fc, opts)
+					raw := dataflow.Collect(gs.Dataset)
+					got, gotMembers := closeAll(gs, raw)
+					for i, g := range raw {
+						if !inCaptureOrder(render(gs, g)) || !inCaptureOrder(got[i]) {
+							t.Fatalf("%s: group or its closure not in capture order: %v", label, g)
 						}
 					}
-					gotSig, gotMembers := prunedSignature(got, Close, h)
-					wantSig, wantMembers := prunedSignature(want, referenceClose, h)
+					var want [][]cind.Capture
+					wantMembers := 0
+					for _, g := range dataflow.Collect(referenceBuildGroups(triples, fc, opts)) {
+						wantMembers += len(g)
+						want = append(want, referenceClose(g))
+					}
+					gotSig, wantSig := prunedSignature(got, h), prunedSignature(want, h)
 					if !equalSignatures(gotSig, wantSig) {
 						t.Errorf("%s: closed and pruned groups differ from the reference:\n got %v\nwant %v", label, gotSig, wantSig)
 					}
@@ -105,34 +107,52 @@ func TestGroupsMatchReference(t *testing.T) {
 	}
 }
 
-// TestCloseMatchesReference closes random groups in capture order both ways.
+// TestCloseMatchesReference closes random groups both ways, over a table that
+// holds every capture the groups are drawn from and so every relaxation.
 func TestCloseMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		var g Group
-		for n := rng.Intn(8); n > 0; n-- {
-			proj := rdf.Attrs[rng.Intn(3)]
-			beta, gamma := proj.Others()
-			switch v1, v2 := rdf.Value(rng.Intn(3)), rdf.Value(rng.Intn(3)); rng.Intn(3) {
-			case 0:
-				g.Captures = append(g.Captures, cind.NewCapture(proj, cind.Binary(beta, v1, gamma, v2)))
-			case 1:
-				g.Captures = append(g.Captures, cind.NewCapture(proj, cind.Unary(beta, v1)))
-			default:
-				g.Captures = append(g.Captures, cind.NewCapture(proj, cind.Unary(gamma, v2)))
+	var universe []cind.Capture
+	for _, proj := range rdf.Attrs {
+		beta, gamma := proj.Others()
+		for v1 := rdf.Value(0); v1 < 3; v1++ {
+			universe = append(universe, cind.NewCapture(proj, cind.Unary(beta, v1)), cind.NewCapture(proj, cind.Unary(gamma, v1)))
+			for v2 := rdf.Value(0); v2 < 3; v2++ {
+				universe = append(universe, cind.NewCapture(proj, cind.Binary(beta, v1, gamma, v2)))
 			}
 		}
-		slices.SortFunc(g.Captures, cind.CompareCaptures)
-		g.Captures = slices.Compact(g.Captures)
-		before := slices.Clone(g.Captures)
-		got, want := Close(g).Captures, referenceClose(g).Captures
+	}
+	gs := tableOf(t, universe...)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		var members []cind.Capture
+		for n := rng.Intn(8); n > 0; n-- {
+			members = append(members, universe[rng.Intn(len(universe))])
+		}
+		g := idsOf(t, gs, members...)
+		before := slices.Clone(g)
+		var arena []uint32
+		got, want := render(gs, gs.Close(g, &arena)), referenceClose(render(gs, g))
 		slices.SortFunc(want, cind.CompareCaptures)
 		if !slices.Equal(got, want) {
-			t.Fatalf("Close(%+v) = %+v, reference %+v", g.Captures, got, want)
+			t.Fatalf("Close(%v) = %+v, reference %+v", g, got, want)
 		}
-		if !slices.Equal(g.Captures, before) {
+		if !slices.Equal(g, before) {
 			t.Fatalf("Close changed its argument")
 		}
+	}
+}
+
+// TestNewGroupsReportsMissingRelaxation: a table without a binary capture's
+// unary relaxation is an error, and the closure adds only the relaxation the
+// table has.
+func TestNewGroupsReportsMissingRelaxation(t *testing.T) {
+	binary := cind.NewCapture(rdf.Subject, cind.Binary(rdf.Predicate, 1, rdf.Object, 2))
+	gs, err := NewGroups(nil, []cind.Capture{binary, cind.NewCapture(rdf.Subject, cind.Unary(rdf.Predicate, 1))})
+	if err == nil {
+		t.Fatal("no error for a table without (s, o=2)")
+	}
+	var arena []uint32
+	if got := gs.Close(Group{0}, &arena); !slices.Equal(got, Group{0, 1}) {
+		t.Errorf("closure over the broken entry = %v, want [0 1]", got)
 	}
 }
 
@@ -158,14 +178,13 @@ func TestTableIsInCaptureOrder(t *testing.T) {
 // all-ones evidence the codec decodes malformed bytes to, or any other — is
 // ErrCorruptRecord, not an index out of range.
 func TestCutGroupsRejectsUnknownCaptureID(t *testing.T) {
-	captures := []cind.Capture{cind.NewCapture(rdf.Subject, cind.Unary(rdf.Predicate, 1))}
 	for _, e := range []evidence{^evidence(0), 7<<32 | 1} {
-		if err := cutGroups([]evidence{7 << 32, e}, captures, func(Group) {}); !errors.Is(err, dataflow.ErrCorruptRecord) {
+		if err := cutGroups([]evidence{7 << 32, e}, 1, func(Group) {}); !errors.Is(err, dataflow.ErrCorruptRecord) {
 			t.Errorf("evidence %#x: cutGroups says %v", uint64(e), err)
 		}
 	}
 	var groups []Group
-	if err := cutGroups([]evidence{9 << 32, 7 << 32, 9 << 32}, captures, func(g Group) { groups = append(groups, g) }); err != nil || len(groups) != 2 {
+	if err := cutGroups([]evidence{9 << 32, 7 << 32, 9 << 32}, 1, func(g Group) { groups = append(groups, g) }); err != nil || len(groups) != 2 {
 		t.Errorf("valid evidences: %d groups, err %v", len(groups), err)
 	}
 }
@@ -219,18 +238,20 @@ func TestClusterRunMatchesSingleProcess(t *testing.T) {
 		ds.Add(s, "rdf:type", "Thing") // o=Thing → p=rdf:type and back
 	}
 	const h, workers = 2, 2
-	run := func(c *dataflow.Context) (*fcdetect.Output, [][]Group) {
+	run := func(c *dataflow.Context) (*fcdetect.Output, *Groups) {
 		triples := dataflow.Parallelize(c, "input", ds.Triples)
 		fc := fcdetect.Detect(triples, h, fcdetect.Options{})
-		return fc, BuildGroups(triples, fc, fcdetect.Options{}).Partitions()
+		return fc, BuildGroups(triples, fc, fcdetect.Options{})
 	}
-	wantFC, wantParts := run(dataflow.NewContext(workers))
-	wantSig, wantMembers := prunedSignature(slices.Concat(wantParts...), Close, 1)
+	wantFC, wantGS := run(dataflow.NewContext(workers))
+	want, wantMembers := closeAll(wantGS, dataflow.Collect(wantGS.Dataset))
 
 	var mu sync.Mutex
-	var got []Group
+	var got [][]cind.Capture
+	gotMembers := 0
 	onCluster(t, workers, func(c *dataflow.Context) {
-		fc, parts := run(c)
+		fc, gs := run(c)
+		parts := gs.Partitions()
 		mu.Lock()
 		defer mu.Unlock()
 		if !slices.Equal(fc.Unary, wantFC.Unary) || !slices.Equal(fc.Binary, wantFC.Binary) {
@@ -240,16 +261,16 @@ func TestClusterRunMatchesSingleProcess(t *testing.T) {
 			t.Errorf("rank %d: %d rules, single-process run has %d", c.Rank(), len(fc.ARs), len(wantFC.ARs))
 		}
 		if c.Rank() >= 0 {
-			got = append(got, parts[c.Rank()]...)
+			closed, members := closeAll(gs, parts[c.Rank()])
+			got, gotMembers = append(got, closed...), gotMembers+members
 		}
 	})
 	if len(wantFC.Binary) == 0 || len(wantFC.ARs) == 0 || len(got) == 0 {
 		t.Fatalf("vacuous: %d binary conditions, %d rules, %d groups", len(wantFC.Binary), len(wantFC.ARs), len(got))
 	}
-	gotSig, gotMembers := prunedSignature(got, Close, 1)
-	if !equalSignatures(gotSig, wantSig) || gotMembers != wantMembers {
+	if !equalSignatures(prunedSignature(got, 1), prunedSignature(want, 1)) || gotMembers != wantMembers {
 		t.Errorf("cluster groups differ: %d groups / %d members, single-process %d / %d",
-			len(got), gotMembers, len(slices.Concat(wantParts...)), wantMembers)
+			len(got), gotMembers, len(want), wantMembers)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 
 // This file keeps the Capture Groups Creator this package had before the
 // dense-id scan path as the reference the differential tests compare
-// BuildGroups and Close against: evidences are structs deduplicated by one
-// ReduceByKey and grouped by one GroupByKey, frequent conditions are probed
-// in Bloom filters as in the paper, and the closure goes through a map.
+// BuildGroups and Groups.Close against: evidences are structs deduplicated by
+// one ReduceByKey and grouped by one GroupByKey, frequent conditions are
+// probed in Bloom filters as in the paper, groups are capture structs, and
+// the closure goes through a map.
 
 type refEvidence struct {
 	Value   rdf.Value
@@ -27,7 +28,7 @@ func conditionBloom(f fcdetect.Frequent) *bloom.Filter {
 	return b
 }
 
-func referenceBuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *dataflow.Dataset[Group] {
+func referenceBuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opts fcdetect.Options) *dataflow.Dataset[[]cind.Capture] {
 	bu, bb := conditionBloom(fc.Unary), conditionBloom(fc.Binary)
 	ars := make(map[[2]cind.Condition]struct{}, len(fc.ARs))
 	for _, r := range fc.ARs {
@@ -44,7 +45,7 @@ func referenceBuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Ou
 			return dataflow.Pair[rdf.Value, cind.Capture]{Key: p.Key.Value, Val: p.Key.Capture}
 		})
 	return dataflow.Map(dataflow.GroupByKey(byValue, "ref/group"), "ref/strip-value",
-		func(p dataflow.Pair[rdf.Value, []cind.Capture]) Group { return Group{Captures: p.Val} })
+		func(p dataflow.Pair[rdf.Value, []cind.Capture]) []cind.Capture { return p.Val })
 }
 
 // referenceEvidences is the per-triple body of Algorithm 2.
@@ -87,16 +88,16 @@ func referenceEvidences(
 }
 
 // referenceClose is the closure by map: order-free on both sides.
-func referenceClose(g Group) Group {
-	seen := make(map[cind.Capture]struct{}, len(g.Captures)*2)
-	out := make([]cind.Capture, 0, len(g.Captures)*2)
+func referenceClose(g []cind.Capture) []cind.Capture {
+	seen := make(map[cind.Capture]struct{}, len(g)*2)
+	out := make([]cind.Capture, 0, len(g)*2)
 	add := func(c cind.Capture) {
 		if _, ok := seen[c]; !ok {
 			seen[c] = struct{}{}
 			out = append(out, c)
 		}
 	}
-	for _, c := range g.Captures {
+	for _, c := range g {
 		add(c)
 		if c.Cond.IsBinary() {
 			for _, u := range c.Cond.UnaryParts() {
@@ -104,5 +105,5 @@ func referenceClose(g Group) Group {
 			}
 		}
 	}
-	return Group{Captures: out}
+	return out
 }

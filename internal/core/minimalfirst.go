@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/capture"
 	"repro/internal/cind"
-	"repro/internal/dataflow"
 	"repro/internal/extract"
 )
 
@@ -21,7 +20,7 @@ import (
 // extra passes over the groups cost more than they save — and the experiment
 // suite reproduces that comparison. The result set is identical to
 // Minimize(BroadCINDs(...)).
-func minimalFirst(groups *dataflow.Dataset[capture.Group], ecfg extract.Config) ([]cind.CIND, extract.Outcome, error) {
+func minimalFirst(groups *capture.Groups, ecfg extract.Config) ([]cind.CIND, extract.Outcome, error) {
 	var total extract.Outcome
 	pass := func(dep, ref extract.Arity) ([]cind.CIND, error) {
 		cfg := ecfg

@@ -3,171 +3,186 @@ package extract
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bloom"
-	"repro/internal/cind"
 	"repro/internal/dataflow"
 )
 
-// Spill codecs for the CINDExtractor's keyed stages: capture-support pruning
-// (ext/capture-support), candidate-set merging (ext/merge-candidates), and
-// Bloom-lineage validation (ext/validate). With these registered, a memory
-// budget makes the whole extraction phase — the part of RDFind that the paper
-// reports running out of memory on DBpedia at small supports — run out of
-// core instead of failing.
+// Codecs of the extractor's records, registered at package load: the support
+// columns of ext/support-sum and the work units of ext/place-units cross
+// processes; the candidate and validation sets of ext/merge-candidates and
+// ext/validate also spill under a memory budget. A decoder cannot fail: bytes
+// it cannot accept decode to nil (a column, set or id list; a unit's lists)
+// and a key to the all-ones id, which no table issues. The stage consuming
+// the record fails the job with dataflow.ErrCorruptRecord on those, as on any
+// id at or beyond the table size (checkIDs, checkSet).
 
-// captureIntCodec spills Pair[cind.Capture, int].
-type captureIntCodec struct{}
+// bloomHashes is the hash count of every work-unit filter.
+const bloomHashes = 4
 
-func (captureIntCodec) AppendKey(dst []byte, k cind.Capture) []byte {
-	return cind.AppendCapture(dst, k)
-}
-func (captureIntCodec) DecodeKey(src []byte) cind.Capture { return cind.CaptureAt(src) }
-func (captureIntCodec) AppendValue(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-func (captureIntCodec) DecodeValue(src []byte) int {
-	v, _ := binary.Varint(src)
-	return int(v)
-}
-
-// candSet wire flags.
-const (
-	candSetLineage  = 1 << 0
-	candSetHasExact = 1 << 1
-	candSetHasBloom = 1 << 2
-)
-
-// candSetCodec spills Pair[cind.Capture, *candSet]. The value layout is a
-// varint group count, one flags byte, then either a uvarint-counted list of
-// 11-byte captures (exact sets: the live captures in capture order, so the
-// encoding is byte-deterministic) or a bloom.Filter binary image (approximate
-// sets). Decoding always allocates fresh objects — an exact set decodes to
-// its own universe with every bit live — which keeps in-place mutation safe.
-type candSetCodec struct{}
-
-func (candSetCodec) AppendKey(dst []byte, k cind.Capture) []byte {
-	return cind.AppendCapture(dst, k)
-}
-func (candSetCodec) DecodeKey(src []byte) cind.Capture { return cind.CaptureAt(src) }
-
-func (candSetCodec) AppendValue(dst []byte, v *candSet) []byte {
-	dst = binary.AppendVarint(dst, int64(v.count))
-	var flags byte
-	if v.lineage {
-		flags |= candSetLineage
+// checkIDs reports dataflow.ErrCorruptRecord unless every list is an id list
+// — non-nil, ascending — whose ids a table of n captures issued.
+func checkIDs(n int, lists ...[]uint32) error {
+	for _, ids := range lists {
+		if ids == nil || len(ids) > 0 && int(ids[len(ids)-1]) >= n {
+			return fmt.Errorf("%w: capture id list beyond a table of %d captures", dataflow.ErrCorruptRecord, n)
+		}
 	}
-	if v.hasExact() {
-		flags |= candSetHasExact
+	return nil
+}
+
+// checkSet is checkIDs for a merged candidate set and its dependent's id.
+func checkSet(dep uint32, cs *candSet, n int) error {
+	if cs == nil || int(dep) >= n || cs.approx == nil && checkIDs(n, cs.refs) != nil {
+		return fmt.Errorf("%w: candidate set of capture id %d in a table of %d captures", dataflow.ErrCorruptRecord, dep, n)
 	}
-	if v.approx != nil {
-		flags |= candSetHasBloom
-	}
-	dst = append(dst, flags)
-	if v.hasExact() {
-		dst = binary.AppendUvarint(dst, uint64(v.liveLen()))
-		v.liveRefs(func(c cind.Capture) {
-			dst = cind.AppendCapture(dst, c)
-		})
-	}
-	if v.approx != nil {
-		dst = v.approx.AppendBinary(dst)
+	return nil
+}
+
+// appendIDs appends an ascending id list: its length, then the first id and
+// each later id's distance to its predecessor minus one, as uvarints.
+func appendIDs(dst []byte, ids []uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	next := uint64(0)
+	for _, id := range ids {
+		dst, next = binary.AppendUvarint(dst, uint64(id)-next), uint64(id)+1
 	}
 	return dst
 }
 
-func (candSetCodec) DecodeValue(src []byte) *candSet {
-	count, n := binary.Varint(src)
-	src = src[n:]
-	flags := src[0]
-	src = src[1:]
-	cs := &candSet{count: int(count), lineage: flags&candSetLineage != 0}
-	if flags&candSetHasExact != 0 {
-		cs.refs, n = capturesAt(src)
-		src = src[n:]
-		cs.bits = dataflow.NewBitmap(len(cs.refs))
-		cs.bits.SetAll()
+// idsAt decodes the id list at the front of src and its width, or nil. It
+// allocates at most four bytes per byte of src: an id takes at least one.
+func idsAt(src []byte) ([]uint32, int) {
+	size, w := binary.Uvarint(src)
+	if w <= 0 || size > uint64(len(src)-w) {
+		return nil, 0
 	}
-	if flags&candSetHasBloom != 0 {
-		f, _, err := bloom.FromBinary(src)
-		if err != nil {
-			panic(fmt.Sprintf("extract: corrupt spilled candidate set: %v", err))
+	ids, next := make([]uint32, 0, size), uint64(0)
+	for range size {
+		gap, n := binary.Uvarint(src[w:])
+		if n <= 0 || gap > math.MaxUint32 || next+gap > math.MaxUint32 {
+			return nil, 0
 		}
-		cs.approx = f
+		ids, w, next = append(ids, uint32(next+gap)), w+n, next+gap+1
+	}
+	return ids, w
+}
+
+// idKey is the key half of the codecs keyed by a capture id: four big-endian
+// bytes.
+type idKey struct{}
+
+func (idKey) AppendKey(dst []byte, k uint32) []byte { return binary.BigEndian.AppendUint32(dst, k) }
+func (idKey) DecodeKey(src []byte) uint32 {
+	if len(src) != 4 {
+		return math.MaxUint32
+	}
+	return binary.BigEndian.Uint32(src)
+}
+
+// supportCodec carries a supportColumn as the uvarints of its counters.
+type supportCodec struct{}
+
+func (supportCodec) AppendValue(dst []byte, c supportColumn) []byte {
+	for _, n := range c {
+		dst = binary.AppendUvarint(dst, uint64(n))
+	}
+	return dst
+}
+
+func (supportCodec) DecodeValue(src []byte) supportColumn {
+	c := make(supportColumn, 0, len(src))
+	for len(src) > 0 {
+		n, w := binary.Uvarint(src)
+		if w <= 0 || n > math.MaxUint32 {
+			return nil
+		}
+		c, src = append(c, uint32(n)), src[w:]
+	}
+	return c
+}
+
+// candSetCodec carries Pair[uint32, *candSet]: a varint group count, a flags
+// byte (bit 0 lineage, bit 1 Bloom), then the id list of an exact set or the
+// bloom.Filter image of an approximate one. Decoding allocates fresh objects,
+// which keeps the merge's in-place intersection safe.
+type candSetCodec struct{ idKey }
+
+func (candSetCodec) AppendValue(dst []byte, v *candSet) []byte {
+	dst = binary.AppendVarint(dst, int64(v.count))
+	var lineage byte
+	if v.lineage {
+		lineage = 1
+	}
+	if v.refs == nil {
+		return v.approx.AppendBinary(append(dst, lineage|2))
+	}
+	return appendIDs(append(dst, lineage), v.refs)
+}
+
+func (candSetCodec) DecodeValue(src []byte) *candSet {
+	count, w := binary.Varint(src)
+	if w <= 0 || count < 1 || w == len(src) {
+		return nil
+	}
+	flags, src := src[w], src[w+1:]
+	cs := &candSet{count: int(count), lineage: flags&1 != 0}
+	switch flags &^ 1 {
+	case 0:
+		if cs.refs, w = idsAt(src); cs.refs == nil {
+			return nil
+		}
+	case 2:
+		f, n, err := bloom.FromBinary(src)
+		if err != nil || f.IsSaturated() {
+			return nil
+		}
+		if nbits, k := f.Geometry(); nbits == 0 || k != bloomHashes {
+			return nil
+		}
+		cs.approx, w = f, n
+	default:
+		return nil
+	}
+	if w != len(src) {
+		return nil
 	}
 	return cs
 }
 
-// captureSetCodec spills Pair[cind.Capture, map[cind.Capture]struct{}] (the
-// validation sets): a uvarint count followed by 11-byte captures.
-type captureSetCodec struct{}
+// idSetCodec carries Pair[uint32, []uint32], the validation sets, as one id
+// list.
+type idSetCodec struct{ idKey }
 
-func (captureSetCodec) AppendKey(dst []byte, k cind.Capture) []byte {
-	return cind.AppendCapture(dst, k)
-}
-func (captureSetCodec) DecodeKey(src []byte) cind.Capture { return cind.CaptureAt(src) }
-
-func (captureSetCodec) AppendValue(dst []byte, v map[cind.Capture]struct{}) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for c := range v {
-		dst = cind.AppendCapture(dst, c)
+func (idSetCodec) AppendValue(dst []byte, v []uint32) []byte { return appendIDs(dst, v) }
+func (idSetCodec) DecodeValue(src []byte) []uint32 {
+	if ids, w := idsAt(src); w == len(src) {
+		return ids
 	}
-	return dst
+	return nil
 }
 
-func (captureSetCodec) DecodeValue(src []byte) map[cind.Capture]struct{} {
-	sz, n := binary.Uvarint(src)
-	src = src[n:]
-	set := make(map[cind.Capture]struct{}, sz)
-	for i := uint64(0); i < sz; i++ {
-		set[cind.CaptureAt(src)] = struct{}{}
-		src = src[cind.CaptureWireSize:]
-	}
-	return set
-}
-
-// workUnitCodec carries Pair[int, workUnit] (the ext/place-units shuffle that
-// spreads dominant-group slices across workers): each side of the unit is a
-// uvarint-counted list of 11-byte captures.
-type workUnitCodec struct{}
-
-func (workUnitCodec) AppendKey(dst []byte, k int) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(int64(k)))
-}
-func (workUnitCodec) DecodeKey(src []byte) int { return int(int64(binary.BigEndian.Uint64(src))) }
+// workUnitCodec carries Pair[uint32, workUnit], the ext/place-units shuffle
+// that spreads dominant-group slices across workers, as its two id lists.
+type workUnitCodec struct{ idKey }
 
 func (workUnitCodec) AppendValue(dst []byte, v workUnit) []byte {
-	dst = appendCaptures(dst, v.Deps)
-	return appendCaptures(dst, v.All)
+	return appendIDs(appendIDs(dst, v.Deps), v.All)
 }
 
 func (workUnitCodec) DecodeValue(src []byte) workUnit {
-	deps, n := capturesAt(src)
-	all, _ := capturesAt(src[n:])
+	deps, n := idsAt(src)
+	all, m := idsAt(src[n:])
+	if deps == nil || all == nil || n+m != len(src) {
+		return workUnit{}
+	}
 	return workUnit{Deps: deps, All: all}
 }
 
-func appendCaptures(dst []byte, cs []cind.Capture) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(cs)))
-	for _, c := range cs {
-		dst = cind.AppendCapture(dst, c)
-	}
-	return dst
-}
-
-func capturesAt(src []byte) ([]cind.Capture, int) {
-	sz, n := binary.Uvarint(src)
-	cs := make([]cind.Capture, 0, sz)
-	for i := uint64(0); i < sz; i++ {
-		cs = append(cs, cind.CaptureAt(src[n:]))
-		n += cind.CaptureWireSize
-	}
-	return cs, n
-}
-
 func init() {
-	dataflow.RegisterPairCodec[cind.Capture, int](captureIntCodec{})
-	dataflow.RegisterPairCodec[int, workUnit](workUnitCodec{})
-	dataflow.RegisterPairCodec[cind.Capture, *candSet](candSetCodec{})
-	dataflow.RegisterPairCodec[cind.Capture, map[cind.Capture]struct{}](captureSetCodec{})
+	dataflow.RegisterValueCodec[supportColumn](supportCodec{})
+	dataflow.RegisterPairCodec[uint32, workUnit](workUnitCodec{})
+	dataflow.RegisterPairCodec[uint32, *candSet](candSetCodec{})
+	dataflow.RegisterPairCodec[uint32, []uint32](idSetCodec{})
 }

@@ -39,14 +39,13 @@ const (
 	BinaryOnly
 )
 
-func (a Arity) matches(c cind.Capture) bool {
-	switch a {
-	case UnaryOnly:
-		return !c.Cond.IsBinary()
-	case BinaryOnly:
-		return c.Cond.IsBinary()
+// admitted returns, per capture id, whether a admits the capture.
+func (a Arity) admitted(groups *capture.Groups) []bool {
+	ok := make([]bool, len(groups.Captures))
+	for id, c := range groups.Captures {
+		ok[id] = a == AnyArity || c.Cond.IsBinary() == (a == BinaryOnly)
 	}
-	return true
+	return ok
 }
 
 // Config tunes the extractor.
@@ -115,12 +114,11 @@ func (c Config) bloomBytes() int {
 	return c.BloomBytes
 }
 
-// GroupOrderError reports a capture group whose captures are not strictly
-// ascending under cind.CompareCaptures. The CGCreator emits groups in that
-// order and the bitmap candidate sets index into it, so a hand-built group
-// that breaks it fails the run instead of yielding a wrong bitmap.
+// GroupOrderError reports a capture group whose ids are not strictly
+// ascending, the order the closure and the intersections rely on: a
+// hand-built group that breaks it fails the run at ext/close.
 type GroupOrderError struct {
-	// Prev and Next are the first adjacent pair with Prev ≥ Next.
+	// Prev and Next are the captures of the first adjacent pair with Prev ≥ Next.
 	Prev, Next cind.Capture
 }
 
@@ -128,90 +126,90 @@ func (e *GroupOrderError) Error() string {
 	return fmt.Sprintf("extract: capture group not strictly ascending: %+v before %+v", e.Prev, e.Next)
 }
 
-// candSet is a CIND candidate set: a dependent capture's referenced captures
-// plus the number of capture groups seen so far (which sums to the support).
-// Exactly one representation is set: an exact bitmap (refs+bits: the capture
-// universe of the originating group in capture order, shared by all of its
-// dependents, with bit i live meaning refs[i] is a candidate) or a Bloom
-// filter. The lineage flag records whether any Bloom filter took part in
-// building the set; such candidates are uncertain and require validation
-// (Algorithm 3 — we track lineage with OR rather than the paper's AND so that
-// Bloom false positives can never leak into results).
+// candSet is a dependent capture's CIND candidate set: its candidate
+// referenced captures, either as ascending ids (refs non-nil) or as a Bloom
+// filter over ids, and the number of groups seen so far (which sums to the
+// support). lineage records that a Bloom filter took part; such candidates
+// need validation (Algorithm 3, with lineage ORed rather than the paper's
+// AND so that no Bloom false positive can leak into results).
 type candSet struct {
-	refs    []cind.Capture
-	bits    dataflow.Bitmap
+	refs    []uint32
 	approx  *bloom.Filter
 	count   int
 	lineage bool
 }
 
-// liveRefs iterates the exact referenced captures in capture order (never
-// called on pure-Bloom sets).
-func (cs *candSet) liveRefs(f func(cind.Capture)) {
-	cs.bits.ForEach(func(i int) { f(cs.refs[i]) })
-}
+// candidate is a candidate set keyed by its dependent capture's id.
+type candidate = dataflow.Pair[uint32, *candSet]
 
-// liveLen returns the exact-set cardinality (0 for pure-Bloom sets).
-func (cs *candSet) liveLen() int { return cs.bits.Count() }
-
-// hasExact reports whether the set carries the exact representation rather
-// than only a Bloom filter.
-func (cs *candSet) hasExact() bool { return cs.refs != nil }
-
-// containsRef reports exact-set membership: binary search over the ordered
-// universe plus a bit probe.
-func (cs *candSet) containsRef(r cind.Capture) bool {
-	i, ok := slices.BinarySearchFunc(cs.refs, r, cind.CompareCaptures)
-	return ok && cs.bits.Get(i)
-}
-
-// workUnit is a slice of a dominant capture group: the dependent captures
-// this unit is responsible for, plus the full group as referenced captures.
+// workUnit is a slice of a dominant group: the ids of the dependents it is
+// responsible for, and the whole group as referenced captures.
 type workUnit struct {
-	Deps []cind.Capture
-	All  []cind.Capture
+	Deps []uint32
+	All  []uint32
 }
 
 // BroadCINDs extracts all valid CINDs with support ≥ cfg.Support from the
 // capture groups. The result includes logically trivial inclusions (they are
 // valid CINDs); Minimize removes them. Reflexive statements are excluded.
-// Possible errors are ErrLoadLimit (only when cfg.LoadLimit is set) and an
-// engine failure surfaced from the dataset's Context.
-func BroadCINDs(groups *dataflow.Dataset[capture.Group], cfg Config) ([]cind.CIND, error) {
+// Possible errors are ErrLoadLimit (only when cfg.LoadLimit is set), a
+// *GroupOrderError for a hand-built group out of order, and an engine failure
+// surfaced from the groups' Context.
+func BroadCINDs(groups *capture.Groups, cfg Config) ([]cind.CIND, error) {
 	res, _, err := BroadCINDsOutcome(groups, cfg)
 	return res, err
 }
 
 // BroadCINDsOutcome is BroadCINDs with an execution report: the estimated
 // candidate-set load and whether the run degraded to Bloom work units.
-func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]cind.CIND, Outcome, error) {
-	h := cfg.Support
-	outcome := Outcome{Degraded: false}
+func BroadCINDsOutcome(groups *capture.Groups, cfg Config) ([]cind.CIND, Outcome, error) {
+	ctx, captures := groups.Context(), groups.Captures
 
-	// Expand every group to its implication closure so that Lemma 3's
-	// membership test sees subsumed unary captures (see DESIGN.md). Several
-	// narrow chains consume the closure (the capture counters, the group
-	// pruning, the strategy split), so it is pinned here: a pending chain
-	// would replay capture.Close once per consumer.
-	closed := dataflow.Map(groups, "ext/close", capture.Close).Materialize()
+	// Expand every group, once its ids are known to be ascending table ids,
+	// to its implication closure so that Lemma 3's membership test sees
+	// subsumed unary captures (see DESIGN.md). Pinned: several stages read it.
+	closed := dataflow.MapPartitions(groups.Dataset, "ext/close",
+		func(_ int, gs []capture.Group, emit func(capture.Group)) {
+			var arena []uint32
+			for _, g := range gs {
+				if err := checkGroup(g, captures); err != nil {
+					ctx.Fail("ext/close", err)
+					return
+				}
+				emit(groups.Close(g, &arena))
+			}
+		}).Materialize()
 
 	// Capture-support pruning (steps 1–3): captures occurring in fewer than
 	// h groups cannot take part in any broad CIND — neither as dependent
 	// (support too small) nor as referenced (a referenced capture's support
 	// bounds the dependent one's from above).
 	if !cfg.DirectExtraction {
-		closed = pruneBySupport(closed, h)
+		closed = pruneBySupport(closed, len(captures), cfg.Support)
 	}
 
+	// plan decides by its size whether a group is dominant, getting Bloom work
+	// units instead of exact candidate sets — none is under direct extraction,
+	// all are under the degraded strategy, and in the paper's hybrid (§7.2,
+	// steps 4–6) those whose load |G|² exceeds the per-worker average. It also
+	// estimates the load: |G|² per exact group and |G| + k·|G| for a dominant
+	// group's k units. Known before any allocation, the load lets a bounded run
+	// abort cleanly — or, with DegradeOnLoadLimit, fall back to all-Bloom.
+	square := sumGroups(closed, "ext/estimate-load", func(n int64) int64 { return n * n })
+	w := int64(ctx.Workers())
+	plan := func(forced bool) (func(n int64) bool, int64) {
+		dominant := func(n int64) bool { return forced || !cfg.DirectExtraction && n*n > square/w }
+		return dominant, square + sumGroups(closed, "ext/load-units", func(n int64) int64 {
+			if n == 0 || !dominant(n) {
+				return 0
+			}
+			per := (n + w - 1) / w
+			return n + (n+per-1)/per*n - n*n
+		})
+	}
 	forced := cfg.ForceBloomUnits && !cfg.DirectExtraction
-	normal, units := planStrategy(closed, cfg, forced)
-
-	// Memory guard: candidate generation materializes |G|² entries per
-	// exact group and O(|G|) per Bloom-encoded work unit. The load is known
-	// exactly before any allocation, so a bounded run can abort cleanly —
-	// or, with DegradeOnLoadLimit, fall back to the all-Bloom strategy whose
-	// load is linear rather than quadratic in the group sizes.
-	outcome.EstimatedLoad = estimateLoad(normal, units)
+	dominant, load := plan(forced)
+	outcome := Outcome{EstimatedLoad: load}
 	if cfg.LoadLimit > 0 && outcome.EstimatedLoad > cfg.LoadLimit {
 		switch {
 		case cfg.SpillOnLoadLimit:
@@ -223,10 +221,8 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 			return nil, outcome, fmt.Errorf("%w: %d candidate entries > limit %d",
 				ErrLoadLimit, outcome.EstimatedLoad, cfg.LoadLimit)
 		default:
-			forced = true
 			outcome.Degraded = true
-			normal, units = planStrategy(closed, cfg, forced)
-			outcome.EstimatedLoad = estimateLoad(normal, units)
+			dominant, outcome.EstimatedLoad = plan(true)
 			if outcome.EstimatedLoad > cfg.LoadLimit {
 				return nil, outcome, fmt.Errorf("%w: degraded run still needs %d candidate entries > limit %d",
 					ErrLoadLimit, outcome.EstimatedLoad, cfg.LoadLimit)
@@ -234,88 +230,67 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 		}
 	}
 
-	// Candidate generation (step 7). Normal groups enumerate exact
-	// referenced-capture sets; work units encode the group in a fixed-size
-	// Bloom filter, shared per group and cloned per dependent capture.
+	// Candidate generation (step 7). Normal groups fold into one exact set per
+	// dependent and partition; work units encode the group in a fixed-size
+	// Bloom filter, shared per unit and cloned per dependent capture.
+	depOK, refOK := cfg.DepArity.admitted(groups), cfg.RefArity.admitted(groups)
+	exact := dataflow.MapPartitions(closed, "ext/candidates-exact",
+		func(_ int, gs []capture.Group, emit func(candidate)) { foldExact(gs, dominant, depOK, refOK, emit) })
+	units := splitUnits(closed, dominant, len(captures))
 	bloomBytes := cfg.bloomBytes()
-	normalCands := dataflow.FlatMap(normal, "ext/candidates-exact",
-		func(g capture.Group, emit func(dataflow.Pair[cind.Capture, *candSet])) {
-			// One ordered universe per group, shared by every dependent; each
-			// dependent's set is an all-ones bitmap with its own capture
-			// cleared — |G|/64 words per candidate.
-			universe, err := orderedUniverse(g.Captures, cfg.RefArity)
-			if err != nil {
-				groups.Context().Fail("ext/candidates-exact", err)
-				return
-			}
-			at := 0 // dep's index in universe, when it is in it
-			for _, dep := range g.Captures {
-				inUniverse := cfg.RefArity.matches(dep)
-				if cfg.DepArity.matches(dep) {
-					bits := dataflow.NewBitmap(len(universe))
-					bits.SetAll()
-					if inUniverse {
-						bits.Clear(at)
-					}
-					emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{refs: universe, bits: bits, count: 1}})
-				}
-				if inUniverse {
-					at++
-				}
-			}
-		})
-	unitCands := dataflow.FlatMap(units, "ext/candidates-bloom",
-		func(u workUnit, emit func(dataflow.Pair[cind.Capture, *candSet])) {
-			shared := bloom.NewBytes(bloomBytes, 4)
+	approx := dataflow.FlatMap(units, "ext/candidates-bloom",
+		func(u workUnit, emit func(candidate)) {
+			shared := bloom.NewBytes(bloomBytes, bloomHashes)
 			for _, r := range u.All {
-				if cfg.RefArity.matches(r) {
-					shared.Add(r.Key())
+				if refOK[r] {
+					shared.Add(uint64(r))
 				}
 			}
 			for _, dep := range u.Deps {
-				if !cfg.DepArity.matches(dep) {
-					continue
+				if depOK[dep] {
+					emit(candidate{Key: dep, Val: &candSet{approx: shared.Clone(), count: 1, lineage: true}})
 				}
-				emit(dataflow.Pair[cind.Capture, *candSet]{
-					Key: dep,
-					Val: &candSet{approx: shared.Clone(), count: 1, lineage: true},
-				})
 			}
 		})
 
 	// Merge candidate sets per dependent capture (Algorithm 3, step 8).
-	all := dataflow.Union(normalCands, unitCands, "ext/concat")
+	all := dataflow.Union(exact, approx, "ext/concat")
 	merged := dataflow.ReduceByKey(all, "ext/merge-candidates", mergeCandSets)
 
 	// Certain candidates become CINDs directly; uncertain ones (Bloom
-	// lineage) go through the validation pass (steps 9–10).
+	// lineage) go through the validation pass (steps 9–10). emit renders
+	// dep ⊆ r for every r in refs but dep: where ids become capture structs.
 	var out []cind.CIND
-	uncertain := make(map[cind.Capture]*candSet)
+	emit := func(dep uint32, refs []uint32, support int) {
+		for _, r := range refs {
+			if r != dep {
+				out = append(out, cind.CIND{Inclusion: cind.Inclusion{Dep: captures[dep], Ref: captures[r]}, Support: support})
+			}
+		}
+	}
+	uncertain := make(map[uint32]*candSet)
 	for _, p := range dataflow.Collect(merged) {
 		dep, cs := p.Key, p.Val
-		if cs.count < h {
-			continue // not broad (only reachable in direct extraction)
+		if err := checkSet(dep, cs, len(captures)); err != nil {
+			ctx.Fail("ext/merge-candidates", err)
+			break
 		}
-		if !cs.lineage {
-			cs.liveRefs(func(r cind.Capture) {
-				if r != dep {
-					out = append(out, cind.CIND{Inclusion: cind.Inclusion{Dep: dep, Ref: r}, Support: cs.count})
-				}
-			})
-			continue
+		switch {
+		case cs.count < cfg.Support: // not broad (only reachable in direct extraction)
+		case !cs.lineage:
+			emit(dep, cs.refs, cs.count)
+		case cs.refs != nil && len(cs.refs) == 0: // dead: no candidates remain
+		default:
+			uncertain[dep] = cs
 		}
-		if cs.hasExact() && cs.liveLen() == 0 {
-			continue // dead: no candidate referenced captures remain
-		}
-		uncertain[dep] = cs
 	}
-	out = append(out, validate(units, uncertain, cfg.RefArity)...)
+	validate(units, uncertain, refOK, emit)
 	// A failed engine (worker fault, cancellation) drains every stage above
 	// into empty datasets; surface the failure instead of an empty result.
-	if err := groups.Context().Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, outcome, err
 	}
-	reg := groups.Context().Stats().Metrics()
+	reg := ctx.Stats().Metrics()
 	reg.Counter("extract.load.estimated").Add(outcome.EstimatedLoad)
 	reg.Counter("extract.broad_cinds").Add(int64(len(out)))
 	if outcome.Degraded {
@@ -327,218 +302,223 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 	return out, outcome, nil
 }
 
-// planStrategy selects how groups become candidate sets: exact sets for every
-// group (direct extraction), the paper's hybrid of exact normal groups plus
-// Bloom work units for dominant ones (standard), or Bloom work units for all
-// groups (the degraded strategy).
-func planStrategy(closed *dataflow.Dataset[capture.Group], cfg Config, forced bool) (*dataflow.Dataset[capture.Group], *dataflow.Dataset[workUnit]) {
-	switch {
-	case cfg.DirectExtraction:
-		return closed, emptyUnits(closed)
-	case forced:
-		return emptyGroups(closed), splitAll(closed)
-	default:
-		return splitDominant(closed)
-	}
-}
-
-// estimateLoad sums the candidate-set entries generation will allocate.
-func estimateLoad(normal *dataflow.Dataset[capture.Group], units *dataflow.Dataset[workUnit]) int64 {
-	loads := dataflow.MapPartitions(normal, "ext/load-normal",
-		func(_ int, groups []capture.Group, emit func(int64)) {
-			var load int64
-			for _, g := range groups {
-				n := int64(len(g.Captures))
-				load += n * n
-			}
-			emit(load)
-		})
-	total, _ := dataflow.GlobalReduce(loads, "ext/load-sum", func(a, b int64) int64 { return a + b })
-	unitLoads := dataflow.MapPartitions(units, "ext/load-units",
-		func(_ int, us []workUnit, emit func(int64)) {
-			var load int64
-			for _, u := range us {
-				load += int64(len(u.Deps)) + int64(len(u.All))
-			}
-			emit(load)
-		})
-	unitTotal, _ := dataflow.GlobalReduce(unitLoads, "ext/load-units-sum", func(a, b int64) int64 { return a + b })
-	return total + unitTotal
-}
-
-// pruneBySupport removes captures with fewer than h group memberships from
-// every group. Groups that become empty disappear; groups that keep members
-// still matter, because each group a dependent capture occurs in both counts
-// toward its support and constrains its referenced captures.
-func pruneBySupport(closed *dataflow.Dataset[capture.Group], h int) *dataflow.Dataset[capture.Group] {
-	counters := dataflow.FlatMap(closed, "ext/capture-counters",
-		func(g capture.Group, emit func(dataflow.Pair[cind.Capture, int])) {
-			for _, c := range g.Captures {
-				emit(dataflow.Pair[cind.Capture, int]{Key: c, Val: 1})
-			}
-		})
-	supports := dataflow.ReduceByKey(counters, "ext/capture-support", func(a, b int) int { return a + b })
-	low := dataflow.Filter(supports, "ext/prunable",
-		func(p dataflow.Pair[cind.Capture, int]) bool { return p.Val < h })
-	prunable := make(map[cind.Capture]struct{})
-	for _, p := range dataflow.Collect(low) {
-		prunable[p.Key] = struct{}{}
-	}
-	pruned := dataflow.Map(closed, "ext/prune-groups", func(g capture.Group) capture.Group {
-		kept := make([]cind.Capture, 0, len(g.Captures))
-		for _, c := range g.Captures {
-			if _, drop := prunable[c]; !drop {
-				kept = append(kept, c)
-			}
+// checkGroup reports ids out of order or beyond the table.
+func checkGroup(g capture.Group, captures []cind.Capture) error {
+	for i, id := range g {
+		switch {
+		case int(id) >= len(captures):
+			return fmt.Errorf("%w: capture id %d in a table of %d", dataflow.ErrCorruptRecord, id, len(captures))
+		case i > 0 && g[i-1] >= id:
+			return &GroupOrderError{Prev: captures[g[i-1]], Next: captures[id]}
 		}
-		return capture.Group{Captures: kept}
-	})
-	// The strategy split and the load estimate both consume the pruned
-	// groups; pin them like the closure.
-	return dataflow.Filter(pruned, "ext/drop-empty",
-		func(g capture.Group) bool { return len(g.Captures) > 0 }).Materialize()
-}
-
-// splitDominant implements the load balancing of §7.2 (steps 4–7): the
-// processing load of a group is |G|²; groups above the per-worker average
-// are dominant and get split into w work units that are spread across all
-// workers. Normal groups pass through unchanged.
-func splitDominant(closed *dataflow.Dataset[capture.Group]) (*dataflow.Dataset[capture.Group], *dataflow.Dataset[workUnit]) {
-	ctx := closed.Context()
-	w := ctx.Workers()
-
-	// Estimate per-worker loads and derive the average (steps 4–6).
-	loads := dataflow.MapPartitions(closed, "ext/estimate-load",
-		func(_ int, groups []capture.Group, emit func(int64)) {
-			var load int64
-			for _, g := range groups {
-				n := int64(len(g.Captures))
-				load += n * n
-			}
-			emit(load)
-		})
-	total, _ := dataflow.GlobalReduce(loads, "ext/total-load", func(a, b int64) int64 { return a + b })
-	avg := total / int64(w)
-
-	isDominant := func(g capture.Group) bool {
-		n := int64(len(g.Captures))
-		return n*n > avg
 	}
-	normal := dataflow.Filter(closed, "ext/normal-groups",
-		func(g capture.Group) bool { return !isDominant(g) })
-	dominant := dataflow.Filter(closed, "ext/dominant-groups", isDominant)
-	return normal, splitUnits(dominant, w)
+	return nil
 }
 
-// splitAll turns every group into Bloom-encoded work units — the degraded,
-// linear-load strategy selected by ForceBloomUnits or a LoadLimit breach.
-func splitAll(closed *dataflow.Dataset[capture.Group]) *dataflow.Dataset[workUnit] {
-	return splitUnits(closed, closed.Context().Workers())
-}
+// supportColumn counts, per capture id, the groups the capture occurs in.
+// add sums two into a; a nil column (bytes that decoded to none) poisons it.
+type supportColumn []uint32
 
-// splitUnits splits each group into up to w work units and spreads them
-// evenly across the workers.
-func splitUnits(groups *dataflow.Dataset[capture.Group], w int) *dataflow.Dataset[workUnit] {
-	units := dataflow.FlatMap(groups, "ext/split-units",
-		func(g capture.Group, emit func(dataflow.Pair[int, workUnit])) {
-			n := len(g.Captures)
-			per := (n + w - 1) / w
-			spread := int(g.Captures[0].Key()) // stable per-group offset
-			for i := 0; i*per < n; i++ {
-				lo, hi := i*per, (i+1)*per
-				if hi > n {
-					hi = n
-				}
-				emit(dataflow.Pair[int, workUnit]{
-					Key: spread + i,
-					Val: workUnit{Deps: g.Captures[lo:hi:hi], All: g.Captures},
-				})
-			}
-		})
-	placed := dataflow.PartitionBy(units, "ext/place-units",
-		func(p dataflow.Pair[int, workUnit]) int { return p.Key })
-	return dataflow.Map(placed, "ext/unwrap-units",
-		func(p dataflow.Pair[int, workUnit]) workUnit { return p.Val })
-}
-
-// emptyUnits returns an empty work-unit dataset in the same context.
-func emptyUnits(d *dataflow.Dataset[capture.Group]) *dataflow.Dataset[workUnit] {
-	return dataflow.Parallelize(d.Context(), "ext/no-units", []workUnit(nil))
-}
-
-// emptyGroups returns an empty group dataset in the same context.
-func emptyGroups(d *dataflow.Dataset[capture.Group]) *dataflow.Dataset[capture.Group] {
-	return dataflow.Parallelize(d.Context(), "ext/no-normal", []capture.Group(nil))
-}
-
-// mergeCandSets is Algorithm 3: intersect two candidate sets, distinguishing
-// exact/exact, Bloom/Bloom, and mixed cases, summing the group counts and
-// propagating Bloom lineage. The intersection is associative and commutative
-// — probing an element against two Bloom filters succeeds exactly when it
-// passes their bit-wise AND — so reduction order does not matter.
-func mergeCandSets(a, b *candSet) *candSet {
-	count := a.count + b.count
-	lineage := a.lineage || b.lineage
-	var res *candSet
-	if a.refs != nil || b.refs != nil {
-		res = mergeIntoBits(a, b)
-	} else {
-		a.approx.Intersect(b.approx)
-		res = a
+func (a supportColumn) add(b supportColumn) supportColumn {
+	if a == nil || b == nil || len(a) != len(b) {
+		return nil
 	}
-	res.count = count
-	res.lineage = lineage
-	return res
-}
-
-// mergeIntoBits intersects when at least one side is exact: the exact side
-// (the smaller-cardinality one if both are) tests each live capture against
-// the other side and clears misses; against a Bloom filter the survivors are
-// the (still possibly over-approximate) exact set. Clearing bits never
-// touches the shared universe slice, so siblings of the originating group are
-// unaffected. The caller overwrites count/lineage.
-func mergeIntoBits(a, b *candSet) *candSet {
-	if a.refs == nil || (b.refs != nil && a.bits.Count() > b.bits.Count()) {
-		a, b = b, a
+	for i, n := range b {
+		a[i] += n
 	}
-	if b.refs == nil {
-		a.bits.ForEach(func(i int) {
-			if !b.approx.Test(a.refs[i].Key()) {
-				a.bits.Clear(i)
-			}
-		})
-		return a
-	}
-	// Both universes are in capture order and a's live bits come in ascending
-	// order, so one cursor into b.refs only ever moves forward.
-	pos := 0
-	a.bits.ForEach(func(i int) {
-		c := a.refs[i]
-		pos = gallopCapture(b.refs, pos, c)
-		if pos == len(b.refs) || b.refs[pos] != c || !b.bits.Get(pos) {
-			a.bits.Clear(i)
-		}
-	})
 	return a
 }
 
-// gallopCapture returns the first index i ≥ from with refs[i] ≥ c in a
-// universe in capture order, given that every entry before from is less than
-// c: a binary search resumed from a previous hit. It doubles its step from
-// `from` until it overshoots c, then binary-searches the last step, so a run
-// of lookups with ascending c costs O(log gap) each and O(|refs|) at most in
-// total, however unequal the two sides are.
-func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
+// pruneBySupport removes captures with fewer than h group memberships, as
+// counted in one column over the n ids per partition and summed across
+// partitions and ranks. Emptied groups disappear; the others still count
+// toward their dependents' supports. The kept ids go into a new arena per
+// partition, so the closed groups stay intact for further passes over them.
+func pruneBySupport(closed *dataflow.Dataset[capture.Group], n, h int) *dataflow.Dataset[capture.Group] {
+	ctx := closed.Context()
+	columns := dataflow.MapPartitions(closed, "ext/support-columns",
+		func(_ int, gs []capture.Group, emit func(supportColumn)) {
+			col := make(supportColumn, n)
+			for _, g := range gs {
+				for _, id := range g {
+					col[id]++
+				}
+			}
+			emit(col)
+		})
+	support, _ := dataflow.GlobalReduce(columns, "ext/support-sum", supportColumn.add)
+	if support == nil || len(support) != n {
+		ctx.Fail("ext/support-sum", fmt.Errorf("%w: support column of %d counters for %d captures",
+			dataflow.ErrCorruptRecord, len(support), n))
+	}
+	return dataflow.MapPartitions(closed, "ext/prune-groups",
+		func(_ int, gs []capture.Group, emit func(capture.Group)) {
+			size := 0
+			for _, g := range gs {
+				size += len(g)
+			}
+			arena := make([]uint32, 0, size)
+			for _, g := range gs {
+				start := len(arena)
+				for _, id := range g {
+					if int(support[id]) >= h {
+						arena = append(arena, id)
+					}
+				}
+				if len(arena) > start {
+					emit(arena[start:len(arena):len(arena)])
+				}
+			}
+		}).Materialize()
+}
+
+// sumGroups sums f over the group sizes, across partitions and ranks.
+func sumGroups(groups *dataflow.Dataset[capture.Group], name string, f func(n int64) int64) int64 {
+	sums := dataflow.MapPartitions(groups, name,
+		func(_ int, gs []capture.Group, emit func(int64)) {
+			var sum int64
+			for _, g := range gs {
+				sum += f(int64(len(g)))
+			}
+			emit(sum)
+		})
+	total, _ := dataflow.GlobalReduce(sums, name+"-sum", func(a, b int64) int64 { return a + b })
+	return total
+}
+
+// splitUnits splits each dominant group into up to w work units (§7.2,
+// step 7) and spreads them evenly across the workers. Units that crossed a
+// process are checked against the table of n captures.
+func splitUnits(closed *dataflow.Dataset[capture.Group], dominant func(n int64) bool, n int) *dataflow.Dataset[workUnit] {
+	ctx := closed.Context()
+	w := ctx.Workers()
+	units := dataflow.FlatMap(closed, "ext/split-units",
+		func(g capture.Group, emit func(dataflow.Pair[uint32, workUnit])) {
+			if !dominant(int64(len(g))) {
+				return
+			}
+			per := (len(g) + w - 1) / w
+			for i := 0; i*per < len(g); i++ {
+				lo, hi := i*per, min((i+1)*per, len(g))
+				// The group's first id is a stable per-group offset.
+				emit(dataflow.Pair[uint32, workUnit]{Key: g[0] + uint32(i), Val: workUnit{Deps: g[lo:hi:hi], All: g}})
+			}
+		})
+	placed := dataflow.PartitionBy(units, "ext/place-units",
+		func(p dataflow.Pair[uint32, workUnit]) int { return int(p.Key) })
+	return dataflow.FlatMap(placed, "ext/unwrap-units",
+		func(p dataflow.Pair[uint32, workUnit], emit func(workUnit)) {
+			if err := checkIDs(n, p.Val.Deps, p.Val.All); err != nil {
+				ctx.Fail("ext/unwrap-units", err)
+				return
+			}
+			emit(p.Val)
+		})
+}
+
+// foldExact folds a partition's normal groups into one exact candidate set
+// per dependent capture: the first group a dependent occurs in gives it the
+// group's referenced captures but itself, every later one intersects them
+// away. That is the merge of Algorithm 3 run as the groups are read, so no
+// set per group and dependent ever exists.
+func foldExact(gs []capture.Group, dominant func(n int64) bool, depOK, refOK []bool, emit func(candidate)) {
+	sets := make([]*candSet, len(depOK))
+	var universe []uint32
+	for _, g := range gs {
+		if dominant(int64(len(g))) {
+			continue
+		}
+		universe = universe[:0]
+		for _, id := range g {
+			if refOK[id] {
+				universe = append(universe, id)
+			}
+		}
+		for _, dep := range g {
+			switch cs := sets[dep]; {
+			case !depOK[dep]:
+			case cs != nil:
+				cs.refs = intersect(cs.refs, universe)
+				cs.count++
+			default:
+				refs := append(make([]uint32, 0, len(universe)), universe...)
+				sets[dep] = &candSet{refs: slices.DeleteFunc(refs, func(r uint32) bool { return r == dep }), count: 1}
+			}
+		}
+	}
+	for dep, cs := range sets {
+		if cs != nil {
+			emit(candidate{Key: uint32(dep), Val: cs})
+		}
+	}
+}
+
+// mergeCandSets is Algorithm 3: intersect two candidate sets — exact/exact,
+// Bloom/Bloom (bit-wise AND) or mixed, where the exact side keeps what the
+// filter admits — summing the group counts and propagating lineage. It is
+// associative and commutative, so reduction order does not matter. A nil set
+// (bytes that decoded to none) or filters of two geometries poison the result.
+func mergeCandSets(a, b *candSet) *candSet {
+	if a == nil || b == nil {
+		return nil
+	}
+	if a.refs == nil {
+		a, b = b, a
+	}
+	switch {
+	case b.refs != nil:
+		a.refs = intersect(a.refs, b.refs)
+	case a.refs != nil:
+		a.refs = slices.DeleteFunc(a.refs, func(r uint32) bool { return !b.approx.Test(uint64(r)) })
+	default:
+		an, ak := a.approx.Geometry()
+		if bn, bk := b.approx.Geometry(); an != bn || ak != bk {
+			return nil
+		}
+		a.approx.Intersect(b.approx)
+	}
+	a.count += b.count
+	a.lineage = a.lineage || b.lineage
+	return a
+}
+
+// intersect keeps the ids of a that are also in b, in place. Both are
+// strictly ascending; walking the shorter and galloping through the longer,
+// a set shrunk to a few ids meets a large group in O(few · log).
+func intersect(a, b []uint32) []uint32 {
+	short, long := a, b
+	if len(b) < len(a) {
+		short, long = b, a
+	}
+	k, pos := 0, 0
+	for _, id := range short {
+		if pos = gallop(long, pos, id); pos == len(long) {
+			break
+		}
+		if long[pos] == id {
+			a[k] = id // k ≤ id's position in a: overwrites only ids already read
+			k++
+			pos++
+		}
+	}
+	return a[:k]
+}
+
+// gallop returns the first index i ≥ from with ids[i] ≥ id, given that every
+// entry before from is less than id. It doubles its step from `from` until it
+// overshoots, then binary-searches the last step: a run of lookups with
+// ascending ids costs O(log gap) each and O(|ids|) in total.
+func gallop(ids []uint32, from int, id uint32) int {
 	lo, step := from, 1
-	for lo+step <= len(refs) && cind.CompareCaptures(refs[lo+step-1], c) < 0 {
+	for lo+step <= len(ids) && ids[lo+step-1] < id {
 		lo += step
 		step <<= 1
 	}
-	// refs[lo-1] < c (or lo == from) and the answer is at most lo+step-1.
-	hi := min(lo+step-1, len(refs))
+	// ids[lo-1] < id (or lo == from) and the answer is at most lo+step-1.
+	hi := min(lo+step-1, len(ids))
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cind.CompareCaptures(refs[mid], c) < 0 {
+		if ids[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -547,76 +527,46 @@ func gallopCapture(refs []cind.Capture, from int, c cind.Capture) int {
 	return lo
 }
 
-// orderedUniverse filters a group's captures by the referenced arity into a
-// fresh slice — the capture universe bitmap sets index into — and reports a
-// *GroupOrderError unless the group is strictly ascending in capture order.
-func orderedUniverse(captures []cind.Capture, ref Arity) ([]cind.Capture, error) {
-	universe := make([]cind.Capture, 0, len(captures))
-	for i, c := range captures {
-		if i > 0 && cind.CompareCaptures(captures[i-1], c) >= 0 {
-			return nil, &GroupOrderError{Prev: captures[i-1], Next: c}
-		}
-		if ref.matches(c) {
-			universe = append(universe, c)
-		}
-	}
-	return universe, nil
-}
-
-// validate resolves uncertain candidate sets (step 9–10): the uncertain map
-// is broadcast, every work unit emits the exact intersection of its group
-// with the candidate's referenced captures, and intersecting those
-// validation sets across all of a dependent capture's dominant groups yields
-// the exact referenced captures (Bloom false positives cannot survive every
-// group's probe).
-func validate(units *dataflow.Dataset[workUnit], uncertain map[cind.Capture]*candSet, refArity Arity) []cind.CIND {
+// validate resolves uncertain candidate sets (steps 9–10): with the map
+// broadcast, every work unit emits the exact intersection of its group with
+// a dependent's candidates, and intersecting these across the dependent's
+// dominant groups leaves the exact referenced captures.
+func validate(units *dataflow.Dataset[workUnit], uncertain map[uint32]*candSet, refOK []bool, emit func(dep uint32, refs []uint32, support int)) {
 	if len(uncertain) == 0 {
-		return nil
+		return
 	}
 	vsets := dataflow.FlatMap(units, "ext/validation-sets",
-		func(u workUnit, emit func(dataflow.Pair[cind.Capture, map[cind.Capture]struct{}])) {
+		func(u workUnit, emit func(dataflow.Pair[uint32, []uint32])) {
 			for _, dep := range u.Deps {
 				cs, ok := uncertain[dep]
 				if !ok {
 					continue
 				}
-				refs := make(map[cind.Capture]struct{})
+				refs := make([]uint32, 0, len(u.All))
 				for _, r := range u.All {
-					if r == dep || !refArity.matches(r) {
+					if r == dep || !refOK[r] {
 						continue
 					}
-					if cs.hasExact() {
-						if cs.containsRef(r) {
-							refs[r] = struct{}{}
-						}
-					} else if cs.approx.Test(r.Key()) {
-						refs[r] = struct{}{}
+					if _, in := slices.BinarySearch(cs.refs, r); in || cs.refs == nil && cs.approx.Test(uint64(r)) {
+						refs = append(refs, r)
 					}
 				}
-				emit(dataflow.Pair[cind.Capture, map[cind.Capture]struct{}]{Key: dep, Val: refs})
+				emit(dataflow.Pair[uint32, []uint32]{Key: dep, Val: refs})
 			}
 		})
-	final := dataflow.ReduceByKey(vsets, "ext/validate",
-		func(a, b map[cind.Capture]struct{}) map[cind.Capture]struct{} {
-			if len(a) > len(b) {
-				a, b = b, a
-			}
-			for r := range a {
-				if _, ok := b[r]; !ok {
-					delete(a, r)
-				}
-			}
-			return a
-		})
-	var out []cind.CIND
-	for _, p := range dataflow.Collect(final) {
-		dep, refs := p.Key, p.Val
-		cs := uncertain[dep]
-		for r := range refs {
-			if r != dep {
-				out = append(out, cind.CIND{Inclusion: cind.Inclusion{Dep: dep, Ref: r}, Support: cs.count})
-			}
+	final := dataflow.ReduceByKey(vsets, "ext/validate", func(a, b []uint32) []uint32 {
+		if a == nil || b == nil {
+			return nil // bytes that decoded to no set
 		}
+		return intersect(a, b)
+	})
+	for _, p := range dataflow.Collect(final) {
+		cs := uncertain[p.Key]
+		if err := checkIDs(len(refOK), p.Val); cs == nil || err != nil {
+			units.Context().Fail("ext/validate", fmt.Errorf("%w: validation set of capture id %d",
+				dataflow.ErrCorruptRecord, p.Key))
+			return
+		}
+		emit(p.Key, p.Val, cs.count)
 	}
-	return out
 }

@@ -26,15 +26,54 @@ func cap(proj rdf.Attr, cond cind.Condition) cind.Capture {
 	return cind.Capture{Proj: proj, Cond: cond}
 }
 
-// mkGroups wraps capture slices into a dataset of groups, each put into the
-// capture order a capture.Group is defined to have.
-func mkGroups(w int, groups ...[]cind.Capture) *dataflow.Dataset[capture.Group] {
-	ctx := dataflow.NewContext(w)
+// table interns the captures of groups, and the unary relaxations of their
+// binary members, into a capture table in capture order.
+func table(groups ...[]cind.Capture) []cind.Capture {
+	var all []cind.Capture
+	for _, g := range groups {
+		for _, c := range g {
+			all = append(all, c)
+			for _, u := range c.Cond.UnaryParts() {
+				all = append(all, cind.Capture{Proj: c.Proj, Cond: u})
+			}
+		}
+	}
+	slices.SortFunc(all, cind.CompareCaptures)
+	return slices.Compact(all)
+}
+
+// ids translates captures into their ids in tab, in the order given.
+func ids(tab []cind.Capture, captures ...cind.Capture) capture.Group {
+	g := make(capture.Group, len(captures))
+	for i, c := range captures {
+		id, ok := slices.BinarySearchFunc(tab, c, cind.CompareCaptures)
+		if !ok {
+			panic(fmt.Sprintf("capture %+v not in the table", c))
+		}
+		g[i] = uint32(id)
+	}
+	return g
+}
+
+// newGroups hands id groups over tab to the extractor on ctx.
+func newGroups(ctx *dataflow.Context, tab []cind.Capture, groups ...capture.Group) *capture.Groups {
+	gs, err := capture.NewGroups(dataflow.Parallelize(ctx, "groups", groups), tab)
+	if err != nil {
+		panic(err)
+	}
+	return gs
+}
+
+// mkGroups interns capture slices into a table and hands them over as
+// groups, each put into the id order a capture.Group is defined to have.
+func mkGroups(w int, groups ...[]cind.Capture) *capture.Groups {
+	tab := table(groups...)
 	gs := make([]capture.Group, len(groups))
 	for i, g := range groups {
-		gs[i] = capture.Group{Captures: slices.SortedFunc(slices.Values(g), cind.CompareCaptures)}
+		gs[i] = ids(tab, g...)
+		slices.Sort(gs[i])
 	}
-	return dataflow.Parallelize(ctx, "groups", gs)
+	return newGroups(dataflow.NewContext(w), tab, gs...)
 }
 
 // TestExample6Extraction reproduces §7.1's running example: three capture
@@ -87,7 +126,7 @@ func TestDominantGroupSplitting(t *testing.T) {
 		g = dedup(g)
 		smalls = append(smalls, g)
 	}
-	build := func() *dataflow.Dataset[capture.Group] {
+	build := func() *capture.Groups {
 		all := append([][]cind.Capture{big}, smalls...)
 		return mkGroups(4, all...)
 	}
@@ -199,44 +238,49 @@ func oracleBroad(ds *rdf.Dataset, h int) []cind.CIND {
 // TestMergeCandSets covers Algorithm 3's three cases plus count/lineage
 // bookkeeping.
 func TestMergeCandSets(t *testing.T) {
-	c1 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 1))
-	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
-	c3 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 3))
-
-	exact := func(caps ...cind.Capture) *candSet { return bitsSet(caps, caps...) }
-	blm := func(caps ...cind.Capture) *candSet {
-		f := bloom.NewBytes(64, 4)
-		for _, c := range caps {
-			f.Add(c.Key())
+	blm := func(ids ...uint32) *candSet {
+		f := bloom.NewBytes(64, bloomHashes)
+		for _, id := range ids {
+			f.Add(uint64(id))
 		}
 		return &candSet{approx: f, count: 1, lineage: true}
 	}
 
 	// exact ∩ exact
-	m := mergeCandSets(exact(c1, c2, c3), exact(c2, c3))
-	if m.liveLen() != 2 || m.count != 2 || m.lineage {
+	m := mergeCandSets(exactSet(1, 2, 3), exactSet(2, 3))
+	if len(m.refs) != 2 || m.count != 2 || m.lineage {
 		t.Errorf("exact/exact merge wrong: %+v", m)
 	}
 
 	// exact ∩ bloom: probing keeps members present in the filter
-	m = mergeCandSets(exact(c1, c2), blm(c2))
-	if !m.hasExact() || m.count != 2 || !m.lineage {
+	m = mergeCandSets(exactSet(1, 2), blm(2))
+	if m.refs == nil || m.count != 2 || !m.lineage {
 		t.Errorf("mixed merge wrong: %+v", m)
 	}
-	if !m.containsRef(c2) {
+	if !slices.Contains(m.refs, 2) {
 		t.Errorf("mixed merge dropped true member")
 	}
 
 	// bloom ∩ bloom: common members must survive the AND
-	m = mergeCandSets(blm(c1, c2), blm(c2, c3))
-	if m.approx == nil || !m.approx.Test(c2.Key()) || m.count != 2 || !m.lineage {
+	m = mergeCandSets(blm(1, 2), blm(2, 3))
+	if m.approx == nil || !m.approx.Test(2) || m.count != 2 || !m.lineage {
 		t.Errorf("bloom/bloom merge wrong: %+v", m)
 	}
 
 	// order invariance of the mixed case
-	m2 := mergeCandSets(blm(c2), exact(c1, c2))
-	if !m2.hasExact() || m2.count != 2 || !m2.lineage {
+	m2 := mergeCandSets(blm(2), exactSet(1, 2))
+	if m2.refs == nil || m2.count != 2 || !m2.lineage {
 		t.Errorf("mixed merge (swapped) wrong: %+v", m2)
+	}
+
+	// a set that decoded to none, or filters of two geometries, poison the merge
+	wide := &candSet{approx: bloom.NewBytes(128, bloomHashes), count: 1, lineage: true}
+	for name, pair := range map[string][2]*candSet{
+		"nil left": {nil, exactSet(1)}, "nil right": {blm(1), nil}, "geometry": {blm(1), wide},
+	} {
+		if got := mergeCandSets(pair[0], pair[1]); got != nil {
+			t.Errorf("%s: merge = %+v, want nil", name, got)
+		}
 	}
 }
 
@@ -244,7 +288,7 @@ func TestMergeCandSets(t *testing.T) {
 // result exactly.
 func TestArityFilters(t *testing.T) {
 	ds := randomDataset(250, 4)
-	groups := func() *dataflow.Dataset[capture.Group] {
+	groups := func() *capture.Groups {
 		ctx := dataflow.NewContext(3)
 		gs := groupsFromDataset(ctx, ds)
 		return gs
@@ -297,7 +341,13 @@ func TestArityFilters(t *testing.T) {
 
 // groupsFromDataset builds closed-form ground-truth groups (h=1 universe
 // pruned by nothing) for extraction tests that do not involve fcdetect.
-func groupsFromDataset(ctx *dataflow.Context, ds *rdf.Dataset) *dataflow.Dataset[capture.Group] {
+func groupsFromDataset(ctx *dataflow.Context, ds *rdf.Dataset) *capture.Groups {
+	tab, gs := datasetGroups(ds)
+	return newGroups(ctx, tab, gs...)
+}
+
+// datasetGroups is groupsFromDataset's table and groups.
+func datasetGroups(ds *rdf.Dataset) ([]cind.Capture, []capture.Group) {
 	members := map[rdf.Value]map[cind.Capture]struct{}{}
 	add := func(v rdf.Value, c cind.Capture) {
 		g, ok := members[v]
@@ -315,11 +365,17 @@ func groupsFromDataset(ctx *dataflow.Context, ds *rdf.Dataset) *dataflow.Dataset
 			add(t.Get(proj), cind.Capture{Proj: proj, Cond: cind.Binary(b, t.Get(b), g, t.Get(g))})
 		}
 	}
-	var gs []capture.Group
-	for _, g := range members {
-		gs = append(gs, capture.Group{Captures: slices.SortedFunc(maps.Keys(g), cind.CompareCaptures)})
+	var lists [][]cind.Capture
+	for _, v := range slices.Sorted(maps.Keys(members)) {
+		lists = append(lists, slices.Collect(maps.Keys(members[v])))
 	}
-	return dataflow.Parallelize(ctx, "groups", gs)
+	tab := table(lists...)
+	gs := make([]capture.Group, len(lists))
+	for i, l := range lists {
+		gs[i] = ids(tab, l...)
+		slices.Sort(gs[i])
+	}
+	return tab, gs
 }
 
 // Property: Minimize never keeps an implied CIND and never drops an
@@ -498,20 +554,22 @@ func TestClosureComputedOnce(t *testing.T) {
 }
 
 // TestUnorderedGroupFailsStage: a hand-built group that is not strictly
-// ascending in capture order must fail the run with a *GroupOrderError, on
-// the exact path and with duplicates as well as inversions.
+// ascending in id order must fail the run with a *GroupOrderError at
+// ext/close, before the closure, with duplicates as well as inversions and
+// with binary members as well as without.
 func TestUnorderedGroupFailsStage(t *testing.T) {
 	c1 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 1))
 	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
 	c3 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 3))
+	b25 := cap(rdf.Subject, cind.Binary(rdf.Predicate, 2, rdf.Object, 5))
+	tab := table([]cind.Capture{c1, c2, c3, b25})
 	for name, bad := range map[string][]cind.Capture{
-		"inverted":  {c1, c3, c2},
-		"duplicate": {c1, c2, c2},
+		"inverted":                       {c1, c3, c2},
+		"duplicate":                      {c1, c2, c2},
+		"inverted with a binary member":  {c3, c1, b25},
+		"duplicate with a binary member": {c1, c1, b25},
 	} {
-		ctx := dataflow.NewContext(2)
-		groups := dataflow.Parallelize(ctx, "groups", []capture.Group{
-			{Captures: []cind.Capture{c1, c2, c3}}, {Captures: bad}, {Captures: []cind.Capture{c1, c2}},
-		})
+		groups := newGroups(dataflow.NewContext(2), tab, ids(tab, c1, c2, c3), ids(tab, bad...), ids(tab, c1, c2))
 		got, err := BroadCINDs(groups, Config{Support: 1, DirectExtraction: true})
 		var oe *GroupOrderError
 		if !errors.As(err, &oe) || len(got) != 0 {
@@ -521,8 +579,23 @@ func TestUnorderedGroupFailsStage(t *testing.T) {
 			t.Errorf("%s: error names an ordered pair: %v", name, oe)
 		}
 		var se *dataflow.StageError
-		if !errors.As(err, &se) || se.Stage != "ext/candidates-exact" {
-			t.Errorf("%s: failure not attributed to ext/candidates-exact: %v", name, err)
+		if !errors.As(err, &se) || se.Stage != "ext/close" {
+			t.Errorf("%s: failure not attributed to ext/close: %v", name, err)
+		}
+	}
+}
+
+// TestUnknownCaptureIDFailsStage: an id at or beyond the table size fails the
+// run with ErrCorruptRecord at ext/close, not with an index out of range.
+func TestUnknownCaptureIDFailsStage(t *testing.T) {
+	c1 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 1))
+	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
+	tab := table([]cind.Capture{c1, c2})
+	for _, bad := range []capture.Group{{0, 2}, {^uint32(0)}} {
+		_, err := BroadCINDs(newGroups(dataflow.NewContext(2), tab, capture.Group{0, 1}, bad), Config{Support: 1})
+		var se *dataflow.StageError
+		if !errors.Is(err, dataflow.ErrCorruptRecord) || !errors.As(err, &se) || se.Stage != "ext/close" {
+			t.Errorf("group %v: err = %v, want ErrCorruptRecord at ext/close", bad, err)
 		}
 	}
 }
