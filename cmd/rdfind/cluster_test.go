@@ -50,11 +50,11 @@ func TestParseChaos(t *testing.T) {
 }
 
 func TestClusterFlagValidation(t *testing.T) {
-	if code, _, _ := runCLI(t, "-cluster", "2", "-mem-budget", "64MiB", "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-cluster with -mem-budget exit %d, want %d", code, exitUsage)
-	}
-	if code, _, _ := runCLI(t, "-cluster", "2", "-spill-dir", t.TempDir(), "testdata/museums.nt"); code != exitUsage {
-		t.Errorf("-cluster with -spill-dir exit %d, want %d", code, exitUsage)
+	for _, n := range []string{"-1", "1025"} {
+		code, _, errOut := runCLI(t, "-cluster", n, "testdata/museums.nt")
+		if code != exitUsage || !strings.Contains(errOut, "-cluster "+n+" outside [0, 1024]") {
+			t.Errorf("-cluster %s: exit %d, stderr %q; want %d naming the flag and its range", n, code, errOut, exitUsage)
+		}
 	}
 	if code, _, _ := runCLI(t, "-chaos", "kill:1@3", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("-chaos without -cluster exit %d, want %d", code, exitUsage)

@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	rdfind [-support N] [-workers N] [-ingest-workers N] [-variant rdfind|de|nf|mf]
-//	       [-input GLOBS] [-input-format auto|nt|turtle] [-partition hash|subject]
+//	rdfind [-support N] [-workers N] [-variant rdfind|de|nf|mf]
+//	       [-input GLOBS] [-input-format auto|nt|turtle] [-format text|json]
 //	       [-pred-only-conditions] [-lenient] [-timeout D] [-stats] [-json]
 //	       [-cpuprofile FILE] [-memprofile FILE] [file.nt ...]
+//	rdfind -check 'STATEMENT' [flags] file.nt
 //	rdfind -query 'SELECT ...' [-query-reps N] [flags] file.nt
 //	rdfind -cluster N [-cluster-network tcp|unix] [-chaos SPEC] [flags] file.nt
 //	rdfind worker -addr ADDR -rank N [-network tcp|unix]
@@ -21,15 +22,9 @@
 // content magic both select streaming decompression). The input format
 // defaults to auto: a .ttl or .turtle extension (before any trailing .gz)
 // selects the Turtle reader per file, anything else N-Triples. -lenient and
-// parallel -ingest-workers apply to N-Triples only; Turtle and N-Triples
-// readers intern identical surface forms, so equivalent files produce
-// identical discovery results.
-//
-// -partition picks the placement strategy for streamed triples: hash (the
-// default; spread by hashing all three elements) or subject (keep each
-// subject's triples on one worker, trading balance for locality). Placement
-// never changes the discovered result, only data movement — `-exp partition`
-// in cmd/benchsuite measures the trade.
+// parallel parsing (one shard per -workers) apply to N-Triples only; Turtle
+// and N-Triples readers intern identical surface forms, so equivalent files
+// produce identical discovery results. README.md tabulates every flag.
 //
 // -query serves a SPARQL query (the engine's BGP+FILTER subset) over the
 // input through the concurrent query engine after discovery: the discovered
@@ -70,7 +65,8 @@
 //	0  success
 //	1  discovery failure (worker fault, load limit, -check not holding,
 //	   result not written to stdout in full)
-//	2  usage error (bad flags, unknown variant or format)
+//	2  usage error (bad flags, unknown variant or format, -workers outside
+//	   [1, 1024], -cluster outside [0, 1024])
 //	3  input parse failure (malformed N-Triples, unreadable file)
 //	4  timeout (-timeout exceeded before discovery finished)
 package main
@@ -112,39 +108,56 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// maxWorkers bounds -workers and -cluster: every shuffle allocates w²
+// buckets, and -cluster spawns one process per worker.
+const maxWorkers = 1024
+
+// options are the rdfind flags, bound by newFlagSet.
+type options struct {
+	support, workers, queryReps, cluster              int
+	input, variant, format, inputFormat, check, query string
+	clusterNet, chaos, cpuProfile, memProfile         string
+	predOnly, json, stats, lenient                    bool
+	timeout                                           time.Duration
+}
+
+// newFlagSet defines every rdfind flag. README.md's flag table lists the
+// same names and defaults, which TestFlagTable checks.
+func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("rdfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.IntVar(&o.support, "support", 100, "support threshold h (minimum distinct included values)")
+	fs.IntVar(&o.workers, "workers", 4, "logical dataflow workers and parallel N-Triples parse shards, in [1, 1024]")
+	fs.StringVar(&o.input, "input", "", "comma-separated input paths and globs, combined with positional paths; sorted expansion is the document order")
+	fs.StringVar(&o.variant, "variant", "rdfind", "pipeline variant: rdfind, de, nf, mf")
+	fs.BoolVar(&o.predOnly, "pred-only-conditions", false, "use predicates only in conditions (no predicate projections)")
+	fs.StringVar(&o.format, "format", "text", "output format: text or json")
+	fs.StringVar(&o.inputFormat, "input-format", "auto", "input format: auto (sniff the extension, .gz stripped first), nt, or turtle")
+	fs.BoolVar(&o.json, "json", false, "emit one JSON document with the result and the run's metrics snapshot")
+	fs.StringVar(&o.check, "check", "", "instead of discovering, validate one CIND statement, e.g. '(s, p=a) <= (s, p=b)'")
+	fs.StringVar(&o.query, "query", "", "after discovery, serve this SPARQL query through the concurrent engine (CINDs minimize it) and print its rows instead of the result")
+	fs.IntVar(&o.queryReps, "query-reps", 1, "execute -query this many times; repetitions of one shape hit the plan cache")
+	fs.BoolVar(&o.stats, "stats", false, "print run statistics and the operator trace to stderr")
+	fs.BoolVar(&o.lenient, "lenient", false, "skip malformed N-Triples lines (reported to stderr) instead of aborting")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort discovery after this duration (0 = no limit), exit code 4")
+	fs.IntVar(&o.cluster, "cluster", 0, "run as coordinator of N worker processes, N in [0, 1024] (0 = single-process); overrides -workers")
+	fs.StringVar(&o.clusterNet, "cluster-network", "unix", "coordinator listen network: unix or tcp")
+	fs.StringVar(&o.chaos, "chaos", "", "inject process faults, comma-separated kind:rank@seq entries (kinds kill, drop, dup, delay:DUR), e.g. 'kill:1@4'")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of this process to `file`; samples carry a phase label (ingest, fcdetect, capture, extract, consolidate)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of this process to `file` when the run ends")
+	return fs, o
+}
+
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	if len(args) > 0 && args[0] == "worker" {
 		return runWorker(args[1:], stdout, stderr)
 	}
-	fs := flag.NewFlagSet("rdfind", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	support := fs.Int("support", 100, "support threshold h (minimum distinct included values)")
-	workers := fs.Int("workers", 4, "logical dataflow workers")
-	input := fs.String("input", "", "comma-separated input paths and globs, combined with positional paths; sorted expansion is the document order")
-	partition := fs.String("partition", "hash", "streamed-triple placement strategy: hash or subject")
-	ingestWorkers := fs.Int("ingest-workers", 0, "parallel N-Triples ingest shards (0 = same as -workers); any value yields identical datasets")
-	variantName := fs.String("variant", "rdfind", "pipeline variant: rdfind, de, nf, mf")
-	predOnly := fs.Bool("pred-only-conditions", false, "use predicates only in conditions (no predicate projections)")
-	format := fs.String("format", "text", "output format: text or json")
-	inputFormat := fs.String("input-format", "auto", "input format: auto (sniff the extension, .gz stripped first), nt, or turtle")
-	jsonDump := fs.Bool("json", false, "emit one JSON document with the result and the run's metrics snapshot")
-	check := fs.String("check", "", "instead of discovering, validate one CIND statement, e.g. '(s, p=a) <= (s, p=b)'")
-	query := fs.String("query", "", "after discovery, serve this SPARQL query through the concurrent engine (CINDs minimize it) and print its rows instead of the result")
-	queryReps := fs.Int("query-reps", 1, "execute -query this many times; repetitions of one shape hit the plan cache")
-	stats := fs.Bool("stats", false, "print run statistics and the operator trace to stderr")
-	lenient := fs.Bool("lenient", false, "skip malformed N-Triples lines (reported to stderr) instead of aborting")
-	timeout := fs.Duration("timeout", 0, "abort discovery after this duration (0 = no limit), exit code 4")
-	memBudget := fs.String("mem-budget", "", "memory budget for keyed shuffle state, e.g. 512M or 2G; overflow spills to disk (empty = unlimited, no spilling)")
-	spillDir := fs.String("spill-dir", "", "directory for spill files (empty = system temp dir; implies a 256M budget if -mem-budget is unset)")
-	clusterN := fs.Int("cluster", 0, "run as coordinator of N worker processes (0 = single-process); overrides -workers")
-	clusterNet := fs.String("cluster-network", "unix", "coordinator listen network: unix or tcp")
-	chaos := fs.String("chaos", "", "inject process faults, comma-separated kind:rank@seq entries (kinds kill, drop, dup, delay:DUR), e.g. 'kill:1@4'")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to `file`; samples carry a phase label (ingest, fcdetect, capture, extract, consolidate)")
-	memProfile := fs.String("memprofile", "", "write an allocation profile of this process to `file` when the run ends")
+	fs, o := newFlagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fmt.Fprintln(stderr, "rdfind:", err)
 		return exitDiscovery
@@ -157,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}()
 
 	inputs := fs.Args()
-	for _, in := range strings.Split(*input, ",") {
+	for _, in := range strings.Split(o.input, ",") {
 		if in = strings.TrimSpace(in); in != "" {
 			inputs = append(inputs, in)
 		}
@@ -173,64 +186,55 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"de":     rdfind.DirectExtraction,
 		"nf":     rdfind.NoFrequentConditions,
 		"mf":     rdfind.MinimalFirst,
-	}[*variantName]
+	}[o.variant]
 	if !ok {
-		fmt.Fprintf(stderr, "rdfind: unknown variant %q\n", *variantName)
+		fmt.Fprintf(stderr, "rdfind: unknown variant %q\n", o.variant)
 		return exitUsage
 	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(stderr, "rdfind: unknown format %q\n", *format)
+	if o.format != "text" && o.format != "json" {
+		fmt.Fprintf(stderr, "rdfind: unknown format %q\n", o.format)
 		return exitUsage
 	}
-	budget, err := parseByteSize(*memBudget)
-	if err != nil {
-		fmt.Fprintf(stderr, "rdfind: bad -mem-budget: %v\n", err)
+	if o.workers < 1 || o.workers > maxWorkers {
+		fmt.Fprintf(stderr, "rdfind: -workers %d outside [1, %d]\n", o.workers, maxWorkers)
 		return exitUsage
 	}
-	if *clusterN > 0 {
-		// The network shuffle and the spill path are mutually exclusive, and
+	if o.cluster < 0 || o.cluster > maxWorkers {
+		fmt.Fprintf(stderr, "rdfind: -cluster %d outside [0, %d]\n", o.cluster, maxWorkers)
+		return exitUsage
+	}
+	if o.cluster > 0 {
 		// -check never runs the engine at all.
 		switch {
-		case budget > 0 || *spillDir != "":
-			fmt.Fprintln(stderr, "rdfind: -cluster is incompatible with -mem-budget/-spill-dir (distributed shuffles do not spill)")
-			return exitUsage
-		case *check != "":
+		case o.check != "":
 			fmt.Fprintln(stderr, "rdfind: -check does not use -cluster")
 			return exitUsage
-		case *clusterNet != "unix" && *clusterNet != "tcp":
-			fmt.Fprintf(stderr, "rdfind: unknown -cluster-network %q\n", *clusterNet)
+		case o.clusterNet != "unix" && o.clusterNet != "tcp":
+			fmt.Fprintf(stderr, "rdfind: unknown -cluster-network %q\n", o.clusterNet)
 			return exitUsage
 		}
-	} else if *chaos != "" {
+	} else if o.chaos != "" {
 		fmt.Fprintln(stderr, "rdfind: -chaos requires -cluster")
 		return exitUsage
 	}
-	if *query != "" {
+	if o.query != "" {
 		switch {
-		case *check != "":
+		case o.check != "":
 			fmt.Fprintln(stderr, "rdfind: -query and -check are mutually exclusive")
 			return exitUsage
-		case *clusterN > 0:
+		case o.cluster > 0:
 			fmt.Fprintln(stderr, "rdfind: -query serves from a single process and cannot combine with -cluster")
 			return exitUsage
-		case *queryReps < 1:
+		case o.queryReps < 1:
 			fmt.Fprintln(stderr, "rdfind: -query-reps must be at least 1")
 			return exitUsage
 		}
 	}
-	part, err := rdfind.PartitionerByName(*partition)
-	if err != nil {
-		fmt.Fprintln(stderr, "rdfind:", err)
-		return exitUsage
-	}
-	if *ingestWorkers <= 0 {
-		*ingestWorkers = *workers
-	}
 	src := rdfind.Source{
 		Inputs:  inputs,
-		Format:  *inputFormat,
-		Lenient: *lenient,
-		Shards:  *ingestWorkers,
+		Format:  o.inputFormat,
+		Lenient: o.lenient,
+		Shards:  o.workers,
 	}
 	// Resolve up front so flag-class mistakes (unknown format, lenient
 	// Turtle, bad glob) report as usage errors before any file is opened.
@@ -241,12 +245,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// -check mode: validate one statement against the materialized dataset
 	// and exit with its truth value.
-	if *check != "" {
+	if o.check != "" {
 		ds, code := readSource(src, stderr)
 		if code != exitOK {
 			return code
 		}
-		inc, err := rdfind.ParseInclusion(*check, ds.Dict)
+		inc, err := rdfind.ParseInclusion(o.check, ds.Dict)
 		if err != nil {
 			fmt.Fprintln(stderr, "rdfind:", err)
 			return exitUsage
@@ -264,25 +268,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 	cfg := rdfind.Config{
-		Support:                    *support,
-		Workers:                    *workers,
+		Support:                    o.support,
+		Workers:                    o.workers,
 		Variant:                    variant,
-		PredicatesOnlyInConditions: *predOnly,
-		MemoryBudget:               budget,
-		SpillDir:                   *spillDir,
-		Partitioner:                part,
+		PredicatesOnlyInConditions: o.predOnly,
 	}
 
 	// -query mode needs the dataset resident for the triple store, so it
 	// reads the source whole and runs the in-memory discovery path; query
 	// rows replace the discovery result on stdout.
-	if *query != "" {
+	if o.query != "" {
 		ds, code := readSource(src, stderr)
 		if code != exitOK {
 			return code
@@ -295,22 +296,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 			return exitDiscovery
 		}
-		return runQuery(ctx, ds, res, runStats, *query, *queryReps, *workers,
-			*jsonDump || *format == "json", *stats, stdout, stderr)
+		return runQuery(ctx, ds, res, runStats, o.query, o.queryReps, o.workers,
+			o.json || o.format == "json", o.stats, stdout, stderr)
 	}
 
-	if *clusterN > 0 {
+	if o.cluster > 0 {
 		spec := jobSpec{
-			Inputs:        absInputs(inputs),
-			Format:        *inputFormat,
-			Partition:     *partition,
-			Support:       *support,
-			Variant:       *variantName,
-			PredOnly:      *predOnly,
-			IngestWorkers: *ingestWorkers,
-			Lenient:       *lenient,
+			Inputs:   absInputs(inputs),
+			Format:   o.inputFormat,
+			Support:  o.support,
+			Variant:  o.variant,
+			PredOnly: o.predOnly,
+			Lenient:  o.lenient,
 		}
-		cl, code := startCluster(*clusterN, *clusterNet, *chaos, spec, stderr)
+		cl, code := startCluster(o.cluster, o.clusterNet, o.chaos, spec, stderr)
 		if code != exitOK {
 			return code
 		}
@@ -320,7 +319,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	res, dict, runStats, err := rdfind.DiscoverSource(ctx, src, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "rdfind:", err)
-		if *stats && runStats != nil {
+		if o.stats && runStats != nil {
 			printStats(stderr, runStats)
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -332,7 +331,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	out := newResultWriter(stdout)
 	switch {
-	case *jsonDump:
+	case o.json:
 		resJSON, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
 			fmt.Fprintln(stderr, "rdfind:", err)
@@ -348,7 +347,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return exitDiscovery
 		}
 		out.Write(append(data, '\n'))
-	case *format == "json":
+	case o.format == "json":
 		data, err := rdfind.MarshalResultJSON(res, dict)
 		if err != nil {
 			fmt.Fprintln(stderr, "rdfind:", err)
@@ -362,7 +361,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return code
 	}
 
-	if *stats {
+	if o.stats {
 		printStats(stderr, runStats)
 	}
 	return exitOK
@@ -493,15 +492,11 @@ type jobSpec struct {
 	Inputs []string `json:"inputs"`
 	// Format is the coordinator's -input-format flag, applied per file by
 	// every rank exactly as the coordinator applies it.
-	Format string `json:"format,omitempty"`
-	// Partition names the placement strategy; placements are pure functions
-	// of global dictionary IDs, so independent ranks agree.
-	Partition     string `json:"partition,omitempty"`
-	Support       int    `json:"support"`
-	Variant       string `json:"variant"`
-	PredOnly      bool   `json:"predOnly,omitempty"`
-	IngestWorkers int    `json:"ingestWorkers"`
-	Lenient       bool   `json:"lenient,omitempty"`
+	Format   string `json:"format,omitempty"`
+	Support  int    `json:"support"`
+	Variant  string `json:"variant"`
+	PredOnly bool   `json:"predOnly,omitempty"`
+	Lenient  bool   `json:"lenient,omitempty"`
 }
 
 // startCluster opens the coordinator listener and arranges for N copies of
@@ -629,11 +624,7 @@ func parseChaos(s string) ([]rdfind.ProcFault, error) {
 // — executing only this rank's partitions. Spawned by -cluster; the exit
 // status is irrelevant to the coordinator, which judges workers by heartbeat.
 func runWorker(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("rdfind worker", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	network := fs.String("network", "unix", "coordinator network: unix or tcp")
-	addr := fs.String("addr", "", "coordinator address (socket path or host:port)")
-	rank := fs.Int("rank", -1, "worker rank in [0, workers)")
+	fs, network, addr, rank := newWorkerFlagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -662,23 +653,17 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rdfind worker: unknown variant %q in job spec\n", spec.Variant)
 		return exitUsage
 	}
-	part, err := rdfind.PartitionerByName(spec.Partition)
-	if err != nil {
-		fmt.Fprintln(stderr, "rdfind worker:", err)
-		return exitUsage
-	}
 	src := rdfind.Source{
 		Inputs:  spec.Inputs,
 		Format:  spec.Format,
 		Lenient: spec.Lenient,
-		Shards:  spec.IngestWorkers,
+		Shards:  w.Workers(),
 	}
 	_, _, _, err = rdfind.DiscoverSource(context.Background(), src, rdfind.Config{
 		Support:                    spec.Support,
 		Variant:                    variant,
 		PredicatesOnlyInConditions: spec.PredOnly,
 		WorkerConn:                 w,
-		Partitioner:                part,
 	})
 	if err != nil {
 		// An injected kill simulates sudden process death: exit silently so
@@ -692,6 +677,17 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
+// newWorkerFlagSet defines the rdfind worker flags, which README.md's flag
+// table lists too.
+func newWorkerFlagSet(stderr io.Writer) (fs *flag.FlagSet, network, addr *string, rank *int) {
+	fs = flag.NewFlagSet("rdfind worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	network = fs.String("network", "unix", "coordinator network: unix or tcp")
+	addr = fs.String("addr", "", "coordinator address (socket path or host:port)")
+	rank = fs.Int("rank", -1, "worker rank in [0, workers)")
+	return fs, network, addr, rank
+}
+
 func decodeJobSpec(b []byte) (jobSpec, error) {
 	var spec jobSpec
 	if len(b) == 0 {
@@ -701,34 +697,6 @@ func decodeJobSpec(b []byte) (jobSpec, error) {
 		return spec, fmt.Errorf("bad job spec: %v", err)
 	}
 	return spec, nil
-}
-
-// parseByteSize parses a byte count with an optional K/M/G suffix (powers of
-// 1024, case-insensitive, optional trailing B): "512M", "2g", "65536".
-// The empty string means 0 (no budget).
-func parseByteSize(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	num, mult := s, int64(1)
-	if n := len(num); n > 0 && (num[n-1] == 'b' || num[n-1] == 'B') {
-		num = num[:n-1]
-	}
-	if n := len(num); n > 0 {
-		switch num[n-1] {
-		case 'k', 'K':
-			mult, num = 1<<10, num[:n-1]
-		case 'm', 'M':
-			mult, num = 1<<20, num[:n-1]
-		case 'g', 'G':
-			mult, num = 1<<30, num[:n-1]
-		}
-	}
-	v, err := strconv.ParseInt(num, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("want a byte count like 512M or 2G, got %q", s)
-	}
-	return v * mult, nil
 }
 
 // runQuery is -query mode: a concurrent sparql.Engine is stood up over the
@@ -805,7 +773,7 @@ func printStats(w io.Writer, s *core.RunStats) {
 	// Streamed-ingest accounting. New lines only — the fixed-format lines
 	// scripts grep for (triples, stage retries, worker losses) are untouched.
 	if ing := s.Ingest; ing != nil {
-		fmt.Fprintf(w, "ingest:              %d files, %s partitioner\n", ing.Files, ing.Partitioner)
+		fmt.Fprintf(w, "ingest:              %d files\n", ing.Files)
 		if ing.Distributed {
 			for r, n := range ing.PerRank {
 				fmt.Fprintf(w, "ingest rank %d:       %d triples\n", r, n)
@@ -837,13 +805,6 @@ func printStats(w io.Writer, s *core.RunStats) {
 	}
 	if s.Degraded {
 		fmt.Fprintf(w, "degraded:            extraction re-planned with Bloom work units (load %d)\n", s.ExtractionLoad)
-	}
-	if s.SpillPlanned {
-		fmt.Fprintf(w, "spill planned:       load limit breach absorbed by the spill path (load %d)\n", s.ExtractionLoad)
-	}
-	if s.SpilledBytes > 0 {
-		fmt.Fprintf(w, "spilled:             %d bytes in %d runs, %d merge passes\n",
-			s.SpilledBytes, s.SpilledRuns, s.MergePasses)
 	}
 	fmt.Fprintf(w, "work-balance speedup: %.2f\n", s.Dataflow.Speedup())
 	fmt.Fprintf(w, "operator trace:\n%s", s.Dataflow.SpanTree())

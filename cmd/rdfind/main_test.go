@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,24 +173,22 @@ func TestSnapshotJSONReconciles(t *testing.T) {
 	}
 }
 
-// TestIngestWorkersDeterministic pins the user-visible promise of the
-// -ingest-workers flag: any shard count produces byte-identical output,
-// because the sharded dictionary merge assigns the same term IDs the
-// sequential reader would.
+// TestIngestWorkersDeterministic pins that -workers, which also sets the
+// parallel N-Triples parse shard count, never changes the output: the sharded
+// dictionary merge assigns the same term IDs the sequential reader would.
 func TestIngestWorkersDeterministic(t *testing.T) {
-	baseArgs := []string{"-support", "2", "-workers", "1", "-format", "json", "testdata/museums.nt"}
-	code, want, errOut := runCLI(t, baseArgs...)
+	baseArgs := []string{"-support", "2", "-format", "json", "testdata/museums.nt"}
+	code, want, errOut := runCLI(t, append([]string{"-workers", "1"}, baseArgs...)...)
 	if code != exitOK {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, shards := range []string{"1", "2", "4", "8"} {
-		args := append([]string{"-ingest-workers", shards}, baseArgs...)
-		code, got, errOut := runCLI(t, args...)
+	for _, workers := range []string{"2", "3", "7"} {
+		code, got, errOut := runCLI(t, append([]string{"-workers", workers}, baseArgs...)...)
 		if code != exitOK {
-			t.Fatalf("-ingest-workers %s: exit %d: %s", shards, code, errOut)
+			t.Fatalf("-workers %s: exit %d: %s", workers, code, errOut)
 		}
 		if got != want {
-			t.Errorf("-ingest-workers %s changed the output:\n--- got ---\n%s--- want ---\n%s", shards, got, want)
+			t.Errorf("-workers %s changed the output:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
 		}
 	}
 }
@@ -202,6 +201,76 @@ func TestStatsToStderr(t *testing.T) {
 	for _, want := range []string{"triples:", "capture groups:", "work-balance speedup:", "operator trace:", "input"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stats output lacks %q:\n%s", want, errOut)
+		}
+	}
+}
+
+// TestVariantFlags pins the wiring of -variant and -pred-only-conditions:
+// RDFind-DE and minimal-first print the standard result byte for byte, and
+// predicate-only conditions leave no predicate projection in it.
+func TestVariantFlags(t *testing.T) {
+	base := []string{"-support", "2", "testdata/museums.nt"}
+	code, want, errOut := runCLI(t, base...)
+	if code != exitOK {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	for _, v := range []string{"de", "mf"} {
+		if code, got, errOut := runCLI(t, append([]string{"-variant", v}, base...)...); code != exitOK || got != want {
+			t.Errorf("-variant %s: exit %d (%s), output equal to the standard one: %v", v, code, errOut, got == want)
+		}
+	}
+	code, got, errOut := runCLI(t, append([]string{"-pred-only-conditions"}, base...)...)
+	if code != exitOK || !strings.Contains(got, "CIND (s, ") || strings.Contains(got, "(p, ") {
+		t.Errorf("-pred-only-conditions: exit %d (%s), output:\n%s", code, errOut, got)
+	}
+}
+
+// TestFlagTable holds README.md's flag table to the flags newFlagSet and
+// newWorkerFlagSet define: the same names, each with its default. A row
+// names an rdfind flag as `-name` and an rdfind worker flag as
+// `worker -name`; an empty default is written `""`.
+func TestFlagTable(t *testing.T) {
+	want := map[string]string{}
+	fs, _ := newFlagSet(io.Discard)
+	fs.VisitAll(func(f *flag.Flag) { want["-"+f.Name] = f.DefValue })
+	wfs, _, _, _ := newWorkerFlagSet(io.Discard)
+	wfs.VisitAll(func(f *flag.Flag) { want["worker -"+f.Name] = f.DefValue })
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Flags\n")
+	if !ok {
+		t.Fatal("README.md has no \"## Flags\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	got := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		def := strings.Trim(strings.TrimSpace(cells[2]), "`")
+		if def == `""` {
+			def = ""
+		}
+		if _, dup := got[name]; dup {
+			t.Errorf("README.md lists %s twice", name)
+		}
+		got[name] = def
+	}
+	for name, def := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("README.md's flag table lacks %s", name)
+		} else if g != def {
+			t.Errorf("README.md gives %s the default %q, the flag set %q", name, g, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("README.md's flag table lists %s, which no flag set defines", name)
 		}
 	}
 }
@@ -358,6 +427,15 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-format", "nope", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("bad format exit %d, want %d", code, exitUsage)
+	}
+	for _, n := range []string{"0", "1025"} {
+		code, _, errOut := runCLI(t, "-workers", n, "testdata/museums.nt")
+		if code != exitUsage || !strings.Contains(errOut, "-workers "+n+" outside [1, 1024]") {
+			t.Errorf("-workers %s: exit %d, stderr %q; want %d naming the flag and its range", n, code, errOut, exitUsage)
+		}
+	}
+	if code, _, _ := runCLI(t, "-timeout", "1ns", "testdata/museums.nt"); code != exitTimeout {
+		t.Errorf("-timeout 1ns exit %d, want %d", code, exitTimeout)
 	}
 	if code, _, _ := runCLI(t, "testdata/absent.nt"); code != exitParse {
 		t.Errorf("missing input exit %d, want %d", code, exitParse)

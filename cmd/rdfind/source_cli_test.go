@@ -69,32 +69,6 @@ func TestInputGlobMultiFile(t *testing.T) {
 	}
 }
 
-// TestPartitionFlag pins that placement strategy never changes the result,
-// and that an unknown strategy is a usage error.
-func TestPartitionFlag(t *testing.T) {
-	code, want, errOut := runCLI(t, "-support", "2", "-workers", "4", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("baseline exit %d: %s", code, errOut)
-	}
-	for _, part := range []string{"hash", "subject"} {
-		code, out, errOut := runCLI(t, "-support", "2", "-workers", "4",
-			"-partition", part, "testdata/museums.nt")
-		if code != exitOK {
-			t.Fatalf("-partition %s exit %d: %s", part, code, errOut)
-		}
-		if out != want {
-			t.Errorf("-partition %s changed the output:\n got: %q\nwant: %q", part, out, want)
-		}
-	}
-	code, _, errOut = runCLI(t, "-partition", "nope", "testdata/museums.nt")
-	if code != exitUsage {
-		t.Errorf("-partition nope: exit %d, want %d", code, exitUsage)
-	}
-	if !strings.Contains(errOut, "partitioner") {
-		t.Errorf("-partition nope stderr %q does not name the partitioner", errOut)
-	}
-}
-
 // TestLenientTurtleUsageError pins the explicit rejection of -lenient on
 // Turtle input: the Turtle reader has no line-oriented recovery, so the flag
 // must fail loudly rather than be silently ignored.
@@ -123,24 +97,22 @@ func TestClusterIngestStats(t *testing.T) {
 		t.Fatalf("baseline exit %d: %s", code, errOut)
 	}
 	dir := splitNT(t, "testdata/museums.nt", 2)
-	for _, part := range []string{"hash", "subject"} {
-		code, out, errOut := runCLI(t, "-cluster", "2", "-stats", "-support", "2",
-			"-partition", part, "-input", filepath.Join(dir, "part-*.nt"))
-		if code != exitOK {
-			t.Fatalf("-partition %s exit %d: %s", part, code, errOut)
-		}
-		if out != want {
-			t.Errorf("-partition %s cluster output diverged:\n got: %q\nwant: %q", part, out, want)
-		}
-		for _, line := range []string{
-			"ingest:              2 files, " + part + " partitioner",
-			"ingest rank 0:",
-			"ingest rank 1:",
-			"coordinator materialized: 0 triples",
-		} {
-			if !strings.Contains(errOut, line) {
-				t.Errorf("-partition %s stats missing %q:\n%s", part, line, errOut)
-			}
+	code, out, errOut := runCLI(t, "-cluster", "2", "-stats", "-support", "2",
+		"-input", filepath.Join(dir, "part-*.nt"))
+	if code != exitOK {
+		t.Fatalf("cluster exit %d: %s", code, errOut)
+	}
+	if out != want {
+		t.Errorf("cluster output diverged:\n got: %q\nwant: %q", out, want)
+	}
+	for _, line := range []string{
+		"ingest:              2 files\n",
+		"ingest rank 0:",
+		"ingest rank 1:",
+		"coordinator materialized: 0 triples",
+	} {
+		if !strings.Contains(errOut, line) {
+			t.Errorf("stats missing %q:\n%s", line, errOut)
 		}
 	}
 }

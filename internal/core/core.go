@@ -85,17 +85,6 @@ type Config struct {
 	// degrade: the paper defines direct extraction as exact-only, and its
 	// memory failures are the point of Fig. 13.
 	LoadLimit int64
-	// MemoryBudget caps (approximately) the bytes of keyed shuffle and
-	// aggregation state the dataflow engine holds in memory; overflow spills
-	// to unlinked temporary files and is re-merged externally, with results
-	// byte-identical to an unbudgeted run. 0 disables spilling. A budgeted
-	// run also absorbs LoadLimit breaches by keeping the exact extraction
-	// plan on the spill path instead of degrading to Bloom work units.
-	MemoryBudget int64
-	// SpillDir is the directory for spill files; empty selects the system
-	// temp directory. Setting SpillDir without MemoryBudget enables spilling
-	// with a default budget of 256 MiB.
-	SpillDir string
 	// MaxStageAttempts bounds how often a dataflow stage is executed when
 	// workers fail with transient faults (1 disables retries); 0 selects 3.
 	MaxStageAttempts int
@@ -108,26 +97,14 @@ type Config struct {
 	FaultPlan *dataflow.FaultPlan
 	// Cluster makes this run the coordinator of a multi-process job: stages
 	// execute on the cluster's worker processes and this driver consumes the
-	// collective results. Overrides Workers with the cluster's worker count
-	// and disables the in-process spill path (distributed shuffles move data
-	// over the network instead). Mutually exclusive with WorkerConn.
+	// collective results. Overrides Workers with the cluster's worker count.
+	// Mutually exclusive with WorkerConn.
 	Cluster *dataflow.Cluster
 	// WorkerConn makes this run one worker rank of a multi-process job: the
 	// driver replays the same pipeline as the coordinator but executes only
 	// its rank's partition of every stage. Worker count, partitioning seed,
 	// and injected fault schedules come from the coordinator's welcome.
 	WorkerConn *dataflow.WorkerConn
-	// RetryJitter spreads the stage-retry backoff by ±RetryJitter (a fraction
-	// in [0, 1]), decorrelating retry storms when several workers fail
-	// together. 0 keeps the deterministic exponential backoff.
-	RetryJitter float64
-	// Partitioner places triples onto worker partitions as streamed ingest
-	// blocks arrive (DiscoverSource only; in-memory Discover keeps
-	// Parallelize's contiguous split). Nil selects source.HashPartitioner.
-	// Placement never changes the discovered result — the differential
-	// suites pin byte-identical output across partitioners — only ingest
-	// balance and downstream shuffle volume.
-	Partitioner source.Partitioner
 }
 
 func (c Config) normalized() Config {
@@ -140,22 +117,15 @@ func (c Config) normalized() Config {
 	if c.MaxStageAttempts < 1 {
 		c.MaxStageAttempts = 3
 	}
-	if c.SpillDir != "" && c.MemoryBudget == 0 {
-		c.MemoryBudget = 1 << 28 // 256 MiB default once a spill dir is named
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
 	}
-	// Distributed runs take their worker count from the cluster and keep
-	// shuffle state in memory: the network shuffle and the spill path are
-	// mutually exclusive (the CLI rejects the combination up front).
+	// Distributed runs take their worker count from the cluster.
 	if c.Cluster != nil {
 		c.Workers = c.Cluster.Workers()
-		c.MemoryBudget, c.SpillDir = 0, ""
 	}
 	if c.WorkerConn != nil {
 		c.Workers = c.WorkerConn.Workers()
-		c.MemoryBudget, c.SpillDir = 0, ""
 	}
 	return c
 }
@@ -179,17 +149,6 @@ type RunStats struct {
 	// Degraded reports that a LoadLimit breach was absorbed by re-planning
 	// extraction with Bloom work-unit candidate sets instead of failing.
 	Degraded bool
-	// SpillPlanned reports that a LoadLimit breach was absorbed by keeping
-	// the exact extraction plan on the engine's spill-to-disk path (requires
-	// Config.MemoryBudget; takes precedence over degradation).
-	SpillPlanned bool
-	// SpilledBytes, SpilledRuns, and MergePasses aggregate the engine's
-	// out-of-core activity across all stages: bytes written to spill files,
-	// sorted runs flushed, and external merge passes performed. All zero in
-	// an unbudgeted run or when the budget was never exceeded.
-	SpilledBytes int64
-	SpilledRuns  int64
-	MergePasses  int64
 	// MaterializedBytes estimates the bytes buffered into partition slices by
 	// fused narrow-operator stages, summed over all stages.
 	MaterializedBytes int64
@@ -217,10 +176,8 @@ type RunStats struct {
 
 // IngestStats accounts a streamed-source ingest (DiscoverSource).
 type IngestStats struct {
-	// Files is the number of resolved input files; Partitioner names the
-	// placement strategy.
-	Files       int
-	Partitioner string
+	// Files is the number of resolved input files.
+	Files int
 	// PerRank[r] is the number of triples worker rank r streamed from its
 	// assigned input files (cluster mode), or the number placed into
 	// logical partition r (single-process).
@@ -281,7 +238,7 @@ func DiscoverContext(ctx context.Context, ds *rdf.Dataset, cfg Config) (*cind.Re
 // DiscoverSource: the configured dataflow context and run statistics with
 // their collection closures. It exists so the two ingest roots — a resident
 // Dataset parallelized in memory, and a streamed Source placed
-// partition-by-partition — drive one and the same pipeline body.
+// partition by partition — drive one and the same pipeline body.
 type harness struct {
 	ctx      context.Context
 	cfg      Config
@@ -305,11 +262,6 @@ func newHarness(ctx context.Context, cfg Config) *harness {
 		dataflow.WithRetries(cfg.MaxStageAttempts - 1),
 		dataflow.WithBackoff(cfg.RetryBackoff),
 		dataflow.WithFaultPlan(cfg.FaultPlan),
-		dataflow.WithMemoryBudget(cfg.MemoryBudget),
-		dataflow.WithSpillDir(cfg.SpillDir),
-	}
-	if cfg.RetryJitter > 0 {
-		dfOpts = append(dfOpts, dataflow.WithRetryJitter(cfg.RetryJitter))
 	}
 	if cfg.Cluster != nil {
 		dfOpts = append(dfOpts, dataflow.WithCluster(cfg.Cluster))
@@ -337,13 +289,10 @@ func (h *harness) recordAllocs() {
 	h.stats.AllocBytes = ms.TotalAlloc - h.memStart.TotalAlloc
 }
 
-func (h *harness) recordSpill() {
-	// Read through a snapshot so an unbudgeted run does not materialize
-	// zero-valued spill counters in the registry.
+func (h *harness) recordCounters() {
+	// Read through a snapshot so a run does not materialize zero-valued
+	// counters in the registry.
 	counters := h.dfctx.Stats().Metrics().Snapshot().Counters
-	h.stats.SpilledBytes = counters["dataflow.spill.bytes"]
-	h.stats.SpilledRuns = counters["dataflow.spill.runs"]
-	h.stats.MergePasses = counters["dataflow.spill.merge_passes"]
 	h.stats.MaterializedBytes = counters["dataflow.materialized.bytes"]
 	h.stats.WorkerLosses = counters[metrics.ClusterLosses]
 	h.stats.WorkerRespawns = counters[metrics.ClusterRespawns]
@@ -355,7 +304,7 @@ func (h *harness) finish(err error) (*cind.Result, *RunStats, error) {
 	h.stats.StageRetries = h.dfctx.Stats().TotalRetries()
 	h.stats.Duration = time.Since(h.start)
 	h.recordAllocs()
-	h.recordSpill()
+	h.recordCounters()
 	return nil, h.stats, err
 }
 
@@ -402,14 +351,12 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 		BloomBytes:         cfg.BloomBytes,
 		LoadLimit:          cfg.LoadLimit,
 		DegradeOnLoadLimit: true,
-		SpillOnLoadLimit:   cfg.MemoryBudget > 0,
 	}
 	var pertinent []cind.CIND
 	if cfg.Variant == MinimalFirst {
 		mf, outcome, err := minimalFirst(groups, ecfg)
 		stats.ExtractionLoad = outcome.EstimatedLoad
 		stats.Degraded = outcome.Degraded
-		stats.SpillPlanned = outcome.Spilled
 		if err != nil {
 			return h.finish(err)
 		}
@@ -419,7 +366,6 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 		broad, outcome, err := extract.BroadCINDsOutcome(groups, ecfg)
 		stats.ExtractionLoad = outcome.EstimatedLoad
 		stats.Degraded = outcome.Degraded
-		stats.SpillPlanned = outcome.Spilled
 		if err != nil {
 			return h.finish(err)
 		}
@@ -439,6 +385,6 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 	stats.StageRetries = dfctx.Stats().TotalRetries()
 	stats.Duration = time.Since(h.start)
 	h.recordAllocs()
-	h.recordSpill()
+	h.recordCounters()
 	return res, stats, nil
 }

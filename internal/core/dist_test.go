@@ -116,21 +116,3 @@ func TestDistributedDiscoverySurvivesWorkerKill(t *testing.T) {
 		t.Errorf("snapshot dropped cluster accounting: %+v", snap)
 	}
 }
-
-// TestDistributedDisablesSpill: cluster and worker modes must zero the spill
-// configuration (cross-process shuffles already stream through the
-// coordinator; local spilling would break the replay determinism lineage
-// recovery depends on).
-func TestDistributedDisablesSpill(t *testing.T) {
-	cfg := Config{Support: 2, MemoryBudget: 1 << 20, SpillDir: "/tmp/nope", Cluster: nil}
-	n := cfg.normalized()
-	if n.MemoryBudget != 1<<20 {
-		t.Fatal("single-process normalization must keep the budget")
-	}
-	ds := randomDataset(100, 4, 3)
-	res, stats := runDistributed(t, ds, Config{Support: 2, MemoryBudget: 1 << 10, SpillDir: t.TempDir()}, 2, nil)
-	if res == nil || stats.SpillPlanned || stats.SpilledBytes != 0 {
-		t.Errorf("distributed run engaged the spill path: planned=%v bytes=%d",
-			stats.SpillPlanned, stats.SpilledBytes)
-	}
-}

@@ -28,7 +28,6 @@ func minimalFirst(groups *capture.Groups, ecfg extract.Config) ([]cind.CIND, ext
 		res, outcome, err := extract.BroadCINDsOutcome(groups, cfg)
 		total.EstimatedLoad += outcome.EstimatedLoad
 		total.Degraded = total.Degraded || outcome.Degraded
-		total.Spilled = total.Spilled || outcome.Spilled
 		return res, err
 	}
 

@@ -21,12 +21,6 @@ type RunSnapshot struct {
 	StageRetries   int     `json:"stage_retries,omitempty"`
 	ExtractionLoad int64   `json:"extraction_load,omitempty"`
 	Degraded       bool    `json:"degraded,omitempty"`
-	// Spill accounting (RunStats.SpillPlanned/SpilledBytes/SpilledRuns/
-	// MergePasses); all zero when no memory budget was set or never exceeded.
-	SpillPlanned bool  `json:"spill_planned,omitempty"`
-	SpilledBytes int64 `json:"spilled_bytes,omitempty"`
-	SpilledRuns  int64 `json:"spilled_runs,omitempty"`
-	MergePasses  int64 `json:"merge_passes,omitempty"`
 	// MaterializedBytes estimates the bytes buffered into partition slices by
 	// fused narrow-operator stages (RunStats.MaterializedBytes).
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
@@ -61,10 +55,6 @@ func (s *RunStats) Snapshot() *RunSnapshot {
 		StageRetries:      s.StageRetries,
 		ExtractionLoad:    s.ExtractionLoad,
 		Degraded:          s.Degraded,
-		SpillPlanned:      s.SpillPlanned,
-		SpilledBytes:      s.SpilledBytes,
-		SpilledRuns:       s.SpilledRuns,
-		MergePasses:       s.MergePasses,
 		MaterializedBytes: s.MaterializedBytes,
 		WorkerLosses:      s.WorkerLosses,
 		WorkerRespawns:    s.WorkerRespawns,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime/pprof"
 
 	"repro/internal/cind"
@@ -17,7 +18,7 @@ import (
 //
 //   - Single-process: the files are streamed in canonical document order,
 //     the dictionary grows incrementally block by block, and each triple is
-//     placed into its partition by the Partitioner as it arrives. Nothing
+//     placed into its hash partition as it arrives. Nothing
 //     but the encoded triples and the dictionary is ever resident.
 //
 //   - Worker rank r of a cluster: r streams only the files assigned to it
@@ -27,7 +28,7 @@ import (
 //     process replay the canonical document-order interning locally, so all
 //     ranks agree on the global dictionary without any process having read
 //     the whole input. The rank then remaps its triples to global IDs and a
-//     placement shuffle routes them to their Partitioner-chosen homes.
+//     placement shuffle routes them to their hash partitions.
 //
 //   - Coordinator: contributes nothing, consumes the dictionary-merge
 //     gather (it needs the dictionary to canonicalize results), and passes
@@ -42,8 +43,15 @@ import (
 // differential suite can demand byte-identical dictionaries across every
 // ingest mode.
 
-// tripleCodec ships rdf.Triple over the wire for the placement shuffle.
+// tripleCodec ships rdf.Triple over the wire for the placement shuffle: three
+// uvarint ids. Its decoder cannot fail: bytes that are not exactly three
+// uvarints of 32-bit ids decode to badTriple, whose ids no dictionary issues,
+// and ingestDistributed fails the job on it as on any id at or beyond the
+// dictionary's size.
 type tripleCodec struct{}
+
+// badTriple is what tripleCodec decodes malformed bytes to.
+var badTriple = rdf.Triple{S: ^rdf.Value(0), P: ^rdf.Value(0), O: ^rdf.Value(0)}
 
 func (tripleCodec) AppendValue(dst []byte, t rdf.Triple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.S))
@@ -52,10 +60,18 @@ func (tripleCodec) AppendValue(dst []byte, t rdf.Triple) []byte {
 }
 
 func (tripleCodec) DecodeValue(src []byte) rdf.Triple {
-	s, n := binary.Uvarint(src)
-	p, m := binary.Uvarint(src[n:])
-	o, _ := binary.Uvarint(src[n+m:])
-	return rdf.Triple{S: rdf.Value(s), P: rdf.Value(p), O: rdf.Value(o)}
+	var ids [3]rdf.Value
+	for i := range ids {
+		v, n := binary.Uvarint(src)
+		if n <= 0 || v > math.MaxUint32 {
+			return badTriple
+		}
+		ids[i], src = rdf.Value(v), src[n:]
+	}
+	if len(src) > 0 {
+		return badTriple
+	}
+	return rdf.Triple{S: ids[0], P: ids[1], O: ids[2]}
 }
 
 func init() {
@@ -68,30 +84,25 @@ func init() {
 // from). In cluster mode every worker loads its own file assignment and the
 // coordinator never materializes the dataset; output is byte-identical to a
 // single-process in-memory run over the same files, which the Source
-// differential suite pins across worker counts, partitioners, and chaos
-// plans.
+// differential suite pins across worker counts and chaos plans.
 func DiscoverSource(ctx context.Context, spec source.Spec, cfg Config) (*cind.Result, *rdf.Dictionary, *RunStats, error) {
 	cfg = cfg.normalized()
 	resolved, err := spec.Resolve()
 	if err != nil {
 		return nil, nil, &RunStats{}, err
 	}
-	part := cfg.Partitioner
-	if part == nil {
-		part = source.HashPartitioner{}
-	}
 	h := newHarness(ctx, cfg)
 	defer pprof.SetGoroutineLabels(h.ctx)
 	h.phase("ingest")
-	ing := &IngestStats{Files: len(resolved.Files), Partitioner: part.Name()}
+	ing := &IngestStats{Files: len(resolved.Files)}
 	h.stats.Ingest = ing
 
 	var triples *dataflow.Dataset[rdf.Triple]
 	var dict *rdf.Dictionary
 	if h.dfctx.Distributed() {
-		triples, dict, err = ingestDistributed(h, resolved, part, ing)
+		triples, dict, err = ingestDistributed(h, resolved, ing)
 	} else {
-		triples, dict, err = ingestLocal(h, resolved, part, ing)
+		triples, dict, err = ingestLocal(h, resolved, ing)
 	}
 	if err != nil {
 		_, stats, _ := h.finish(err)
@@ -112,7 +123,7 @@ func sum(ns []int64) int64 {
 
 // ingestLocal streams every file in document order, growing the dictionary
 // incrementally and placing each triple as its block arrives.
-func ingestLocal(h *harness, resolved *source.Resolved, part source.Partitioner, ing *IngestStats) (*dataflow.Dataset[rdf.Triple], *rdf.Dictionary, error) {
+func ingestLocal(h *harness, resolved *source.Resolved, ing *IngestStats) (*dataflow.Dataset[rdf.Triple], *rdf.Dictionary, error) {
 	workers := h.dfctx.Workers()
 	dict := rdf.NewDictionary()
 	parts := make([][]rdf.Triple, workers)
@@ -126,7 +137,7 @@ func ingestLocal(h *harness, resolved *source.Resolved, part source.Partitioner,
 			}
 			for _, bt := range blk.Triples {
 				t := rdf.Triple{S: remap[bt.S], P: remap[bt.P], O: remap[bt.O]}
-				w := part.Place(t, workers)
+				w := source.HashPartitioner{}.Place(t, workers)
 				parts[w] = append(parts[w], t)
 			}
 			for _, e := range blk.Errs {
@@ -162,7 +173,7 @@ type fileTable struct {
 
 // ingestDistributed is the worker-local ingest driver, executed in lockstep
 // by the coordinator and every worker rank.
-func ingestDistributed(h *harness, resolved *source.Resolved, part source.Partitioner, ing *IngestStats) (*dataflow.Dataset[rdf.Triple], *rdf.Dictionary, error) {
+func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) (*dataflow.Dataset[rdf.Triple], *rdf.Dictionary, error) {
 	c := h.dfctx
 	workers := c.Workers()
 	rank := c.Rank()
@@ -254,14 +265,26 @@ func ingestDistributed(h *harness, resolved *source.Resolved, part source.Partit
 
 	triples := dataflow.FromPartitions(c, "input", parts, counts)
 	placed := dataflow.PartitionBy(triples, "source/place", func(t rdf.Triple) int {
-		return part.Place(t, workers)
+		return source.HashPartitioner{}.Place(t, workers)
 	})
 	for _, sp := range c.Stats().Spans() {
 		if sp.Name == "source/place" {
 			ing.ShuffleBytes = sp.ShuffleBytes
 		}
 	}
-	return placed, dict, c.Err()
+	// The placed triples came off the wire: one the codec could not decode,
+	// or with an id the merged dictionary never issued, fails the job here
+	// rather than reaching FCDetector, which sizes its columns by the largest
+	// id. A single-process run's ids never leave the process and skip this.
+	n := rdf.Value(dict.Len())
+	checked := dataflow.Filter(placed, "source/check-ids", func(t rdf.Triple) bool {
+		if max(t.S, t.P, t.O) < n {
+			return true
+		}
+		c.Fail("source/check-ids", fmt.Errorf("%w: triple ids beyond a dictionary of %d terms", dataflow.ErrCorruptRecord, n))
+		return false
+	})
+	return checked, dict, c.Err()
 }
 
 // loadFileTable streams one file into a file-local term table.
@@ -310,7 +333,8 @@ func (ft *fileTable) append(dst []byte) []byte {
 	return dst
 }
 
-// decodeFileTables decodes one rank's gathered contribution.
+// decodeFileTables decodes one rank's gathered contribution. Bytes it cannot
+// accept fail with dataflow.ErrCorruptRecord.
 func decodeFileTables(src []byte) ([]*fileTable, error) {
 	var out []*fileTable
 	for len(src) > 0 {
@@ -319,20 +343,24 @@ func decodeFileTables(src []byte) ([]*fileTable, error) {
 		for i := range vals {
 			v, n := binary.Uvarint(src)
 			if n <= 0 {
-				return nil, fmt.Errorf("truncated file table header")
+				return nil, fmt.Errorf("%w: truncated file table header", dataflow.ErrCorruptRecord)
 			}
 			vals[i] = v
 			src = src[n:]
 		}
+		if vals[1] > math.MaxInt64 || vals[2] > math.MaxInt64 {
+			return nil, fmt.Errorf("%w: file table count out of range", dataflow.ErrCorruptRecord)
+		}
 		ft.index = int(vals[0])
 		ft.ntrips = int64(vals[1])
 		ft.skipped = int64(vals[2])
-		nterms := int(vals[3])
-		ft.terms = make([]string, 0, nterms)
-		for t := 0; t < nterms; t++ {
+		// Every term takes at least its length byte, so the bytes left bound
+		// how many a well-formed table can still hold.
+		ft.terms = make([]string, 0, min(vals[3], uint64(len(src))))
+		for t := uint64(0); t < vals[3]; t++ {
 			l, n := binary.Uvarint(src)
 			if n <= 0 || uint64(len(src)-n) < l {
-				return nil, fmt.Errorf("truncated term")
+				return nil, fmt.Errorf("%w: truncated term", dataflow.ErrCorruptRecord)
 			}
 			ft.terms = append(ft.terms, string(src[n:n+int(l)]))
 			src = src[n+int(l):]

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -140,8 +142,7 @@ func runDistributedSource(t *testing.T, spec source.Spec, cfg Config, workers in
 
 // TestSourceSingleProcessMatchesSlurp: streamed single-process ingest over
 // split files must reproduce the concatenated single-document read byte for
-// byte — result and dictionary — across partitioners, shard counts, and
-// block geometries.
+// byte — result and dictionary — across shard counts and block geometries.
 func TestSourceSingleProcessMatchesSlurp(t *testing.T) {
 	ds := skewedDataset(500, 17)
 	dir := t.TempDir()
@@ -149,41 +150,33 @@ func TestSourceSingleProcessMatchesSlurp(t *testing.T) {
 	cfg := Config{Support: 2, Workers: 4}
 	want, wantDS, _ := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, cfg)
 
-	for _, part := range []string{"hash", "subject"} {
-		for _, shards := range []int{1, 4} {
-			for _, blockBytes := range []int{64, 1 << 20} {
-				label := fmt.Sprintf("part=%s shards=%d block=%d", part, shards, blockBytes)
-				p, err := source.ByName(part)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				scfg := cfg
-				scfg.Partitioner = p
-				spec := source.Spec{Inputs: []string{glob}, Shards: shards, BlockBytes: blockBytes}
-				res, dict, stats, err := DiscoverSource(context.Background(), spec, scfg)
-				if err != nil {
-					t.Fatalf("%s: DiscoverSource: %v", label, err)
-				}
-				if got := res.Format(dict); got != want {
-					t.Errorf("%s: streamed output diverged from slurp (%d vs %d bytes)",
-						label, len(got), len(want))
-				}
-				sameDict(t, label, dict, wantDS.Dict)
-				if stats.Ingest == nil || stats.Ingest.Files != 3 {
-					t.Errorf("%s: ingest stats missing or wrong file count: %+v", label, stats.Ingest)
-				}
-				if stats.Ingest.LocalTriples != int64(len(ds.Triples)) {
-					t.Errorf("%s: LocalTriples = %d, want %d",
-						label, stats.Ingest.LocalTriples, len(ds.Triples))
-				}
+	for _, shards := range []int{1, 4} {
+		for _, blockBytes := range []int{64, 1 << 20} {
+			label := fmt.Sprintf("shards=%d block=%d", shards, blockBytes)
+			spec := source.Spec{Inputs: []string{glob}, Shards: shards, BlockBytes: blockBytes}
+			res, dict, stats, err := DiscoverSource(context.Background(), spec, cfg)
+			if err != nil {
+				t.Fatalf("%s: DiscoverSource: %v", label, err)
+			}
+			if got := res.Format(dict); got != want {
+				t.Errorf("%s: streamed output diverged from slurp (%d vs %d bytes)",
+					label, len(got), len(want))
+			}
+			sameDict(t, label, dict, wantDS.Dict)
+			if stats.Ingest == nil || stats.Ingest.Files != 3 {
+				t.Errorf("%s: ingest stats missing or wrong file count: %+v", label, stats.Ingest)
+			}
+			if stats.Ingest.LocalTriples != int64(len(ds.Triples)) {
+				t.Errorf("%s: LocalTriples = %d, want %d",
+					label, stats.Ingest.LocalTriples, len(ds.Triples))
 			}
 		}
 	}
 }
 
 // TestSourceClusterMatchesSingleProcess: worker-local cluster ingest must
-// agree byte for byte with the slurp baseline at every worker count and
-// partitioner, with the coordinator never materializing a triple.
+// agree byte for byte with the slurp baseline at every worker count, with
+// the coordinator never materializing a triple.
 func TestSourceClusterMatchesSingleProcess(t *testing.T) {
 	ds := skewedDataset(500, 17)
 	dir := t.TempDir()
@@ -191,39 +184,31 @@ func TestSourceClusterMatchesSingleProcess(t *testing.T) {
 	cfg := Config{Support: 2}
 	want, wantDS, _ := slurpBaseline(t, source.Spec{Inputs: []string{glob}}, Config{Support: 2, Workers: 4})
 
-	for _, part := range []string{"hash", "subject"} {
-		for _, w := range []int{1, 2, 4} {
-			label := fmt.Sprintf("part=%s workers=%d", part, w)
-			p, err := source.ByName(part)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			ccfg := cfg
-			ccfg.Partitioner = p
-			spec := source.Spec{Inputs: []string{glob}}
-			res, dict, stats := runDistributedSource(t, spec, ccfg, w, nil)
-			if got := res.Format(dict); got != want {
-				t.Errorf("%s: cluster output diverged from slurp (%d vs %d bytes)",
-					label, len(got), len(want))
-			}
-			sameDict(t, label, dict, wantDS.Dict)
-			ing := stats.Ingest
-			if ing == nil {
-				t.Fatalf("%s: no ingest stats", label)
-			}
-			if ing.LocalTriples != 0 {
-				t.Errorf("%s: coordinator materialized %d triples, want 0", label, ing.LocalTriples)
-			}
-			var total int64
-			for _, n := range ing.PerRank {
-				total += n
-			}
-			if total != int64(len(ds.Triples)) {
-				t.Errorf("%s: per-rank counts sum to %d, want %d", label, total, len(ds.Triples))
-			}
-			if part == "hash" && w > 1 && ing.ShuffleBytes == 0 {
-				t.Errorf("%s: placement shuffle recorded no bytes", label)
-			}
+	for _, w := range []int{1, 2, 4} {
+		label := fmt.Sprintf("workers=%d", w)
+		spec := source.Spec{Inputs: []string{glob}}
+		res, dict, stats := runDistributedSource(t, spec, cfg, w, nil)
+		if got := res.Format(dict); got != want {
+			t.Errorf("%s: cluster output diverged from slurp (%d vs %d bytes)",
+				label, len(got), len(want))
+		}
+		sameDict(t, label, dict, wantDS.Dict)
+		ing := stats.Ingest
+		if ing == nil {
+			t.Fatalf("%s: no ingest stats", label)
+		}
+		if ing.LocalTriples != 0 {
+			t.Errorf("%s: coordinator materialized %d triples, want 0", label, ing.LocalTriples)
+		}
+		var total int64
+		for _, n := range ing.PerRank {
+			total += n
+		}
+		if total != int64(len(ds.Triples)) {
+			t.Errorf("%s: per-rank counts sum to %d, want %d", label, total, len(ds.Triples))
+		}
+		if w > 1 && ing.ShuffleBytes == 0 {
+			t.Errorf("%s: placement shuffle recorded no bytes", label)
 		}
 	}
 }
@@ -297,4 +282,47 @@ func TestSourceLenientParity(t *testing.T) {
 			len(got), len(want))
 	}
 	sameDict(t, "lenient", dict, wantDS.Dict)
+}
+
+// FuzzDecodeFileTables: whatever the bytes, neither the dictionary-merge
+// decoder nor the placement shuffle's triple decoder panics or allocates
+// beyond what the bytes can hold. The tables decode with ErrCorruptRecord or
+// round-trip; a triple decodes to badTriple or round-trips, and then neither
+// a prefix of its bytes nor one byte more decodes to a triple.
+func FuzzDecodeFileTables(f *testing.F) {
+	ft := &fileTable{index: 3, terms: []string{"<a>", `"b"`, ""}, ntrips: 7, skipped: 1}
+	f.Add((&fileTable{index: 1}).append(ft.append(nil)))
+	f.Add(tripleCodec{}.AppendValue(nil, rdf.Triple{S: 1, P: 300, O: rdf.MaxValue}))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		fts, err := decodeFileTables(src)
+		if err != nil && !errors.Is(err, dataflow.ErrCorruptRecord) {
+			t.Fatalf("untyped error %v", err)
+		}
+		var again []byte
+		for _, ft := range fts {
+			if cap(ft.terms) > len(src) {
+				t.Fatalf("%d terms preallocated from %d bytes", cap(ft.terms), len(src))
+			}
+			again = ft.append(again)
+		}
+		if err == nil {
+			if back, err := decodeFileTables(again); err != nil || !reflect.DeepEqual(back, fts) {
+				t.Fatalf("file tables do not round-trip: %v", err)
+			}
+		}
+		var codec tripleCodec
+		if tr := codec.DecodeValue(src); tr != badTriple {
+			if back := codec.DecodeValue(codec.AppendValue(nil, tr)); back != tr {
+				t.Fatalf("triple %v does not round-trip: %v", tr, back)
+			}
+			for k := range src {
+				if codec.DecodeValue(src[:k]) != badTriple {
+					t.Fatalf("%d of %d bytes decode to a triple", k, len(src))
+				}
+			}
+			if codec.DecodeValue(append(src[:len(src):len(src)], 0)) != badTriple {
+				t.Fatal("a trailing byte decodes to a triple")
+			}
+		}
+	})
 }

@@ -66,7 +66,6 @@ type Context struct {
 	memBudget   int64           // bytes of keyed-operator state before spilling; 0: in-memory only
 	spillDir    string          // directory for spill files; "": the OS temp dir
 
-	jitter  float64                  // retry-backoff jitter fraction in [0, 1]
 	sleepFn func(time.Duration) bool // inter-attempt wait; overridable for timing-free tests
 
 	// Distributed-mode state (cluster.go / worker.go / dist.go). At most one
@@ -119,7 +118,9 @@ func WithFaultPlan(p *FaultPlan) Option {
 // budget, ReduceByKey over record types with a registered PairCodec switches
 // to the spill-to-disk execution of spill.go; GroupByKey, CoGroup and
 // operators without a codec are unaffected. Non-positive budgets disable
-// spilling.
+// spilling. The product never sets a budget: this option and WithSpillDir
+// stay only for benchmark/kernels.go's kernel.spill_reduce and go when
+// benchmark/ stops calling them.
 func WithMemoryBudget(n int64) Option {
 	return func(c *Context) {
 		if n > 0 {
@@ -130,7 +131,8 @@ func WithMemoryBudget(n int64) Option {
 
 // WithSpillDir places spill files in dir instead of the OS temp directory.
 // The directory must exist; files are unlinked at creation, so nothing is
-// left behind regardless of how the job ends.
+// left behind regardless of how the job ends. Kept, like WithMemoryBudget,
+// only for benchmark/kernels.go.
 func WithSpillDir(dir string) Option {
 	return func(c *Context) { c.spillDir = dir }
 }
@@ -163,9 +165,6 @@ func NewContext(workers int, opts ...Option) *Context {
 
 // Workers returns the number of logical workers.
 func (c *Context) Workers() int { return c.workers }
-
-// MemoryBudget returns the configured spill budget in bytes (0: unbudgeted).
-func (c *Context) MemoryBudget() int64 { return c.memBudget }
 
 // Columnar always reports true. Compile-only shim: benchmark/layers.go:120 is
 // its sole reader, and the next [benchmark] PR removes it.
@@ -407,7 +406,7 @@ func (c *Context) runStage(name string, f func(worker int) error) bool {
 			lastErr[wf.worker] = wf.err.Error()
 		}
 		c.stats.recordRetries(name, len(failures))
-		if !c.sleepFn(retryDelay(c.backoff, attempt, c.jitter)) {
+		if !c.sleepFn(c.backoff << (attempt - 1)) {
 			c.fail(&StageError{Stage: name, Worker: first.worker, Attempt: attempt,
 				Cause: fmt.Errorf("cancelled during retry backoff: %w", c.cancelErr())})
 			return false

@@ -13,9 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"time"
 )
 
 // WithCluster attaches a coordinator: this Context becomes the distributed
@@ -47,31 +45,6 @@ func WithWorkerConn(w *WorkerConn) Option {
 			c.faults = NewFaultPlan(w.faults...)
 		}
 	}
-}
-
-// WithRetryJitter spreads the retry backoff of runStage by ±frac (clamped to
-// [0, 1]): attempt n sleeps base·2ⁿ⁻¹ scaled by a uniform factor in
-// [1-frac, 1+frac]. Jitter decorrelates retry storms when many workers fail
-// together (the same reason the worker reconnect path always jitters).
-func WithRetryJitter(frac float64) Option {
-	return func(c *Context) {
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		c.jitter = frac
-	}
-}
-
-// retryDelay computes the attempt'th backoff from the base, jittered.
-func retryDelay(base time.Duration, attempt int, jitter float64) time.Duration {
-	d := base << (attempt - 1)
-	if jitter > 0 && d > 0 {
-		d = time.Duration(float64(d) * (1 + jitter*(2*rand.Float64()-1)))
-	}
-	return d
 }
 
 // distributed reports whether this Context takes part in a multi-process job.

@@ -413,42 +413,7 @@ func TestDistMissingCodecIsTerminal(t *testing.T) {
 	}
 }
 
-// --- satellite: retry backoff jitter ---
-
-func TestRetryDelayJitterBounds(t *testing.T) {
-	base := 10 * time.Millisecond
-	if d := retryDelay(base, 1, 0); d != base {
-		t.Errorf("unjittered attempt 1 = %v, want %v", d, base)
-	}
-	if d := retryDelay(base, 3, 0); d != 4*base {
-		t.Errorf("unjittered attempt 3 = %v, want %v", d, 4*base)
-	}
-	lo, hi := time.Duration(float64(2*base)*0.5), time.Duration(float64(2*base)*1.5)
-	varied := false
-	prev := time.Duration(-1)
-	for i := 0; i < 200; i++ {
-		d := retryDelay(base, 2, 0.5)
-		if d < lo || d > hi {
-			t.Fatalf("jittered delay %v outside [%v, %v]", d, lo, hi)
-		}
-		if prev >= 0 && d != prev {
-			varied = true
-		}
-		prev = d
-	}
-	if !varied {
-		t.Error("200 jittered delays were all identical")
-	}
-}
-
-func TestWithRetryJitterClamps(t *testing.T) {
-	if c := NewContext(1, WithRetryJitter(-0.5)); c.jitter != 0 {
-		t.Errorf("negative jitter not clamped to 0: %v", c.jitter)
-	}
-	if c := NewContext(1, WithRetryJitter(7)); c.jitter != 1 {
-		t.Errorf("oversized jitter not clamped to 1: %v", c.jitter)
-	}
-}
+// --- satellite: retry backoff ---
 
 func TestRunStageRetriesWithJitteredBackoff(t *testing.T) {
 	plan := NewFaultPlan(
@@ -456,7 +421,7 @@ func TestRunStageRetriesWithJitteredBackoff(t *testing.T) {
 		Fault{Stage: "work", Worker: 0, Occurrence: 2, Kind: FaultTransient},
 	)
 	base := 8 * time.Millisecond
-	c := NewContext(2, WithFaultPlan(plan), WithRetries(3), WithBackoff(base), WithRetryJitter(0.5))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(3), WithBackoff(base))
 	var slept []time.Duration
 	c.sleepFn = func(d time.Duration) bool {
 		slept = append(slept, d)
@@ -471,9 +436,8 @@ func TestRunStageRetriesWithJitteredBackoff(t *testing.T) {
 		t.Fatalf("recorded %d backoff sleeps, want 2", len(slept))
 	}
 	for i, want := range []time.Duration{base, 2 * base} {
-		lo, hi := time.Duration(float64(want)*0.5), time.Duration(float64(want)*1.5)
-		if slept[i] < lo || slept[i] > hi {
-			t.Errorf("attempt %d slept %v, want within [%v, %v]", i+1, slept[i], lo, hi)
+		if slept[i] != want {
+			t.Errorf("attempt %d slept %v, want %v", i+1, slept[i], want)
 		}
 	}
 }

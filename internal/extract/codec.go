@@ -11,8 +11,8 @@ import (
 
 // Codecs of the extractor's records, registered at package load: the support
 // columns of ext/support-sum and the work units of ext/place-units cross
-// processes; the candidate and validation sets of ext/merge-candidates and
-// ext/validate also spill under a memory budget. A decoder cannot fail: bytes
+// processes, and so do the candidate and validation sets of
+// ext/merge-candidates and ext/validate. A decoder cannot fail: bytes
 // it cannot accept decode to nil (a column, set or id list; a unit's lists)
 // and a key to the all-ones id, which no table issues. The stage consuming
 // the record fails the job with dataflow.ErrCorruptRecord on those, as on any

@@ -78,15 +78,6 @@ type Config struct {
 	// limit. Ignored under DirectExtraction, which the paper defines as
 	// exact-only (its memory failures are the point of Fig. 13).
 	DegradeOnLoadLimit bool
-	// SpillOnLoadLimit turns a LoadLimit breach into a spill point instead:
-	// the exact plan is kept unchanged and the breach is simply recorded,
-	// trusting the engine's memory budget to take the oversized shuffle state
-	// out of core (the Context must carry a budget and the extract codecs are
-	// registered at package load). It takes precedence over
-	// DegradeOnLoadLimit and — unlike degradation — also applies under
-	// DirectExtraction, since spilling does not change the plan and therefore
-	// cannot violate the exact-only definition of RDFind-DE.
-	SpillOnLoadLimit bool
 	// BitmapSets is ignored. Compile-only shim: benchmark/layers.go:120 is its
 	// sole reader, and the next [benchmark] PR removes it.
 	BitmapSets bool
@@ -102,9 +93,6 @@ type Outcome struct {
 	// Degraded reports that DegradeOnLoadLimit re-planned the extraction
 	// with Bloom work-unit candidate sets.
 	Degraded bool
-	// Spilled reports that SpillOnLoadLimit absorbed a LoadLimit breach: the
-	// exact plan ran unchanged on the engine's spill-to-disk path.
-	Spilled bool
 }
 
 func (c Config) bloomBytes() int {
@@ -211,22 +199,15 @@ func BroadCINDsOutcome(groups *capture.Groups, cfg Config) ([]cind.CIND, Outcome
 	dominant, load := plan(forced)
 	outcome := Outcome{EstimatedLoad: load}
 	if cfg.LoadLimit > 0 && outcome.EstimatedLoad > cfg.LoadLimit {
-		switch {
-		case cfg.SpillOnLoadLimit:
-			// Keep the exact plan: the engine's memory budget will spill the
-			// oversized candidate-set state to disk instead of us trading it
-			// for extra Bloom validation work.
-			outcome.Spilled = true
-		case !cfg.DegradeOnLoadLimit || cfg.DirectExtraction || forced:
+		if !cfg.DegradeOnLoadLimit || cfg.DirectExtraction || forced {
 			return nil, outcome, fmt.Errorf("%w: %d candidate entries > limit %d",
 				ErrLoadLimit, outcome.EstimatedLoad, cfg.LoadLimit)
-		default:
-			outcome.Degraded = true
-			dominant, outcome.EstimatedLoad = plan(true)
-			if outcome.EstimatedLoad > cfg.LoadLimit {
-				return nil, outcome, fmt.Errorf("%w: degraded run still needs %d candidate entries > limit %d",
-					ErrLoadLimit, outcome.EstimatedLoad, cfg.LoadLimit)
-			}
+		}
+		outcome.Degraded = true
+		dominant, outcome.EstimatedLoad = plan(true)
+		if outcome.EstimatedLoad > cfg.LoadLimit {
+			return nil, outcome, fmt.Errorf("%w: degraded run still needs %d candidate entries > limit %d",
+				ErrLoadLimit, outcome.EstimatedLoad, cfg.LoadLimit)
 		}
 	}
 
@@ -295,9 +276,6 @@ func BroadCINDsOutcome(groups *capture.Groups, cfg Config) ([]cind.CIND, Outcome
 	reg.Counter("extract.broad_cinds").Add(int64(len(out)))
 	if outcome.Degraded {
 		reg.Counter("extract.degraded_runs").Inc()
-	}
-	if outcome.Spilled {
-		reg.Counter("extract.spill_planned_runs").Inc()
 	}
 	return out, outcome, nil
 }

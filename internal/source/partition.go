@@ -2,41 +2,19 @@ package source
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/rdf"
 )
 
-// Partitioner decides which worker partition owns a triple as blocks arrive
-// from the stream. Place must be a pure function of the triple's global
-// dictionary IDs and the worker count: every process in a cluster places
-// independently and the placements must agree. Placement never changes the
-// pipeline's output — the differential suites pin byte-identical results
-// across partitioners — only how evenly ingest spreads and how many bytes
-// later shuffles move.
-type Partitioner interface {
-	Name() string
-	Place(t rdf.Triple, workers int) int
-}
-
-// ByName resolves a partitioner from its CLI name.
-func ByName(name string) (Partitioner, error) {
-	switch name {
-	case "", "hash":
-		return HashPartitioner{}, nil
-	case "subject":
-		return SubjectPartitioner{}, nil
-	default:
-		return nil, fmt.Errorf(`source: unknown partitioner %q (want "hash" or "subject")`, name)
-	}
-}
-
-// HashPartitioner spreads triples by an FNV-1a hash of the whole encoded
-// triple (uvarint subject, predicate, object IDs — the same byte form the
-// wire layer ships), optimizing for load balance.
+// HashPartitioner decides which worker partition owns a triple as blocks
+// arrive from the stream. It spreads triples by an FNV-1a hash of the whole
+// encoded triple (uvarint subject, predicate, object IDs — the same byte form
+// the wire layer ships), optimizing for load balance. Place is a pure
+// function of the triple's global dictionary IDs and the worker count: every
+// process in a cluster places independently and the placements agree.
+// Placement never changes the pipeline's output, only how evenly ingest
+// spreads and how many bytes later shuffles move.
 type HashPartitioner struct{}
-
-func (HashPartitioner) Name() string { return "hash" }
 
 func (HashPartitioner) Place(t rdf.Triple, workers int) int {
 	if workers <= 1 {
@@ -46,23 +24,6 @@ func (HashPartitioner) Place(t rdf.Triple, workers int) int {
 	n := binary.PutUvarint(buf[:], uint64(t.S))
 	n += binary.PutUvarint(buf[n:], uint64(t.P))
 	n += binary.PutUvarint(buf[n:], uint64(t.O))
-	return int(fnv1a(buf[:n]) % uint64(workers))
-}
-
-// SubjectPartitioner co-locates all triples sharing a subject on one
-// partition (the subject-locality strategy from the RDF-distribution
-// literature): joins and capture groups keyed by subject then need no
-// cross-partition movement, at the cost of skew when subjects are hot.
-type SubjectPartitioner struct{}
-
-func (SubjectPartitioner) Name() string { return "subject" }
-
-func (SubjectPartitioner) Place(t rdf.Triple, workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	var buf [binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(buf[:], uint64(t.S))
 	return int(fnv1a(buf[:n]) % uint64(workers))
 }
 

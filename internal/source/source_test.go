@@ -225,46 +225,31 @@ func TestStreamGzipBoundedHeap(t *testing.T) {
 	}
 }
 
-// TestPartitioners: both strategies are total over [0, workers), stable, and
-// differ in their placement signal (subject-locality keeps a subject's
-// triples together; hash spreads them).
+// TestPartitioners: hash placement is total over [0, workers), stable, and
+// reaches every worker; a single worker owns everything.
 func TestPartitioners(t *testing.T) {
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
-	}
-	hp, err := ByName("hash")
-	if err != nil || hp.Name() != "hash" {
-		t.Fatalf("ByName(hash): %v, %v", hp, err)
-	}
-	sp, err := ByName("subject")
-	if err != nil || sp.Name() != "subject" {
-		t.Fatalf("ByName(subject): %v, %v", sp, err)
-	}
-	def, err := ByName("")
-	if err != nil || def.Name() != "hash" {
-		t.Fatalf("ByName(\"\") should default to hash: %v, %v", def, err)
-	}
-
+	var hp HashPartitioner
 	const workers = 4
+	var used [workers]int
 	for s := rdf.Value(0); s < 50; s++ {
-		home := sp.Place(rdf.Triple{S: s, P: 0, O: 0}, workers)
 		for o := rdf.Value(0); o < 10; o++ {
-			tr := rdf.Triple{S: s, P: rdf.Value(o % 3), O: o}
-			for _, p := range []Partitioner{hp, sp} {
-				w := p.Place(tr, workers)
-				if w < 0 || w >= workers {
-					t.Fatalf("%s placed %v at %d of %d", p.Name(), tr, w, workers)
-				}
-				if w2 := p.Place(tr, workers); w2 != w {
-					t.Fatalf("%s placement unstable for %v", p.Name(), tr)
-				}
+			tr := rdf.Triple{S: s, P: o % 3, O: o}
+			w := hp.Place(tr, workers)
+			if w < 0 || w >= workers {
+				t.Fatalf("placed %v at %d of %d", tr, w, workers)
 			}
-			if got := sp.Place(tr, workers); got != home {
-				t.Errorf("subject partitioner split subject %d across %d and %d", s, home, got)
+			if w2 := hp.Place(tr, workers); w2 != w {
+				t.Fatalf("placement unstable for %v", tr)
 			}
-			if hp.Place(tr, 1) != 0 || sp.Place(tr, 1) != 0 {
+			used[w]++
+			if hp.Place(tr, 1) != 0 {
 				t.Error("single-worker placement must be 0")
 			}
+		}
+	}
+	for w, n := range used {
+		if n == 0 {
+			t.Errorf("no triple placed on worker %d of %d", w, workers)
 		}
 	}
 }

@@ -104,9 +104,6 @@ type (
 	// canonical document order (the sorted, deduplicated expansion of its
 	// inputs).
 	Source = source.Spec
-	// Partitioner decides which worker a streamed triple lands on. Placement
-	// never changes the discovered result, only data movement.
-	Partitioner = source.Partitioner
 	// IngestStats reports what the streaming ingest layer did: per-rank
 	// triple counts, placement shuffle bytes, and skipped lines.
 	IngestStats = core.IngestStats
@@ -138,11 +135,6 @@ const (
 	// FormatTurtle forces Turtle decoding for every input file.
 	FormatTurtle = source.FormatTurtle
 )
-
-// PartitionerByName maps a CLI partitioner name to its implementation: ""
-// or "hash" (spread triples by hashing all three elements) or "subject"
-// (keep each subject's triples on one worker).
-func PartitionerByName(name string) (Partitioner, error) { return source.ByName(name) }
 
 // DiscoverSource streams a source spec through discovery without ever
 // materializing the input files in memory: the streaming counterpart of
