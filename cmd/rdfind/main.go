@@ -38,8 +38,9 @@
 // descending support. With -stats, run statistics (frequent conditions,
 // capture groups, durations, per-stage work accounting and the operator
 // trace) go to stderr. With -json, stdout instead carries one JSON document
-// holding the result plus the run's metrics snapshot — trace spans, registry
-// counters, work accounting (see internal/core.RunSnapshot).
+// holding the result plus the run's snapshot — its counts, its work totals,
+// one trace span per stage and the cluster and shuffle counters no span
+// holds, each quantity once (see internal/core.RunSnapshot).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of this process (a
 // -cluster coordinator's, not its workers'). CPU samples carry the label

@@ -46,13 +46,9 @@ var volatileKeys = map[string]bool{
 	"goroutines":       true,
 	"heap_alloc_bytes": true,
 	"shuffle_bytes":    true,
-	"gauges":           true, // peak heap / peak goroutines
-	"counts":           true, // latency histogram buckets
-	"sum":              true, // latency histogram sum
-	// Narrow-stage buffering estimates (top-level, per fused span, and the
-	// registry counter): memory estimates, zeroed like shuffle_bytes.
-	"materialized_bytes":          true,
-	"dataflow.materialized.bytes": true,
+	// Narrow-stage buffering estimates per span: memory estimates, zeroed
+	// like shuffle_bytes.
+	"materialized_bytes": true,
 }
 
 // droppedKeys are volatile fields added after the goldens were recorded;

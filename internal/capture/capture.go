@@ -208,7 +208,6 @@ func BuildGroups(triples *dataflow.Dataset[rdf.Triple], fc *fcdetect.Output, opt
 	if err != nil {
 		ctx.Fail("cgc/captures", err)
 	}
-	ctx.Stats().Metrics().Counter("capture.groups").Add(int64(gs.Len()))
 	return gs
 }
 

@@ -130,9 +130,11 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// RunStats reports what a run did, for the experiment harness. On a failed
-// or cancelled run the fields filled in before the abort are still valid, so
-// callers get a partial-progress report next to the error.
+// RunStats reports what a run did, for the experiment harness. It is the one
+// record of the run's pipeline facts; per-stage engine facts live in
+// Dataflow's spans only. On a failed or cancelled run the fields filled in
+// before the abort are still valid, so callers get a partial-progress report
+// next to the error.
 type RunStats struct {
 	Triples        int
 	FrequentUnary  int
@@ -149,9 +151,6 @@ type RunStats struct {
 	// Degraded reports that a LoadLimit breach was absorbed by re-planning
 	// extraction with Bloom work-unit candidate sets instead of failing.
 	Degraded bool
-	// MaterializedBytes estimates the bytes buffered into partition slices by
-	// fused narrow-operator stages, summed over all stages.
-	MaterializedBytes int64
 	// StageRetries is the total number of worker re-executions after
 	// transient faults, summed over all stages (see dataflow.Stats.Retries).
 	StageRetries int
@@ -159,7 +158,9 @@ type RunStats struct {
 	// engine's fault handling: worker processes declared lost (heartbeat
 	// deadline or injected kill), replacement processes spawned, and worker
 	// connections re-established after transient drops. All zero in a
-	// single-process run.
+	// single-process run. They are the typed view of the registry's
+	// metrics.Cluster* counters that rdfind -stats prints; RunSnapshot
+	// carries the counters themselves.
 	WorkerLosses   int64
 	WorkerRespawns int64
 	Reconnects     int64
@@ -293,7 +294,6 @@ func (h *harness) recordCounters() {
 	// Read through a snapshot so a run does not materialize zero-valued
 	// counters in the registry.
 	counters := h.dfctx.Stats().Metrics().Snapshot().Counters
-	h.stats.MaterializedBytes = counters["dataflow.materialized.bytes"]
 	h.stats.WorkerLosses = counters[metrics.ClusterLosses]
 	h.stats.WorkerRespawns = counters[metrics.ClusterRespawns]
 	h.stats.Reconnects = counters[metrics.ClusterReconnects]

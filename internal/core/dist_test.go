@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
+	"repro/internal/metrics"
 	"repro/internal/rdf"
 )
 
@@ -111,8 +112,8 @@ func TestDistributedDiscoverySurvivesWorkerKill(t *testing.T) {
 	if stats.StageRetries == 0 {
 		t.Error("worker loss not accounted as a stage retry")
 	}
-	snap := stats.Snapshot()
-	if snap.WorkerLosses != 1 || snap.WorkerRespawns != 1 {
-		t.Errorf("snapshot dropped cluster accounting: %+v", snap)
+	c := stats.Snapshot().Metrics.Counters
+	if c[metrics.ClusterLosses] != 1 || c[metrics.ClusterRespawns] != 1 {
+		t.Errorf("snapshot dropped cluster accounting: %v", c)
 	}
 }

@@ -2,10 +2,11 @@ package core
 
 import "repro/internal/metrics"
 
-// RunSnapshot is the machine-readable form of a run's statistics: the scalar
-// counters of RunStats plus the engine's trace spans and metric registry,
-// ready for json.Marshal. cmd/rdfind -json and the benchmark harness both
-// emit it, so external tooling sees one schema.
+// RunSnapshot is the machine-readable form of a run's statistics, ready for
+// json.Marshal and emitted by cmd/rdfind -json. Each quantity appears once:
+// the pipeline facts of RunStats, the engine's work totals, its trace spans
+// (the per-stage record) and the counters only its registry holds (cluster
+// events, shuffle bytes).
 type RunSnapshot struct {
 	Triples        int     `json:"triples"`
 	FrequentUnary  int     `json:"frequent_unary"`
@@ -17,18 +18,11 @@ type RunSnapshot struct {
 	WallMS         float64 `json:"wall_ms"`
 	TotalWork      int64   `json:"total_work"`
 	CriticalPath   int64   `json:"critical_path"`
-	Speedup        float64 `json:"speedup"`
-	StageRetries   int     `json:"stage_retries,omitempty"`
-	ExtractionLoad int64   `json:"extraction_load,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
-	// MaterializedBytes estimates the bytes buffered into partition slices by
-	// fused narrow-operator stages (RunStats.MaterializedBytes).
-	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Cluster fault accounting (RunStats.WorkerLosses/WorkerRespawns/
-	// Reconnects); all zero in a single-process run.
-	WorkerLosses   int64 `json:"worker_losses,omitempty"`
-	WorkerRespawns int64 `json:"worker_respawns,omitempty"`
-	Reconnects     int64 `json:"reconnects,omitempty"`
+	// StageRetries stays beside the spans' retries: a stage that failed for
+	// good leaves no span to sum them from.
+	StageRetries   int   `json:"stage_retries,omitempty"`
+	ExtractionLoad int64 `json:"extraction_load,omitempty"`
+	Degraded       bool  `json:"degraded,omitempty"`
 	// Mallocs/AllocBytes are the run's process-wide allocation deltas
 	// (RunStats.Mallocs/AllocBytes); zero on snapshots from before the
 	// counters existed, so readers treat zero as "not measured".
@@ -44,29 +38,23 @@ type RunSnapshot struct {
 // engine (hand-built in tests) yields empty trace fields.
 func (s *RunStats) Snapshot() *RunSnapshot {
 	snap := &RunSnapshot{
-		Triples:           s.Triples,
-		FrequentUnary:     s.FrequentUnary,
-		FrequentBinary:    s.FrequentBinary,
-		CaptureGroups:     s.CaptureGroups,
-		BroadCINDs:        s.BroadCINDs,
-		Pertinent:         s.Pertinent,
-		ARs:               s.ARs,
-		WallMS:            float64(s.Duration.Nanoseconds()) / 1e6,
-		StageRetries:      s.StageRetries,
-		ExtractionLoad:    s.ExtractionLoad,
-		Degraded:          s.Degraded,
-		MaterializedBytes: s.MaterializedBytes,
-		WorkerLosses:      s.WorkerLosses,
-		WorkerRespawns:    s.WorkerRespawns,
-		Reconnects:        s.Reconnects,
-		Mallocs:           s.Mallocs,
-		AllocBytes:        s.AllocBytes,
-		Speedup:           1,
+		Triples:        s.Triples,
+		FrequentUnary:  s.FrequentUnary,
+		FrequentBinary: s.FrequentBinary,
+		CaptureGroups:  s.CaptureGroups,
+		BroadCINDs:     s.BroadCINDs,
+		Pertinent:      s.Pertinent,
+		ARs:            s.ARs,
+		WallMS:         float64(s.Duration.Nanoseconds()) / 1e6,
+		StageRetries:   s.StageRetries,
+		ExtractionLoad: s.ExtractionLoad,
+		Degraded:       s.Degraded,
+		Mallocs:        s.Mallocs,
+		AllocBytes:     s.AllocBytes,
 	}
 	if s.Dataflow != nil {
 		snap.TotalWork = s.Dataflow.TotalWork()
 		snap.CriticalPath = s.Dataflow.CriticalPath()
-		snap.Speedup = s.Dataflow.Speedup()
 		snap.Spans = s.Dataflow.Spans()
 		snap.Metrics = s.Dataflow.Metrics().Snapshot()
 	}

@@ -250,11 +250,8 @@ func TestStatsAccounting(t *testing.T) {
 	if s := st.Speedup(); s < 1 || s > 2 {
 		t.Fatalf("Speedup = %f out of [1,2]", s)
 	}
-	if len(st.Stages()) != 2 {
-		t.Fatalf("stages = %d, want 2", len(st.Stages()))
-	}
-	if st.String() == "" {
-		t.Errorf("empty stats rendering")
+	if len(st.Spans()) != 2 {
+		t.Fatalf("spans = %d, want 2", len(st.Spans()))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -295,7 +296,7 @@ func distLen[T any](d *Dataset[T]) (int, bool) {
 	n := 0
 	for _, b := range blobs {
 		v, _, ok := uvarintAt(b)
-		if !ok {
+		if !ok || v > math.MaxInt-n {
 			failDist(c, "len", c.rank, fmt.Errorf("corrupt length contribution"))
 			return 0, false
 		}

@@ -481,12 +481,11 @@ func TestFaultConcurrentJobsNeedSeparateContexts(t *testing.T) {
 	}
 	// Per-context stats: each job recorded its own stages, none of another's.
 	for i, c := range ctxs {
-		stages := c.Stats().Stages()
 		byName := map[string]int{}
-		for _, st := range stages {
-			byName[st.Name]++
-			if len(st.PerWorker) != c.Workers() {
-				t.Errorf("job %d stage %q accounted %d workers, want %d", i, st.Name, len(st.PerWorker), c.Workers())
+		for _, sp := range c.Stats().Spans() {
+			byName[sp.Name]++
+			if len(sp.PerWorker) != c.Workers() {
+				t.Errorf("job %d stage %q accounted %d workers, want %d", i, sp.Name, len(sp.PerWorker), c.Workers())
 			}
 		}
 		for _, name := range []string{"input", "key", "sum"} {

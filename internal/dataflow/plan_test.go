@@ -279,9 +279,9 @@ func TestFusedStageRecordsMaterializedBytes(t *testing.T) {
 	c := NewContext(2)
 	d := Parallelize(c, "in", ints(100))
 	Map(d, "widen", func(x int) [4]int64 { return [4]int64{int64(x)} }).Materialize()
-	snap := c.Stats().Metrics().Snapshot()
-	if snap.Counters["dataflow.materialized.bytes"] <= 0 {
-		t.Errorf("fused stage recorded no materialized bytes: %+v", snap.Counters)
+	spans := c.Stats().Spans()
+	if sp := spans[len(spans)-1]; sp.MaterializedBytes <= 0 {
+		t.Errorf("fused stage recorded no materialized bytes: %+v", sp)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -9,35 +8,27 @@ import (
 )
 
 // Stats accumulates per-stage, per-worker work accounting. Each operator
-// records how many input records every worker processed. On a cluster, a
-// stage finishes when its most loaded worker finishes, so the critical-path
-// cost of a job is the sum of per-stage maxima; the ratio of total work to
-// that critical path is the speedup a w-worker deployment can realize. The
-// scale-out experiment (Fig. 9) reports this quantity next to wall-clock
-// time, because on the single-core reproduction machine goroutine
-// parallelism cannot manifest as elapsed-time speedup.
+// records one metrics.Span holding how many input records every worker
+// processed; the spans are the only per-stage record of a job, and the work
+// totals below are sums over them. On a cluster, a stage finishes when its
+// most loaded worker finishes, so the critical-path cost of a job is the sum
+// of per-stage maxima; the ratio of total work to that critical path is the
+// speedup a w-worker deployment can realize. The scale-out experiment
+// (Fig. 9) reports this quantity next to wall-clock time, because on the
+// single-core reproduction machine goroutine parallelism cannot manifest as
+// elapsed-time speedup.
 type Stats struct {
 	mu       sync.Mutex
-	stages   []StageStat
 	retries  map[string]int
 	spans    []metrics.Span
 	seq      int
 	registry *metrics.Registry
 }
 
-// StageStat is the per-worker record count of one named operator instance.
-type StageStat struct {
-	Name      string
-	PerWorker []int64
-}
-
-// endStage appends one operator's work accounting and its trace span
-// atomically: the span's RecordsIn equals the StageStat's per-worker sum, so
-// metrics.TotalRecordsIn(Spans()) always reconciles with TotalWork.
-func (s *Stats) endStage(st StageStat, sp metrics.Span) {
+// endStage appends one operator's trace span.
+func (s *Stats) endStage(sp metrics.Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stages = append(s.stages, st)
 	s.spans = append(s.spans, sp)
 }
 
@@ -85,9 +76,10 @@ func (s *Stats) SpanTree() string {
 	return b.String()
 }
 
-// Metrics returns the job's metric registry (stage-latency histogram, peak
-// goroutine/heap gauges, shuffle-byte counters, and whatever the pipeline
-// stages record themselves). Lazily created so a zero Stats works.
+// Metrics returns the job's counter registry: the cluster's process events
+// (metrics.Cluster*) and the shuffle and spill byte totals the benchmark
+// harness reads. Everything else a job records lives in its spans. Lazily
+// created so a zero Stats works.
 func (s *Stats) Metrics() *metrics.Registry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,24 +124,13 @@ func (s *Stats) TotalRetries() int {
 	return total
 }
 
-// Stages returns a copy of the recorded stages.
-func (s *Stats) Stages() []StageStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StageStat, len(s.stages))
-	copy(out, s.stages)
-	return out
-}
-
 // TotalWork is the sum of all records processed by all workers in all stages.
 func (s *Stats) TotalWork() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, st := range s.stages {
-		for _, n := range st.PerWorker {
-			total += n
-		}
+	for _, sp := range s.spans {
+		total += sp.RecordsIn
 	}
 	return total
 }
@@ -160,14 +141,8 @@ func (s *Stats) CriticalPath() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, st := range s.stages {
-		var max int64
-		for _, n := range st.PerWorker {
-			if n > max {
-				max = n
-			}
-		}
-		total += max
+	for _, sp := range s.spans {
+		total += sp.MaxWorkerRecords
 	}
 	return total
 }
@@ -180,25 +155,4 @@ func (s *Stats) Speedup() float64 {
 		return 1
 	}
 	return float64(s.TotalWork()) / float64(cp)
-}
-
-// String renders a per-stage table for diagnostics.
-func (s *Stats) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b strings.Builder
-	for _, st := range s.stages {
-		var total, max int64
-		for _, n := range st.PerWorker {
-			total += n
-			if n > max {
-				max = n
-			}
-		}
-		fmt.Fprintf(&b, "%-40s total=%-10d max=%d\n", st.Name, total, max)
-	}
-	for name, n := range s.retries {
-		fmt.Fprintf(&b, "%-40s retried workers=%d\n", name, n)
-	}
-	return b.String()
 }

@@ -12,9 +12,8 @@ import (
 // opens an activeSpan when it starts and closes it with its work accounting,
 // producing one metrics.Span per logical operator execution (sub-phases like
 // "/combine" or "/scatter" fold into their operator's span; their retries
-// are attributed by name prefix). Span input-record totals are recorded from
-// the same per-worker counts as Stats.TotalWork, so the two reconcile
-// exactly — the invariant the benchmark harness cross-checks.
+// are attributed by name prefix). Stats.TotalWork and CriticalPath are sums
+// over these spans, so the trace and the work accounting cannot disagree.
 
 // memSampleEvery bounds how often a stage pays for runtime.ReadMemStats (a
 // stop-the-world sample, taken once at begin and once at finish so the span
@@ -67,9 +66,8 @@ func (c *Context) begin(name string) *activeSpan {
 }
 
 // finish closes the span with the operator's per-worker input counts and its
-// output record count, recording both the work accounting (StageStat) and
-// the trace (metrics.Span) atomically, plus registry-level peaks and the
-// stage-latency histogram.
+// output record count and records it: the span is the stage's work
+// accounting and its trace at once.
 func (c *Context) finish(sp *activeSpan, perWorker []int64, recordsOut int64) {
 	wall := time.Since(sp.start)
 	var in, max int64
@@ -98,18 +96,16 @@ func (c *Context) finish(sp *activeSpan, perWorker []int64, recordsOut int64) {
 		Retries:           c.stats.retriesFor(sp.name),
 		Goroutines:        runtime.NumGoroutine(),
 	}
-	reg := c.stats.Metrics()
 	if sp.memSampled {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		span.HeapAllocBytes = ms.HeapAlloc
 		span.MallocsDelta = ms.Mallocs - sp.startMallocs
 		span.AllocBytesDelta = ms.TotalAlloc - sp.startAllocBytes
-		reg.Gauge("dataflow.peak.heap_alloc_bytes").SetMax(int64(ms.HeapAlloc))
 	}
-	reg.Gauge("dataflow.peak.goroutines").SetMax(int64(span.Goroutines))
-	reg.Histogram("dataflow.stage.wall_ms").Observe(span.WallMS)
-	reg.Counter("dataflow.records.processed").Add(in)
+	// The benchmark harness reads the job-wide shuffle and spill totals from
+	// the registry; every other per-stage figure lives in the span alone.
+	reg := c.stats.Metrics()
 	if sp.shuffleBytes > 0 {
 		reg.Counter("dataflow.shuffle.bytes").Add(sp.shuffleBytes)
 	}
@@ -122,10 +118,7 @@ func (c *Context) finish(sp *activeSpan, perWorker []int64, recordsOut int64) {
 	if span.MergePasses > 0 {
 		reg.Counter("dataflow.spill.merge_passes").Add(span.MergePasses)
 	}
-	if span.MaterializedBytes > 0 {
-		reg.Counter("dataflow.materialized.bytes").Add(span.MaterializedBytes)
-	}
-	c.stats.endStage(StageStat{Name: sp.name, PerWorker: append([]int64(nil), perWorker...)}, span)
+	c.stats.endStage(span)
 }
 
 // partLens returns the per-worker partition lengths.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -198,6 +199,11 @@ const (
 // maxWireMsg bounds one message payload (1 GiB), a corruption guard.
 const maxWireMsg = 1 << 30
 
+// wireReadChunk caps readMsg's first allocation for a payload; past it the
+// buffer doubles only as bytes arrive, so a corrupt length costs memory in
+// proportion to the bytes actually sent, not up to maxWireMsg.
+const wireReadChunk = 1 << 20
+
 // collective kinds.
 const (
 	kindShuffle byte = 1 // contribute W per-target blobs, receive W per-source blobs
@@ -253,10 +259,12 @@ func decodeJSON[T any](b []byte) (T, error) {
 	return v, err
 }
 
-// uvarintAt decodes one uvarint, reporting the value, its width, and success.
+// uvarintAt decodes one uvarint that must fit a non-negative int (an index,
+// a length or a sequence number), reporting the value, its width, and
+// success.
 func uvarintAt(b []byte) (int, int, bool) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || v > math.MaxInt {
 		return 0, 0, false
 	}
 	return int(v), n, true
@@ -278,11 +286,16 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	if n == 0 {
 		return typ, nil, nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(n, wireReadChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return 0, nil, err
+		}
+		if off = len(buf); uint64(off) == n {
+			return typ, buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-uint64(off), uint64(off)))...)
 	}
-	return typ, buf, nil
 }
 
 // appendBlob appends one length-prefixed blob to a blob list.
@@ -379,8 +392,8 @@ func encodeContribute(seq int, kind byte, name string, body []byte) []byte {
 }
 
 func decodeContribute(payload []byte) (seq int, kind byte, name string, body []byte, err error) {
-	s, n := binary.Uvarint(payload)
-	if n <= 0 || len(payload) < n+1 {
+	s, n, ok := uvarintAt(payload)
+	if !ok || len(payload) < n+1 {
 		return 0, 0, "", nil, errors.New("dataflow: corrupt contribute header")
 	}
 	kind = payload[n]
@@ -390,7 +403,7 @@ func decodeContribute(payload []byte) (seq int, kind byte, name string, body []b
 		return 0, 0, "", nil, errors.New("dataflow: corrupt contribute name")
 	}
 	name = string(rest[w : w+int(nl)])
-	return int(s), kind, name, rest[w+int(nl):], nil
+	return s, kind, name, rest[w+int(nl):], nil
 }
 
 // release payload: uvarint seq, 1-byte status (0 ok, 1 failed), then either a
@@ -408,9 +421,9 @@ func encodeRelease(seq int, status byte, body []byte) []byte {
 }
 
 func decodeRelease(payload []byte) (seq int, status byte, body []byte, err error) {
-	s, n := binary.Uvarint(payload)
-	if n <= 0 || len(payload) < n+1 {
+	s, n, ok := uvarintAt(payload)
+	if !ok || len(payload) < n+1 {
 		return 0, 0, nil, errors.New("dataflow: corrupt release header")
 	}
-	return int(s), payload[n], payload[n+1:], nil
+	return s, payload[n], payload[n+1:], nil
 }

@@ -1,9 +1,12 @@
 package dataflow
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -54,6 +57,11 @@ func TestContributeRoundTrip(t *testing.T) {
 	if _, _, _, _, err := decodeContribute([]byte{0x01, kindShuffle, 0x09, 'x'}); err == nil {
 		t.Error("truncated contribute name decoded without error")
 	}
+	// A sequence number beyond int would come back negative.
+	huge := append(binary.AppendUvarint(nil, 1<<63), kindGather, 0)
+	if seq, _, _, _, err := decodeContribute(huge); err == nil {
+		t.Errorf("contribute with seq 2^63 decoded as seq %d", seq)
+	}
 }
 
 func TestReleaseRoundTrip(t *testing.T) {
@@ -67,6 +75,9 @@ func TestReleaseRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := decodeRelease(nil); err == nil {
 		t.Error("empty release decoded without error")
+	}
+	if seq, _, _, err := decodeRelease(append(binary.AppendUvarint(nil, 1<<63), releaseOK)); err == nil {
+		t.Errorf("release with seq 2^63 decoded as seq %d", seq)
 	}
 }
 
@@ -133,6 +144,17 @@ func TestUvarintAt(t *testing.T) {
 	if _, _, ok := uvarintAt(nil); ok {
 		t.Error("uvarintAt accepted empty input")
 	}
+	// Values that do not fit a non-negative int are rejected, not wrapped: a
+	// fault index of 2^63 once passed the coordinator's bounds check as a
+	// negative index.
+	for _, v := range []uint64{1 << 63, math.MaxUint64} {
+		if n, _, ok := uvarintAt(binary.AppendUvarint(nil, v)); ok {
+			t.Errorf("uvarintAt(%d) = %d, want rejection", v, n)
+		}
+	}
+	if n, _, ok := uvarintAt(binary.AppendUvarint(nil, math.MaxInt)); !ok || n != math.MaxInt {
+		t.Errorf("uvarintAt(MaxInt) = (%d, %v)", n, ok)
+	}
 }
 
 // TestWireMessageFraming exercises writeMsg/readMsg over a real socket pair,
@@ -151,6 +173,14 @@ func TestWireMessageFraming(t *testing.T) {
 	}
 	if typ != msgContribute || string(payload) != "hello frame" {
 		t.Errorf("framed message: type=%d payload=%q", typ, payload)
+	}
+	// A payload beyond wireReadChunk arrives through the growing buffer.
+	big := bytes.Repeat([]byte("0123456789"), wireReadChunk/4)
+	go func() {
+		writeMsg(a, msgRelease, big)
+	}()
+	if typ, payload, err := readMsg(r); err != nil || typ != msgRelease || !bytes.Equal(payload, big) {
+		t.Errorf("large frame: type=%d, %d of %d bytes, err %v", typ, len(payload), len(big), err)
 	}
 	// An advertised length beyond maxWireMsg must be rejected before any
 	// allocation attempt.
@@ -270,4 +300,72 @@ func TestUint64RecordCodecs(t *testing.T) {
 	if got := pv.DecodeValue(pv.AppendValue(nil, p)); got != p {
 		t.Errorf("pair %v decodes to %v", p, got)
 	}
+}
+
+// frame is one wire message as writeMsg puts it on a connection.
+func frame(typ byte, payload []byte) []byte {
+	var b bytes.Buffer
+	writeMsg(&b, typ, payload)
+	return b.Bytes()
+}
+
+// FuzzWireFrames: whatever bytes arrive on a connection, reading a frame and
+// decoding its payload as each message kind never panics, never yields a
+// negative sequence number or index, and whatever decodes re-encodes to
+// bytes that decode to the same values.
+func FuzzWireFrames(f *testing.F) {
+	f.Add(frame(msgContribute, encodeContribute(3, kindShuffle, "cgc/exchange", appendBlob(appendBlob(nil, []byte("ab")), nil))))
+	f.Add(frame(msgRelease, encodeRelease(7, releaseOK, appendBlob(nil, []byte("payload")))))
+	f.Add(frame(msgRelease, encodeRelease(8, releaseFailed, encodeWireError(&StageError{Stage: "fcd/binary-sum",
+		Worker: 1, Attempt: 2, Cause: Transient(errors.New("socket reset"))}))))
+	f.Add(frame(msgFaultFired, binary.AppendUvarint(nil, 1<<63)))
+	f.Add(frame(msgFailJob, encodeWireError(errors.New("disk full"))))
+	f.Add([]byte{msgContribute, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, src []byte) {
+		typ, payload, err := readMsg(bufio.NewReader(bytes.NewReader(src)))
+		if err != nil {
+			return
+		}
+		if typ2, payload2, err := readMsg(bufio.NewReader(bytes.NewReader(frame(typ, payload)))); err != nil ||
+			typ2 != typ || !bytes.Equal(payload2, payload) {
+			t.Fatalf("frame (%d, %q) re-reads as (%d, %q, %v)", typ, payload, typ2, payload2, err)
+		}
+		if idx, _, ok := uvarintAt(payload); ok && idx < 0 {
+			t.Fatalf("uvarintAt decoded %d", idx)
+		}
+		if seq, kind, name, body, err := decodeContribute(payload); err == nil {
+			s2, k2, n2, b2, err := decodeContribute(encodeContribute(seq, kind, name, body))
+			if seq < 0 || err != nil || s2 != seq || k2 != kind || n2 != name || !bytes.Equal(b2, body) {
+				t.Fatalf("contribute (%d, %d, %q, %q) re-decodes as (%d, %d, %q, %q, %v)",
+					seq, kind, name, body, s2, k2, n2, b2, err)
+			}
+		}
+		if seq, status, body, err := decodeRelease(payload); err == nil {
+			s2, st2, b2, err := decodeRelease(encodeRelease(seq, status, body))
+			if seq < 0 || err != nil || s2 != seq || st2 != status || !bytes.Equal(b2, body) {
+				t.Fatalf("release (%d, %d, %q) re-decodes as (%d, %d, %q, %v)", seq, status, body, s2, st2, b2, err)
+			}
+		}
+		if blobs, err := splitBlobs(payload); err == nil {
+			var enc []byte
+			for _, b := range blobs {
+				enc = appendBlob(enc, b)
+			}
+			again, err := splitBlobs(enc)
+			if err != nil || len(again) != len(blobs) {
+				t.Fatalf("%d blobs re-split as %d: %v", len(blobs), len(again), err)
+			}
+			for i := range blobs {
+				if !bytes.Equal(again[i], blobs[i]) {
+					t.Fatalf("blob %d: %q re-splits as %q", i, blobs[i], again[i])
+				}
+			}
+		}
+		se := decodeWireError(payload)
+		again := decodeWireError(encodeWireError(se))
+		if again.Stage != se.Stage || again.Worker != se.Worker || again.Attempt != se.Attempt ||
+			again.Deterministic != se.Deterministic || IsTransient(again.Cause) != IsTransient(se.Cause) {
+			t.Fatalf("wire error %+v re-decodes as %+v", se, again)
+		}
+	})
 }

@@ -271,12 +271,6 @@ func BroadCINDsOutcome(groups *capture.Groups, cfg Config) ([]cind.CIND, Outcome
 	if err := ctx.Err(); err != nil {
 		return nil, outcome, err
 	}
-	reg := ctx.Stats().Metrics()
-	reg.Counter("extract.load.estimated").Add(outcome.EstimatedLoad)
-	reg.Counter("extract.broad_cinds").Add(int64(len(out)))
-	if outcome.Degraded {
-		reg.Counter("extract.degraded_runs").Inc()
-	}
 	return out, outcome, nil
 }
 

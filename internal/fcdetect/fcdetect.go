@@ -239,11 +239,5 @@ func Detect(triples *dataflow.Dataset[rdf.Triple], h int, opts Options) *Output 
 			out.ARs = append(out.ARs, cind.AR{If: u2, Then: u1, Support: p.Val})
 		}
 	}
-
-	// Detector-level observability: the funnel sizes §8's evaluation keys on.
-	reg := ctx.Stats().Metrics()
-	reg.Counter("fc.frequent.unary").Add(int64(len(out.Unary)))
-	reg.Counter("fc.frequent.binary").Add(int64(len(out.Binary)))
-	reg.Counter("fc.ars").Add(int64(len(out.ARs)))
 	return out
 }

@@ -1,9 +1,9 @@
 package metrics
 
-// Counter names of the distributed execution mode. The dataflow coordinator
-// feeds them into the job's metric registry, and core surfaces the headline
-// ones on RunStats/RunSnapshot, so cluster health is observable through the
-// same machinery as spill and retry accounting.
+// Counter names of the distributed execution mode. They are process events
+// that belong to no stage, so no span can hold them: the dataflow coordinator
+// feeds them into the job's metric registry, and core reads the headline
+// ones into RunStats for `rdfind -stats`.
 const (
 	// ClusterLosses counts worker processes declared lost (missed heartbeat
 	// deadline or observed kill).

@@ -1,17 +1,16 @@
 // Package metrics is a small, dependency-free observability toolkit for the
-// reproduction: counters, gauges, and fixed-bucket latency histograms
-// collected in a Registry, plus the Span model the dataflow engine uses for
-// per-stage tracing (see span.go). The paper's evaluation (§8) is entirely
-// about where time and work go — per-operator costs, scale-out speedups,
-// load-balancing effects — and these primitives are how a run accounts for
-// them: `rdfind -stats` and the experiment reports read them.
+// reproduction: the Span model the dataflow engine records once per stage
+// (see span.go), and a Registry of named counters for the few process-level
+// quantities no span holds (cluster events, see cluster.go). The paper's
+// evaluation (§8) is entirely about where time and work go — per-operator
+// costs, scale-out speedups, load-balancing effects — and spans are how a run
+// accounts for them: `rdfind -stats` and the experiment reports read them.
 //
 // All types are safe for concurrent use. Snapshots are plain structs with
 // JSON tags, so callers can embed them into larger machine-readable reports.
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -28,101 +27,14 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable int64 (a level, not a rate).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// SetMax raises the gauge to n if n exceeds the current level, for peak
-// tracking (peak goroutines, peak heap).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// DefaultLatencyBuckets are the fixed histogram bucket upper bounds used for
-// stage wall times, in milliseconds: sub-millisecond stages up to
-// multi-second stragglers. The last implicit bucket is +Inf.
-var DefaultLatencyBuckets = []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
-// Histogram is a fixed-bucket histogram over float64 observations. Bucket
-// bounds are upper-inclusive; one overflow bucket catches everything beyond
-// the last bound.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []int64 // len(bounds)+1, last is overflow
-	sum    float64
-	n      int64
-}
-
-// NewHistogram returns a histogram over the given ascending bucket bounds.
-// Nil or empty bounds select DefaultLatencyBuckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	cp := make([]float64, len(bounds))
-	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]int64, len(cp)+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-// HistogramSnapshot is the serializable state of a Histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Counts has one extra entry for the
-	// overflow bucket.
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// Snapshot copies the histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]int64(nil), h.counts...),
-		Sum:    h.sum,
-		Count:  h.n,
-	}
-	return s
-}
-
-// Registry holds named counters, gauges, and histograms. Lookups create the
-// instrument on first use, so call sites need no registration ceremony.
+// Registry holds named counters. Lookups create the counter on first use, so
+// call sites need no registration ceremony.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -143,44 +55,10 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the default
-// latency buckets on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histograms == nil {
-		r.histograms = make(map[string]*Histogram)
-	}
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(nil)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// RegistrySnapshot is the serializable state of a Registry, with
-// deterministically ordered (sorted) maps — encoding/json sorts map keys, so
-// two snapshots of equal state marshal identically.
+// RegistrySnapshot is the serializable state of a Registry. encoding/json
+// sorts map keys, so two snapshots of equal state marshal identically.
 type RegistrySnapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // Snapshot copies the registry state.
@@ -192,18 +70,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.Counters = make(map[string]int64, len(r.counters))
 		for k, c := range r.counters {
 			s.Counters[k] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for k, g := range r.gauges {
-			s.Gauges[k] = g.Value()
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
-		for k, h := range r.histograms {
-			s.Histograms[k] = h.Snapshot()
 		}
 	}
 	return s

@@ -11,7 +11,7 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-10) // ignored: counters only go up
 	if got := c.Value(); got != 5 {
@@ -19,32 +19,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if r.Counter("x") != c {
 		t.Error("Counter lookup is not idempotent")
-	}
-	g := r.Gauge("y")
-	g.Set(7)
-	g.SetMax(3) // lower: no-op
-	g.SetMax(9)
-	if got := g.Value(); got != 9 {
-		t.Errorf("gauge = %d, want 9", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	// Upper-inclusive bounds: 0.5 and 1 land in bucket 0; 5 in 1; 50 in 2;
-	// 500 and 5000 overflow.
-	want := []int64{2, 1, 1, 2}
-	for i, n := range want {
-		if s.Counts[i] != n {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, s.Counts[i], n, s.Counts)
-		}
-	}
-	if s.Count != 6 || s.Sum != 5556.5 {
-		t.Errorf("count=%d sum=%g, want 6 / 5556.5", s.Count, s.Sum)
 	}
 }
 
@@ -56,9 +30,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("c").Inc()
-				r.Gauge("g").SetMax(int64(j))
-				r.Histogram("h").Observe(float64(j))
+				r.Counter("c").Add(1)
 			}
 		}()
 	}
@@ -66,12 +38,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	s := r.Snapshot()
 	if s.Counters["c"] != 8000 {
 		t.Errorf("counter = %d, want 8000", s.Counters["c"])
-	}
-	if s.Gauges["g"] != 999 {
-		t.Errorf("gauge = %d, want 999", s.Gauges["g"])
-	}
-	if s.Histograms["h"].Count != 8000 {
-		t.Errorf("histogram count = %d, want 8000", s.Histograms["h"].Count)
 	}
 }
 
@@ -86,21 +52,6 @@ func TestSnapshotMarshalsDeterministically(t *testing.T) {
 	j2, _ := json.Marshal(r.Snapshot())
 	if string(j1) != string(j2) {
 		t.Errorf("snapshot marshalling unstable:\n%s\n%s", j1, j2)
-	}
-}
-
-func TestSpanCombinerHitRate(t *testing.T) {
-	cases := []struct {
-		in, out int64
-		want    float64
-	}{
-		{0, 0, 0}, {100, 100, 0}, {100, 25, 0.75}, {100, 150, 0}, // out>in clamps to 0
-	}
-	for _, c := range cases {
-		s := Span{CombinerIn: c.in, CombinerOut: c.out}
-		if got := s.CombinerHitRate(); got != c.want {
-			t.Errorf("hit rate(%d→%d) = %g, want %g", c.in, c.out, got, c.want)
-		}
 	}
 }
 
@@ -138,28 +89,6 @@ func TestWriteSpanTreeDuplicateNames(t *testing.T) {
 	}
 	if n := strings.Count(b.String(), "combine"); n != 2 {
 		t.Errorf("duplicate span collapsed: %d occurrences\n%s", n, b.String())
-	}
-}
-
-func TestTotalRecordsInAndTopByWall(t *testing.T) {
-	spans := []Span{
-		{Name: "a", RecordsIn: 10, WallMS: 1},
-		{Name: "b", RecordsIn: 20, WallMS: 5},
-		{Name: "c", RecordsIn: 30, WallMS: 3},
-	}
-	if got := TotalRecordsIn(spans); got != 60 {
-		t.Errorf("TotalRecordsIn = %d, want 60", got)
-	}
-	top := TopByWall(spans, 2)
-	if len(top) != 2 || top[0].Name != "b" || top[1].Name != "c" {
-		t.Errorf("TopByWall = %v", top)
-	}
-	if got := TopByWall(spans, 10); len(got) != 3 {
-		t.Errorf("TopByWall over-ask returned %d spans", len(got))
-	}
-	// The input order must be untouched.
-	if spans[0].Name != "a" || spans[1].Name != "b" {
-		t.Error("TopByWall mutated its input")
 	}
 }
 

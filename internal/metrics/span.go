@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -12,7 +11,9 @@ import (
 // was called, when it ran, how long it took, how many records it consumed
 // and produced, how many bytes its shuffle moved across partitions, how well
 // its combiner pre-aggregated, how often workers were re-executed, and a
-// runtime sample (goroutines, heap) taken when the stage finished.
+// runtime sample (goroutines, heap) taken when the stage finished. It is the
+// only per-stage record of a run: dataflow.Stats derives its work totals
+// from the spans, and nothing else repeats their fields.
 //
 // Stage names use '/'-separated paths ("fc/count-unary",
 // "ext/merge-candidates"); WriteSpanTree renders them as a tree. Sizes and
@@ -34,8 +35,8 @@ type Span struct {
 	// narrow-operator chain (dataflow plan.go). Empty for unfused stages;
 	// fused stages carry composite names joining the chained ops with '+'.
 	// RecordsIn counts the chain's source records once, so the per-op counts
-	// here are attribution detail on top of — not part of — the
-	// TotalRecordsIn == TotalWork reconciliation.
+	// here are attribution detail on top of — not part of — the stage's
+	// share of dataflow.Stats.TotalWork.
 	FusedOps []FusedOp `json:"fused_ops,omitempty"`
 
 	// ShuffleBytes estimates the bytes that crossed partitions during this
@@ -79,20 +80,6 @@ type Span struct {
 type FusedOp struct {
 	Name      string `json:"name"`
 	RecordsIn int64  `json:"records_in"`
-}
-
-// CombinerHitRate is the fraction of records the combiner eliminated before
-// the shuffle: 1 - out/in. Zero when the stage has no combiner (or the
-// combiner eliminated nothing).
-func (s Span) CombinerHitRate() float64 {
-	if s.CombinerIn <= 0 {
-		return 0
-	}
-	r := 1 - float64(s.CombinerOut)/float64(s.CombinerIn)
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // spanNode is one level of the rendered span tree.
@@ -159,8 +146,8 @@ func writeSpanNodes(w io.Writer, nodes []*spanNode, depth int) error {
 			if s.ShuffleBytes > 0 {
 				line += fmt.Sprintf("  shuffle=%s", fmtBytes(s.ShuffleBytes))
 			}
-			if s.CombinerIn > 0 {
-				line += fmt.Sprintf("  combiner=%.0f%%", s.CombinerHitRate()*100)
+			if s.CombinerIn > 0 { // the share the combiner eliminated before the shuffle
+				line += fmt.Sprintf("  combiner=%.0f%%", max(0, 1-float64(s.CombinerOut)/float64(s.CombinerIn))*100)
 			}
 			if s.SpilledBytes > 0 {
 				line += fmt.Sprintf("  spill=%s/%druns", fmtBytes(s.SpilledBytes), s.SpilledRuns)
@@ -213,28 +200,6 @@ func fmtBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// TotalRecordsIn sums the spans' input-record counts; by construction the
-// dataflow engine keeps it equal to Stats.TotalWork, which is how a span
-// export can be cross-checked against the work accounting.
-func TotalRecordsIn(spans []Span) int64 {
-	var total int64
-	for _, s := range spans {
-		total += s.RecordsIn
-	}
-	return total
-}
-
-// TopByWall returns the n spans with the largest wall time, descending — the
-// "where did the time go" view of a run.
-func TopByWall(spans []Span, n int) []Span {
-	cp := append([]Span(nil), spans...)
-	sort.SliceStable(cp, func(i, j int) bool { return cp[i].WallMS > cp[j].WallMS })
-	if n > len(cp) {
-		n = len(cp)
-	}
-	return cp[:n]
 }
 
 // EstimateSize estimates the serialized size of one record in bytes, by
