@@ -238,7 +238,7 @@ func cutGroups(in []evidence, n int, emit func(Group)) error {
 	return nil
 }
 
-// Evidences cross processes in the cgc/exchange of a distributed run. Bytes
-// that are no evidence decode to the all-ones one, whose capture id no table
-// issues (newTable): cutGroups fails the run on it as on any unknown id.
+// Evidences cross processes in the cgc/exchange of a distributed run, in the
+// engine's 8-byte integer-record codec; cutGroups fails the run on a capture
+// id no table issued (newTable).
 func init() { dataflow.RegisterUint64Record[evidence]() }

@@ -7,12 +7,13 @@ import (
 )
 
 // Fixed-width binary encodings of the model types, used by the dataflow
-// spill codecs (dataflow.PairCodec). Every field is written verbatim, so the
-// encodings are injective: equal values encode to equal bytes and distinct
-// values to distinct bytes — the property the spill path's byte-wise key
-// comparison relies on. Widths are constants of the model: a Condition is
-// two attribute bytes plus two little-endian 32-bit values (10 bytes), a
-// Capture adds its projection attribute byte (11 bytes).
+// record codecs (dataflow.ValueCodec). Every field is written verbatim, so
+// the encodings are injective: equal values encode to equal bytes and
+// distinct values to distinct bytes — the property the engine's routing and
+// spilling of keys by their bytes relies on. Widths are constants of the
+// model: a Condition is two attribute bytes plus two little-endian 32-bit
+// values (10 bytes), a Capture adds its projection attribute byte (11
+// bytes).
 
 // ConditionWireSize is the encoded width of a Condition.
 const ConditionWireSize = 10

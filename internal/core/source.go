@@ -44,14 +44,10 @@ import (
 // ingest mode.
 
 // tripleCodec ships rdf.Triple over the wire for the placement shuffle: three
-// uvarint ids. Its decoder cannot fail: bytes that are not exactly three
-// uvarints of 32-bit ids decode to badTriple, whose ids no dictionary issues,
-// and ingestDistributed fails the job on it as on any id at or beyond the
-// dictionary's size.
+// uvarint ids. Bytes that are not exactly three uvarints of 32-bit ids fail
+// with dataflow.ErrCorruptRecord; ingestDistributed fails the job on ids at
+// or beyond the dictionary's size (source/check-ids).
 type tripleCodec struct{}
-
-// badTriple is what tripleCodec decodes malformed bytes to.
-var badTriple = rdf.Triple{S: ^rdf.Value(0), P: ^rdf.Value(0), O: ^rdf.Value(0)}
 
 func (tripleCodec) AppendValue(dst []byte, t rdf.Triple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(t.S))
@@ -59,19 +55,19 @@ func (tripleCodec) AppendValue(dst []byte, t rdf.Triple) []byte {
 	return binary.AppendUvarint(dst, uint64(t.O))
 }
 
-func (tripleCodec) DecodeValue(src []byte) rdf.Triple {
+func (tripleCodec) DecodeValue(src []byte) (rdf.Triple, error) {
 	var ids [3]rdf.Value
 	for i := range ids {
 		v, n := binary.Uvarint(src)
 		if n <= 0 || v > math.MaxUint32 {
-			return badTriple
+			return rdf.Triple{}, fmt.Errorf("%w: triple id %d", dataflow.ErrCorruptRecord, i)
 		}
 		ids[i], src = rdf.Value(v), src[n:]
 	}
 	if len(src) > 0 {
-		return badTriple
+		return rdf.Triple{}, fmt.Errorf("%w: %d bytes after a triple", dataflow.ErrCorruptRecord, len(src))
 	}
-	return rdf.Triple{S: ids[0], P: ids[1], O: ids[2]}
+	return rdf.Triple{S: ids[0], P: ids[1], O: ids[2]}, nil
 }
 
 func init() {
@@ -272,10 +268,10 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 			ing.ShuffleBytes = sp.ShuffleBytes
 		}
 	}
-	// The placed triples came off the wire: one the codec could not decode,
-	// or with an id the merged dictionary never issued, fails the job here
-	// rather than reaching FCDetector, which sizes its columns by the largest
-	// id. A single-process run's ids never leave the process and skip this.
+	// The placed triples came off the wire: one with an id the merged
+	// dictionary never issued fails the job here rather than reaching
+	// FCDetector, which sizes its columns by the largest id. A single-process
+	// run's ids never leave the process and skip this.
 	n := rdf.Value(dict.Len())
 	checked := dataflow.Filter(placed, "source/check-ids", func(t rdf.Triple) bool {
 		if max(t.S, t.P, t.O) < n {

@@ -286,18 +286,22 @@ func TestSourceLenientParity(t *testing.T) {
 
 // FuzzDecodeFileTables: whatever the bytes, neither the dictionary-merge
 // decoder nor the placement shuffle's triple decoder panics or allocates
-// beyond what the bytes can hold. The tables decode with ErrCorruptRecord or
-// round-trip; a triple decodes to badTriple or round-trips, and then neither
-// a prefix of its bytes nor one byte more decodes to a triple.
+// beyond what the bytes can hold. Each fails with ErrCorruptRecord or decodes
+// a value that round-trips; a triple's bytes do so exactly, so neither a
+// prefix of them nor one byte more decodes to a triple.
 func FuzzDecodeFileTables(f *testing.F) {
 	ft := &fileTable{index: 3, terms: []string{"<a>", `"b"`, ""}, ntrips: 7, skipped: 1}
 	f.Add((&fileTable{index: 1}).append(ft.append(nil)))
 	f.Add(tripleCodec{}.AppendValue(nil, rdf.Triple{S: 1, P: 300, O: rdf.MaxValue}))
 	f.Fuzz(func(t *testing.T, src []byte) {
-		fts, err := decodeFileTables(src)
-		if err != nil && !errors.Is(err, dataflow.ErrCorruptRecord) {
-			t.Fatalf("untyped error %v", err)
+		typed := func(what string, err error) bool {
+			if err != nil && !errors.Is(err, dataflow.ErrCorruptRecord) {
+				t.Fatalf("%s: untyped error %v", what, err)
+			}
+			return err == nil
 		}
+		fts, err := decodeFileTables(src)
+		typed("file tables", err)
 		var again []byte
 		for _, ft := range fts {
 			if cap(ft.terms) > len(src) {
@@ -311,16 +315,16 @@ func FuzzDecodeFileTables(f *testing.F) {
 			}
 		}
 		var codec tripleCodec
-		if tr := codec.DecodeValue(src); tr != badTriple {
-			if back := codec.DecodeValue(codec.AppendValue(nil, tr)); back != tr {
-				t.Fatalf("triple %v does not round-trip: %v", tr, back)
+		if tr, err := codec.DecodeValue(src); typed("triple", err) {
+			if back, err := codec.DecodeValue(codec.AppendValue(nil, tr)); err != nil || back != tr {
+				t.Fatalf("triple %v does not round-trip: %v, %v", tr, back, err)
 			}
 			for k := range src {
-				if codec.DecodeValue(src[:k]) != badTriple {
+				if _, err := codec.DecodeValue(src[:k]); typed("triple prefix", err) {
 					t.Fatalf("%d of %d bytes decode to a triple", k, len(src))
 				}
 			}
-			if codec.DecodeValue(append(src[:len(src):len(src)], 0)) != badTriple {
+			if _, err := codec.DecodeValue(append(src[:len(src):len(src)], 0)); typed("triple and a byte", err) {
 				t.Fatal("a trailing byte decodes to a triple")
 			}
 		}

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -115,12 +116,12 @@ func WithFaultPlan(p *FaultPlan) Option {
 
 // WithMemoryBudget bounds the keyed-operator state (aggregation maps and
 // shuffle routing buffers) to roughly n bytes across all workers. Under the
-// budget, ReduceByKey over record types with a registered PairCodec switches
-// to the spill-to-disk execution of spill.go; GroupByKey, CoGroup and
-// operators without a codec are unaffected. Non-positive budgets disable
-// spilling. The product never sets a budget: this option and WithSpillDir
-// stay only for benchmark/kernels.go's kernel.spill_reduce and go when
-// benchmark/ stops calling them.
+// budget, ReduceByKey over pairs whose key and value types have registered
+// codecs switches to the spill-to-disk execution of spill.go; GroupByKey,
+// CoGroup and operators without a codec are unaffected. Non-positive
+// budgets disable spilling. The product never sets a budget: this option and
+// WithSpillDir stay only for benchmark/kernels.go's kernel.spill_reduce and
+// go when benchmark/ stops calling them.
 func WithMemoryBudget(n int64) Option {
 	return func(c *Context) {
 		if n > 0 {
@@ -623,12 +624,15 @@ func shuffleParts[T any](c *Context, name string, parts [][]T, target func(T) in
 // shuffleByKey hash-partitions keyed records so that all records with equal
 // keys land in the same output partition. In distributed mode the shuffle
 // crosses processes through the coordinator, routed by the seeded hash of
-// the codec's key encoding instead of maphash (whose seed cannot leave the
+// the record's key bytes instead of maphash (whose seed cannot leave the
 // process).
 func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string) ([][]Pair[K, V], int64, bool) {
 	c := d.ctx
 	if c.distributed() {
-		return distShufflePairs(c, name, d.parts)
+		return distShuffle(c, name, d.parts, func(_ Pair[K, V], enc []byte) int {
+			kb, _, _ := nextBlob(enc)
+			return c.distPartition(kb)
+		})
 	}
 	return shuffleParts(c, name, d.parts, func(kv Pair[K, V]) int {
 		return hashPartition(c, kv.Key)
@@ -873,7 +877,7 @@ func PartitionBy[T any](d *Dataset[T], name string, part func(T) int) *Dataset[T
 	if c.distributed() {
 		// part must be a pure function of the record; the replicated drivers
 		// all compute the same placement.
-		out, bytes, ok = distShuffleRecords(c, name, d.parts, wrap)
+		out, bytes, ok = distShuffle(c, name, d.parts, func(t T, _ []byte) int { return wrap(t) })
 	} else {
 		out, bytes, ok = shuffleParts(c, name, d.parts, wrap)
 	}
@@ -899,10 +903,7 @@ func Collect[T any](d *Dataset[T]) []T {
 		// partition-order) — the same order the single-process concatenation
 		// produces — so driver control flow built on Collect results stays
 		// identical across the replicated drivers.
-		all, ok := distCollect(d)
-		if !ok {
-			return nil
-		}
+		all, _ := distGatherRecords(d.ctx, "collect", d.parts)
 		return all
 	}
 	var all []T
@@ -914,11 +915,10 @@ func Collect[T any](d *Dataset[T]) []T {
 
 // GlobalReduce folds all records into one value, used to union per-worker
 // partial Bloom filters (Fig. 5, step 4). f must be associative: each worker
-// first folds its own partition (name/partial), then the per-worker partial
-// values meet in a binary merge tree (name/merge, ⌈log₂ w⌉ rounds) instead of
-// a record-by-record fold on the driver. Records still combine in worker
-// order, so f need not be commutative. The boolean is false when the dataset
-// is empty or the pipeline has failed.
+// first folds its own partition (name/partial), then the partials fold in
+// worker order (name/merge) — in a cluster after a gather, on every process.
+// Records still combine in worker order, so f need not be commutative. The
+// boolean is false when the dataset is empty or the pipeline has failed.
 func GlobalReduce[T any](d *Dataset[T], name string, f func(T, T) T) (T, bool) {
 	c := d.ctx
 	d.force()
@@ -928,76 +928,57 @@ func GlobalReduce[T any](d *Dataset[T], name string, f func(T, T) T) (T, bool) {
 	}
 	sp := c.begin(name)
 	counts := partLens(d.parts)
-	partials := make([]T, c.workers)
-	have := make([]bool, c.workers)
+	partials := make([][]T, c.workers) // per worker its partition's fold, or none
 	if !c.runStage(name+"/partial", func(w int) error {
-		var acc T
-		ok := false // reset at entry so a retried worker restarts cleanly
+		var acc []T // built afresh, so a retried worker restarts cleanly
 		for _, t := range d.parts[w] {
-			if !ok {
-				acc, ok = t, true
+			if acc == nil {
+				acc = []T{t}
 			} else {
-				acc = f(acc, t)
+				acc[0] = f(acc[0], t)
 			}
 		}
-		partials[w], have[w] = acc, ok
+		partials[w] = acc
 		return nil
 	}) {
 		return zero, false
 	}
+	var all []T
 	if c.distributed() {
-		// Cross-process merge: gather the per-rank partials and fold them in
-		// rank order on every process. The linear fold equals the merge tree
-		// below by associativity, and decoding fresh copies per process keeps
-		// accumulator-mutating f (Bloom union) safe.
-		var partial T
-		had := false
-		if c.worker != nil {
-			partial, had = partials[c.rank], have[c.rank]
-		}
-		acc, got, ok := distMergePartials(c, name, f, partial, had)
-		if !ok {
+		// Decoded copies on every process keep an f that mutates its
+		// accumulator (Bloom union) off a rank's own partial.
+		var ok bool
+		if all, ok = distGatherRecords(c, name+"/merge", partials); !ok {
 			return zero, false
 		}
-		var out int64
-		if got {
-			out = 1
+	} else {
+		all = slices.Concat(partials...)
+	}
+	acc, err := foldPartials(name+"/merge", f, all)
+	if err != nil {
+		c.fail(err)
+		return zero, false
+	}
+	c.finish(sp, counts, int64(min(len(all), 1)))
+	return acc, len(all) > 0
+}
+
+// foldPartials folds the partials in order as stage name, on the driver: a
+// panic in f fails the job with a *StageError for that stage.
+func foldPartials[T any](name string, f func(T, T) T, partials []T) (acc T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &StageError{Stage: name, Worker: -1, Attempt: 1, Cause: recoverWorker(r)}
 		}
-		c.finish(sp, counts, out)
-		return acc, got
-	}
-	// Each round halves the live slots: merge worker w combines slot
-	// i = w·2·stride with its partner at i+stride. Rounds write into fresh
-	// arrays, so a retried worker re-reads an unmodified previous round.
-	for stride := 1; stride < c.workers; stride *= 2 {
-		next := make([]T, c.workers)
-		haveNext := make([]bool, c.workers)
-		if !c.runStage(name+"/merge", func(w int) error {
-			i := w * 2 * stride
-			if i >= c.workers {
-				return nil // no slot for this worker in this round
-			}
-			acc, ok := partials[i], have[i]
-			if j := i + stride; j < c.workers && have[j] {
-				if ok {
-					acc = f(acc, partials[j])
-				} else {
-					acc, ok = partials[j], true
-				}
-			}
-			next[i], haveNext[i] = acc, ok
-			return nil
-		}) {
-			return zero, false
+	}()
+	for i, p := range partials {
+		if i == 0 {
+			acc = p
+		} else {
+			acc = f(acc, p)
 		}
-		partials, have = next, haveNext
 	}
-	var out int64
-	if have[0] {
-		out = 1
-	}
-	c.finish(sp, counts, out)
-	return partials[0], have[0]
+	return acc, nil
 }
 
 // String summarizes the dataset for diagnostics, forcing any pending chain

@@ -4,15 +4,15 @@
 //
 // Each helper here is one collective: it derives the barrier's sequence
 // number by counting (every process counts identically because the drivers
-// are replicas), encodes the local contribution with the registered codecs,
-// and decodes the release. The coordinator variant consumes the completed
-// barrier's retained state instead of contributing.
+// are replicas), encodes the local contribution with the record type's
+// ValueCodec (wire.go), and decodes the release through decodeRecords. A
+// release that does not decode fails the job with ErrCorruptRecord. The
+// coordinator variant consumes the completed barrier's retained state
+// instead of contributing.
 package dataflow
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 )
@@ -106,112 +106,57 @@ func coordAwait(c *Context, seq int, kind byte, name string) (*collective, bool)
 	return coll, true
 }
 
-// appendRecordList encodes records as a blob list using a ValueCodec.
-func appendRecordList[T any](dst []byte, codec ValueCodec[T], items []T) []byte {
-	var scratch []byte
-	for _, t := range items {
-		scratch = codec.AppendValue(scratch[:0], t)
-		dst = appendBlob(dst, scratch)
-	}
-	return dst
-}
-
-// decodeRecordList decodes a blob list of records into dst.
-func decodeRecordList[T any](dst []T, codec ValueCodec[T], src []byte) ([]T, error) {
-	blobs, err := splitBlobs(src)
-	if err != nil {
-		return dst, err
-	}
-	for _, b := range blobs {
-		dst = append(dst, codec.DecodeValue(b))
-	}
-	return dst, nil
-}
-
-// decodePairFrames decodes a run of spill frames into dst.
-func decodePairFrames[K comparable, V any](dst []Pair[K, V], codec PairCodec[K, V], src []byte) ([]Pair[K, V], error) {
-	for len(src) > 0 {
-		kb, vb, n, err := decodeFrame(src)
-		if err != nil {
-			return dst, err
-		}
-		if n == 0 {
-			break
-		}
-		dst = append(dst, Pair[K, V]{Key: codec.DecodeKey(kb), Val: codec.DecodeValue(vb)})
-		src = src[n:]
-	}
-	return dst, nil
-}
-
-// distShufflePairs is the cross-process shuffle of keyed records: rank r
-// encodes its partition into per-target buckets of spill frames (the wire
-// format is exactly the spill layer's), contributes the bucket list, and
-// receives every source's bucket for r. Keys route by the seeded byte hash
-// over their codec key encoding — codecs must encode equal keys equally
-// (the same injectivity the spill merge already requires).
-func distShufflePairs[K comparable, V any](c *Context, name string, parts [][]Pair[K, V]) ([][]Pair[K, V], int64, bool) {
-	if c.failed() {
-		return nil, 0, false
-	}
-	codec, ok := pairCodecFor[K, V]()
-	if !ok {
-		failDist(c, name, c.rank, &MissingCodecError{Type: reflect.TypeOf(Pair[K, V]{})})
-		return nil, 0, false
-	}
-	seq := c.nextSeq()
-	if c.cluster != nil {
-		coll, ok := coordAwait(c, seq, kindShuffle, name)
-		if !ok {
-			return nil, 0, false
-		}
-		return make([][]Pair[K, V], c.workers), coll.rawBytes, true
-	}
-	rank := c.rank
-	buckets := make([][]byte, c.workers)
-	var scratch, kb []byte
-	for _, kv := range parts[rank] {
-		kb = codec.AppendKey(kb[:0], kv.Key)
-		t := c.distPartition(kb)
-		buckets[t] = appendFrame(buckets[t], codec, kv.Key, kv.Val, &scratch)
-	}
-	var body []byte
-	for _, b := range buckets {
-		body = appendBlob(body, b)
-	}
-	rel, err := c.worker.contribute(seq, kindShuffle, name, body, c.doneCh())
-	if err != nil {
-		failDist(c, name, rank, err)
-		return nil, 0, false
-	}
-	sources, err := splitBlobs(rel)
-	if err != nil {
-		failDist(c, name, rank, err)
-		return nil, 0, false
-	}
-	out := make([][]Pair[K, V], c.workers)
-	var local []Pair[K, V]
-	for _, src := range sources {
-		local, err = decodePairFrames(local, codec, src)
-		if err != nil {
-			failDist(c, name, rank, err)
-			return nil, 0, false
-		}
-	}
-	out[rank] = local
-	return out, int64(len(body)), true
-}
-
-// distShuffleRecords is the cross-process repartition of unkeyed records
-// (PartitionBy). target must be a pure function of the record so every
-// process agrees on placements.
-func distShuffleRecords[T any](c *Context, name string, parts [][]T, target func(T) int) ([][]T, int64, bool) {
-	if c.failed() {
-		return nil, 0, false
-	}
+// codecFor looks up T's codec for a collective, failing the job with a
+// *MissingCodecError when T has none.
+func codecFor[T any](c *Context, name string) (ValueCodec[T], bool) {
 	codec, ok := valueCodecFor[T]()
 	if !ok {
 		failDist(c, name, c.rank, &MissingCodecError{Type: reflect.TypeOf((*T)(nil)).Elem()})
+	}
+	return codec, ok
+}
+
+// decodeRecords appends the records of a blob list to dst in one pass. It is
+// the exchange's one decode: of a shuffle's buckets and of a gather's
+// contributions alike, and every error it returns wraps ErrCorruptRecord.
+func decodeRecords[T any](dst []T, codec ValueCodec[T], src []byte) ([]T, error) {
+	for len(src) > 0 {
+		blob, rest, err := nextBlob(src)
+		if err != nil {
+			return dst, err
+		}
+		v, err := codec.DecodeValue(blob)
+		if err != nil {
+			return dst, err
+		}
+		dst, src = append(dst, v), rest
+	}
+	return dst, nil
+}
+
+// decodeLists decodes the blob lists of all ranks, in rank order.
+func decodeLists[T any](codec ValueCodec[T], lists [][]byte) ([]T, error) {
+	var out []T
+	for _, list := range lists {
+		var err error
+		if out, err = decodeRecords(out, codec, list); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// distShuffle is the cross-process shuffle: rank r encodes each record of its
+// partition once, into the bucket of the worker target picks from the record
+// and its encoding, contributes the bucket list, and decodes the buckets
+// every source sent it, in rank order. target must be a pure function of the
+// record, so every process agrees on placements.
+func distShuffle[T any](c *Context, name string, parts [][]T, target func(rec T, enc []byte) int) ([][]T, int64, bool) {
+	if c.failed() {
+		return nil, 0, false
+	}
+	codec, ok := codecFor[T](c, name)
+	if !ok {
 		return nil, 0, false
 	}
 	seq := c.nextSeq()
@@ -222,38 +167,29 @@ func distShuffleRecords[T any](c *Context, name string, parts [][]T, target func
 		}
 		return make([][]T, c.workers), coll.rawBytes, true
 	}
-	rank := c.rank
 	buckets := make([][]byte, c.workers)
-	var scratch []byte
-	for _, rec := range parts[rank] {
-		scratch = codec.AppendValue(scratch[:0], rec)
-		t := target(rec)
-		buckets[t] = appendBlob(buckets[t], scratch)
+	var enc []byte
+	for _, rec := range parts[c.rank] {
+		enc = codec.AppendValue(enc[:0], rec)
+		t := target(rec, enc)
+		buckets[t] = appendBlob(buckets[t], enc)
 	}
 	var body []byte
 	for _, b := range buckets {
 		body = appendBlob(body, b)
 	}
-	rel, err := c.worker.contribute(seq, kindShuffle, name, body, c.doneCh())
-	if err != nil {
-		failDist(c, name, rank, err)
-		return nil, 0, false
-	}
-	sources, err := splitBlobs(rel)
-	if err != nil {
-		failDist(c, name, rank, err)
-		return nil, 0, false
-	}
 	out := make([][]T, c.workers)
-	var local []T
-	for _, src := range sources {
-		local, err = decodeRecordList(local, codec, src)
-		if err != nil {
-			failDist(c, name, rank, err)
-			return nil, 0, false
+	rel, err := c.worker.contribute(seq, kindShuffle, name, body, c.doneCh())
+	if err == nil {
+		var sources [][]byte
+		if sources, err = splitBlobs(rel); err == nil {
+			out[c.rank], err = decodeLists(codec, sources)
 		}
 	}
-	out[rank] = local
+	if err != nil {
+		failDist(c, name, c.rank, err)
+		return nil, 0, false
+	}
 	return out, int64(len(body)), true
 }
 
@@ -281,96 +217,53 @@ func distGather(c *Context, name string, body []byte) ([][]byte, bool) {
 	return blobs, true
 }
 
+// distGatherRecords gathers the records of every rank's partition on every
+// process, in (rank, partition order): the concatenation order of the
+// single-process Collect.
+func distGatherRecords[T any](c *Context, name string, parts [][]T) ([]T, bool) {
+	codec, ok := codecFor[T](c, name)
+	if !ok {
+		return nil, false
+	}
+	var body []byte
+	if c.worker != nil {
+		var enc []byte
+		for _, rec := range parts[c.rank] {
+			enc = codec.AppendValue(enc[:0], rec)
+			body = appendBlob(body, enc)
+		}
+	}
+	blobs, ok := distGather(c, name, body)
+	if !ok {
+		return nil, false
+	}
+	all, err := decodeLists(codec, blobs)
+	if err != nil {
+		failDist(c, name, c.rank, err)
+		return nil, false
+	}
+	return all, true
+}
+
 // distLen sums the per-rank partition lengths via a gather, so Len returns
 // the cluster-wide record count on every process.
 func distLen[T any](d *Dataset[T]) (int, bool) {
 	c := d.ctx
-	var body []byte
+	lens := make([][]int, c.workers)
 	if c.worker != nil {
-		body = binary.AppendUvarint(nil, uint64(len(d.parts[c.rank])))
+		lens[c.rank] = []int{len(d.parts[c.rank])}
 	}
-	blobs, ok := distGather(c, "len", body)
+	all, ok := distGatherRecords(c, "len", lens)
 	if !ok {
 		return 0, false
 	}
 	n := 0
-	for _, b := range blobs {
-		v, _, ok := uvarintAt(b)
-		if !ok || v > math.MaxInt-n {
-			failDist(c, "len", c.rank, fmt.Errorf("corrupt length contribution"))
+	for _, v := range all {
+		if v < 0 || v > math.MaxInt-n {
+			failDist(c, "len", c.rank, corrupt("partition length %d", v))
 			return 0, false
 		}
 		n += v
 	}
 	return n, true
-}
-
-// distCollect gathers every record on every process in (rank, partition
-// order) — the same concatenation order the single-process Collect uses.
-func distCollect[T any](d *Dataset[T]) ([]T, bool) {
-	c := d.ctx
-	codec, ok := valueCodecFor[T]()
-	if !ok {
-		failDist(c, "collect", c.rank, &MissingCodecError{Type: reflect.TypeOf((*T)(nil)).Elem()})
-		return nil, false
-	}
-	var body []byte
-	if c.worker != nil {
-		body = appendRecordList(nil, codec, d.parts[c.rank])
-	}
-	blobs, ok := distGather(c, "collect", body)
-	if !ok {
-		return nil, false
-	}
-	var all []T
-	for _, b := range blobs {
-		var err error
-		all, err = decodeRecordList(all, codec, b)
-		if err != nil {
-			failDist(c, "collect", c.rank, err)
-			return nil, false
-		}
-	}
-	return all, true
-}
-
-// distMergePartials completes a GlobalReduce across processes: each rank
-// contributes its local partial (with a presence flag for empty partitions),
-// and every process folds the decoded partials in rank order. The linear
-// fold equals the single-process merge tree because f is associative and
-// both preserve worker order; decoding fresh copies on every process keeps
-// an f that mutates its accumulator (Bloom union) safe.
-func distMergePartials[T any](c *Context, name string, f func(T, T) T, partial T, have bool) (T, bool, bool) {
-	var zero T
-	codec, ok := valueCodecFor[T]()
-	if !ok {
-		failDist(c, name, c.rank, &MissingCodecError{Type: reflect.TypeOf((*T)(nil)).Elem()})
-		return zero, false, false
-	}
-	var body []byte
-	if c.worker != nil {
-		if have {
-			body = codec.AppendValue([]byte{1}, partial)
-		} else {
-			body = []byte{0}
-		}
-	}
-	blobs, ok := distGather(c, name+"/merge", body)
-	if !ok {
-		return zero, false, false
-	}
-	var acc T
-	got := false
-	for _, b := range blobs {
-		if len(b) == 0 || b[0] == 0 {
-			continue
-		}
-		v := codec.DecodeValue(b[1:])
-		if !got {
-			acc, got = v, true
-		} else {
-			acc = f(acc, v)
-		}
-	}
-	return acc, got, true
 }

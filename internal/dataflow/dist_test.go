@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -152,6 +153,52 @@ func TestDistMatchesSingleProcessAcrossWorkerCounts(t *testing.T) {
 			}
 		})
 	}
+
+	// A keyed shuffle's release decodes bucket by bucket; a count whose last
+	// byte is a continuation byte fails it, where it once decoded to 0.
+	pc, _ := valueCodecFor[Pair[packedRecord, int]]()
+	good := appendBlob(nil, pc.AppendValue(nil, Pair[packedRecord, int]{Key: 7, Val: 3}))
+	bad := pc.AppendValue(nil, Pair[packedRecord, int]{Key: 7, Val: 3})
+	bad[len(bad)-1] = 0x80
+	for _, tc := range []struct {
+		bucket []byte
+		ok     bool
+	}{{good, true}, {appendBlob(nil, bad), false}} {
+		sources, err := splitBlobs(appendBlob(appendBlob(nil, good), tc.bucket))
+		if err == nil {
+			var recs []Pair[packedRecord, int]
+			recs, err = decodeLists(pc, sources)
+			if err == nil && (len(recs) != 2 || recs[1].Val != 3) {
+				t.Errorf("bucket %v decodes to %v", tc.bucket, recs)
+			}
+		}
+		if tc.ok != (err == nil) || err != nil && !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("bucket %v: err = %v, want ok=%v or ErrCorruptRecord", tc.bucket, err, tc.ok)
+		}
+	}
+}
+
+// TestDistGlobalReducePanicIsMergeStageError: a panic in f while the
+// partials fold fails the job as name/merge, single-process and in a cluster
+// on the coordinator, instead of crashing the driver.
+func TestDistGlobalReducePanicIsMergeStageError(t *testing.T) {
+	driver := func(c *Context) {
+		// One record per partition: no partial fold calls f, the merge does.
+		d := Parallelize(c, "input", []int64{1, 2})
+		GlobalReduce(d, "total", func(a, b int64) int64 { panic("merge") })
+	}
+	check := func(mode string, err error) {
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != "total/merge" || !strings.Contains(err.Error(), "panic: merge") {
+			t.Errorf("%s: err = %v, want a panic at total/merge", mode, err)
+		}
+	}
+	c := NewContext(2)
+	driver(c)
+	check("single-process", c.Err())
+	// The coordinator's own fold or a worker's, whichever reports first.
+	_, err := runDistCluster(t, 2, ClusterConfig{Workers: 2}, driver)
+	check("cluster", err)
 }
 
 // killSeqFor traces a fault-free 2-worker run and returns a mid-program

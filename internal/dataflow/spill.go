@@ -1,9 +1,10 @@
 // Out-of-core execution for the keyed aggregation.
 //
-// When a Context carries a memory budget (WithMemoryBudget) and a PairCodec
-// is registered for the operator's record type, ReduceByKey switches to a
-// spilling implementation that bounds the engine's resident state instead of
-// holding the whole shuffle and aggregation in memory:
+// When a Context carries a memory budget (WithMemoryBudget) and codecs are
+// registered for the key and value types of the operator's records (wire.go),
+// ReduceByKey switches to a spilling implementation that bounds the engine's
+// resident state instead of holding the whole shuffle and aggregation in
+// memory:
 //
 //   - The combine/scatter phase aggregates records into a bounded map and
 //     encodes overflow into per-target chunk buffers. Full chunks are
@@ -15,6 +16,9 @@
 //     is flushed as a run sorted by encoded key bytes; runs are recombined
 //     with an external k-way merge (multi-pass above mergeFanIn), which
 //     restores exactly one record per key.
+//
+// A frame carries the key and value bytes of the pair's derived codec
+// (pairCodec), each behind its uvarint length.
 //
 // The result is identical, as a multiset per partition, to the in-memory
 // operator: records route through the same hashPartition and ReduceByKey's
@@ -35,51 +39,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sort"
 	"sync"
 
 	"repro/internal/metrics"
 )
-
-// PairCodec serializes the keys and values of Pair[K, V] records so they can
-// spill to disk. Key encodings must be injective — the spill path compares
-// and merges keys by their encoded bytes, so equal keys must encode equally
-// and distinct keys distinctly. Both Append methods follow the stdlib
-// append-style contract; both Decode methods receive exactly the bytes one
-// Append produced.
-type PairCodec[K comparable, V any] interface {
-	AppendKey(dst []byte, k K) []byte
-	DecodeKey(src []byte) K
-	AppendValue(dst []byte, v V) []byte
-	DecodeValue(src []byte) V
-}
-
-// pairCodecs maps reflect.TypeOf(Pair[K, V]{}) to its registered PairCodec.
-var pairCodecs sync.Map
-
-// RegisterPairCodec makes codec available to budgeted ReduceByKey over
-// Pair[K, V]. Packages register their record types in init; the latest
-// registration for a type wins. Operators whose record type has no codec run
-// in memory regardless of the budget.
-//
-// Registration also derives and registers the matching ValueCodec[Pair[K, V]]
-// (each pair encoded as one spill frame), so every spillable pair type can
-// cross the network in distributed mode with no extra registration.
-func RegisterPairCodec[K comparable, V any](codec PairCodec[K, V]) {
-	pairCodecs.Store(reflect.TypeOf(Pair[K, V]{}), codec)
-	RegisterValueCodec[Pair[K, V]](pairValueCodec[K, V]{pc: codec})
-}
-
-// pairCodecFor looks up the codec for Pair[K, V].
-func pairCodecFor[K comparable, V any]() (PairCodec[K, V], bool) {
-	c, ok := pairCodecs.Load(reflect.TypeOf(Pair[K, V]{}))
-	if !ok {
-		return nil, false
-	}
-	codec, ok := c.(PairCodec[K, V])
-	return codec, ok
-}
 
 // mergeFanIn bounds how many runs one merge pass reads concurrently; more
 // runs trigger intermediate passes that combine values run-group-wise.
@@ -197,13 +161,14 @@ func closeSpillFiles(files []*spillFile) {
 	}
 }
 
-// appendFrame encodes one pair as [uvarint keyLen, key, uvarint valLen, val].
-// scratch is reused staging for the codec's key/value encodings.
-func appendFrame[K comparable, V any](dst []byte, codec PairCodec[K, V], k K, v V, scratch *[]byte) []byte {
-	kb := codec.AppendKey((*scratch)[:0], k)
+// appendFrame encodes one pair as [uvarint keyLen, key, uvarint valLen, val],
+// the key and value bytes those of the pair's derived codec. scratch is
+// reused staging for the two encodings.
+func appendFrame[K comparable, V any](dst []byte, codec pairCodec[K, V], k K, v V, scratch *[]byte) []byte {
+	kb := codec.key.AppendValue((*scratch)[:0], k)
 	dst = binary.AppendUvarint(dst, uint64(len(kb)))
 	dst = append(dst, kb...)
-	vb := codec.AppendValue(kb[:0], v) // kb is already copied out, reuse its array
+	vb := codec.val.AppendValue(kb[:0], v) // kb is already copied out, reuse its array
 	dst = binary.AppendUvarint(dst, uint64(len(vb)))
 	dst = append(dst, vb...)
 	*scratch = vb[:0]
@@ -385,14 +350,14 @@ type sortedRunWriter struct {
 }
 
 // append encodes one pair into the arena.
-func appendRunEntry[K comparable, V any](rw *sortedRunWriter, codec PairCodec[K, V], k K, v V) {
+func appendRunEntry[K comparable, V any](rw *sortedRunWriter, codec pairCodec[K, V], k K, v V) {
 	frameOff := len(rw.arena)
-	kb := codec.AppendKey(rw.scratch[:0], k)
+	kb := codec.key.AppendValue(rw.scratch[:0], k)
 	rw.arena = binary.AppendUvarint(rw.arena, uint64(len(kb)))
 	keyOff := len(rw.arena)
 	rw.arena = append(rw.arena, kb...)
 	keyEnd := len(rw.arena)
-	vb := codec.AppendValue(kb[:0], v)
+	vb := codec.val.AppendValue(kb[:0], v)
 	rw.arena = binary.AppendUvarint(rw.arena, uint64(len(vb)))
 	rw.arena = append(rw.arena, vb...)
 	rw.scratch = vb[:0]
@@ -507,7 +472,7 @@ func mergeRunGroup(c *Context, file *spillFile, runs []segment, base int, emit f
 // encoded overflow to per-target chunks; phase 2 (name/reduce) re-aggregates
 // each target's stream, spilling sorted runs and external-merging them back
 // to one record per key.
-func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, combine func(V, V) V, codec PairCodec[K, V]) *Dataset[Pair[K, V]] {
+func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, combine func(V, V) V, codec pairCodec[K, V]) *Dataset[Pair[K, V]] {
 	c := d.ctx
 	sp := c.begin(name)
 	params := c.spillParams(samplePairSize(d.parts))
@@ -600,10 +565,12 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 			return nil
 		}
 		if err := replayChunks(c, files, chunks, t, func(kb, vb []byte) error {
-			k := codec.DecodeKey(kb)
-			v := codec.DecodeValue(vb)
-			if cur, ok := agg[k]; ok {
-				agg[k] = combine(cur, v)
+			p, err := codec.decodeHalves(kb, vb)
+			if err != nil {
+				return err
+			}
+			if cur, ok := agg[p.Key]; ok {
+				agg[p.Key] = combine(cur, p.Val)
 				return nil
 			}
 			if len(agg) >= params.maxEntries {
@@ -611,7 +578,7 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 					return err
 				}
 			}
-			agg[k] = v
+			agg[p.Key] = p.Val
 			return nil
 		}); err != nil {
 			return err
@@ -634,7 +601,7 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 			return err
 		}
 		local := out[t][:0]
-		local, err := mergeReduceRuns(c, runFiles[t], runs, codec, combine, params, sp, local)
+		local, err := mergeReduceRuns(c, runFiles[t], runs, codec, combine, sp, local)
 		if err != nil {
 			return err
 		}
@@ -651,35 +618,16 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 // mergeReduceRuns external-merges key-sorted runs into one Pair per key.
 // Above mergeFanIn runs, intermediate passes merge fan-in-sized groups into
 // new combined runs until one final pass can read everything.
-func mergeReduceRuns[K comparable, V any](c *Context, file *spillFile, runs []segment, codec PairCodec[K, V], combine func(V, V) V, params spillParams, sp *activeSpan, dst []Pair[K, V]) ([]Pair[K, V], error) {
+func mergeReduceRuns[K comparable, V any](c *Context, file *spillFile, runs []segment, codec pairCodec[K, V], combine func(V, V) V, sp *activeSpan, dst []Pair[K, V]) ([]Pair[K, V], error) {
 	for len(runs) > mergeFanIn {
 		sp.mergePasses.Add(1)
 		var next []segment
 		for lo := 0; lo < len(runs); lo += mergeFanIn {
-			hi := lo + mergeFanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
+			hi := min(lo+mergeFanIn, len(runs))
 			var buf, scratch []byte
-			var accV V
-			var accK []byte
-			have := false
-			err := mergeRunGroup(c, file, runs[lo:hi], lo, func(kb, vb []byte, last bool) error {
-				v := codec.DecodeValue(vb)
-				if have && bytes.Equal(accK, kb) {
-					accV = combine(accV, v)
-				} else {
-					accK = append(accK[:0], kb...)
-					accV = v
-					have = true
-				}
-				if last {
-					buf = appendFrame(buf, codec, codec.DecodeKey(accK), accV, &scratch)
-					have = false
-				}
-				return nil
-			})
-			if err != nil {
+			if err := foldRunGroup(c, file, runs[lo:hi], lo, codec, combine, func(p Pair[K, V]) {
+				buf = appendFrame(buf, codec, p.Key, p.Val, &scratch)
+			}); err != nil {
 				return nil, err
 			}
 			seg, err := file.write(buf)
@@ -693,26 +641,34 @@ func mergeReduceRuns[K comparable, V any](c *Context, file *spillFile, runs []se
 		runs = next
 	}
 	sp.mergePasses.Add(1)
-	var accV V
+	err := foldRunGroup(c, file, runs, 0, codec, combine, func(p Pair[K, V]) { dst = append(dst, p) })
+	return dst, err
+}
+
+// foldRunGroup merges a group of key-sorted runs (mergeRunGroup) and emits
+// one pair per key, its values combined in run order.
+func foldRunGroup[K comparable, V any](c *Context, file *spillFile, runs []segment, base int, codec pairCodec[K, V], combine func(V, V) V, emit func(Pair[K, V])) error {
+	var acc V
 	var accK []byte
 	have := false
-	err := mergeRunGroup(c, file, runs, 0, func(kb, vb []byte, last bool) error {
-		v := codec.DecodeValue(vb)
+	return mergeRunGroup(c, file, runs, base, func(kb, vb []byte, last bool) error {
+		v, err := codec.val.DecodeValue(vb)
+		if err != nil {
+			return err
+		}
 		if have && bytes.Equal(accK, kb) {
-			accV = combine(accV, v)
+			acc = combine(acc, v)
 		} else {
-			accK = append(accK[:0], kb...)
-			accV = v
-			have = true
+			accK, acc, have = append(accK[:0], kb...), v, true
 		}
-		if last {
-			dst = append(dst, Pair[K, V]{codec.DecodeKey(accK), accV})
-			have = false
+		if !last {
+			return nil
 		}
-		return nil
+		have = false
+		k, err := codec.key.DecodeValue(accK)
+		if err == nil {
+			emit(Pair[K, V]{Key: k, Val: acc})
+		}
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
 }

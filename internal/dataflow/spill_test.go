@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,33 +8,15 @@ import (
 	"testing"
 )
 
-// intIntCodec spills Pair[int, int]: fixed-width big-endian keys (injective,
-// so byte equality is key equality) and varint values.
-type intIntCodec struct{}
+// stringCodec carries the string values of distProgram's CoGroup right side;
+// Pair[int, int] and Pair[int, string] take codecs derived from it and the
+// built-in int codec.
+type stringCodec struct{}
 
-func (intIntCodec) AppendKey(dst []byte, k int) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(int64(k)))
-}
-func (intIntCodec) DecodeKey(src []byte) int { return int(int64(binary.BigEndian.Uint64(src))) }
-func (intIntCodec) AppendValue(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-func (intIntCodec) DecodeValue(src []byte) int { v, _ := binary.Varint(src); return int(v) }
+func (stringCodec) AppendValue(dst []byte, v string) []byte { return append(dst, v...) }
+func (stringCodec) DecodeValue(src []byte) (string, error)  { return string(src), nil }
 
-// intStringCodec carries Pair[int, string], distProgram's CoGroup right side.
-type intStringCodec struct{}
-
-func (intStringCodec) AppendKey(dst []byte, k int) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(int64(k)))
-}
-func (intStringCodec) DecodeKey(src []byte) int                { return int(int64(binary.BigEndian.Uint64(src))) }
-func (intStringCodec) AppendValue(dst []byte, v string) []byte { return append(dst, v...) }
-func (intStringCodec) DecodeValue(src []byte) string           { return string(src) }
-
-func init() {
-	RegisterPairCodec[int, int](intIntCodec{})
-	RegisterPairCodec[int, string](intStringCodec{})
-}
+func init() { RegisterValueCodec[string](stringCodec{}) }
 
 // spillPairs builds a deterministic workload: n records over k distinct keys.
 func spillPairs(n, k int) []Pair[int, int] {
@@ -207,7 +188,7 @@ func TestSpillFallsBackWithoutCodec(t *testing.T) {
 }
 
 func TestSpillFrameRoundTrip(t *testing.T) {
-	codec := intIntCodec{}
+	codec, _ := pairCodecFor[int, int]()
 	var buf []byte
 	var scratch []byte
 	want := []Pair[int, int]{{1, -5}, {1 << 40, 0}, {-9, 1 << 30}, {0, 0}}
@@ -223,7 +204,11 @@ func TestSpillFrameRoundTrip(t *testing.T) {
 		if n == 0 {
 			break
 		}
-		got = append(got, Pair[int, int]{codec.DecodeKey(kb), codec.DecodeValue(vb)})
+		p, err := codec.decodeHalves(kb, vb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p)
 		buf = buf[n:]
 	}
 	if !reflect.DeepEqual(got, want) {

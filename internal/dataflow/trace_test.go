@@ -119,8 +119,8 @@ func TestSpanFieldsPopulated(t *testing.T) {
 	}
 }
 
-// TestGlobalReduceAccounting pins the rewritten GlobalReduce (per-worker
-// partial folds plus a binary merge tree): for any worker count — powers of
+// TestGlobalReduceAccounting pins GlobalReduce (per-worker partial folds,
+// then an in-order fold of the partials): for any worker count — powers of
 // two and not — the result equals a sequential in-order fold even when f is
 // only associative (string concatenation is order-sensitive), and the
 // operator's span accounting still reconciles with Stats.TotalWork.
@@ -166,9 +166,9 @@ func TestGlobalReduceAccounting(t *testing.T) {
 	}
 }
 
-// TestGlobalReduceMergeRetry injects a transient fault into a merge-tree
-// round: the retried worker must re-read the unmodified previous round and
-// reproduce the same result (merge rounds write into fresh arrays).
+// TestGlobalReduceMergeRetry injects a transient fault into a partial fold:
+// the retried worker must re-fold its unmodified partition and the in-order
+// merge reproduce the same result.
 func TestGlobalReduceMergeRetry(t *testing.T) {
 	items := make([]string, 40)
 	want := ""
@@ -176,10 +176,7 @@ func TestGlobalReduceMergeRetry(t *testing.T) {
 		items[i] = string(rune('a' + i%26))
 		want += items[i]
 	}
-	plan := NewFaultPlan(
-		Fault{Stage: "concat/partial", Worker: 1, Kind: FaultTransient},
-		Fault{Stage: "concat/merge", Worker: 0, Kind: FaultTransient},
-	)
+	plan := NewFaultPlan(Fault{Stage: "concat/partial", Worker: 1, Kind: FaultTransient})
 	c := NewContext(4, WithRetries(2), WithBackoff(time.Nanosecond), WithFaultPlan(plan))
 	d := Parallelize(c, "input", items)
 	got, ok := GlobalReduce(d, "concat", func(a, b string) string { return a + b })
@@ -189,8 +186,8 @@ func TestGlobalReduceMergeRetry(t *testing.T) {
 	if got != want {
 		t.Errorf("retried merge diverged:\n got %q\nwant %q", got, want)
 	}
-	if c.Stats().TotalRetries() != 2 {
-		t.Errorf("retries = %d, want 2", c.Stats().TotalRetries())
+	if c.Stats().TotalRetries() != 1 {
+		t.Errorf("retries = %d, want 1", c.Stats().TotalRetries())
 	}
 }
 

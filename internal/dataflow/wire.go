@@ -1,15 +1,16 @@
-// Wire layer of the distributed execution mode (see cluster.go): value
-// serialization for records that cross process boundaries, the seeded byte
-// hash that replaces maphash for cross-process partitioning, and the framed
-// message protocol spoken between the coordinator and its workers.
+// Wire layer of the distributed execution mode (see cluster.go): record
+// serialization, the seeded byte hash that replaces maphash for
+// cross-process partitioning, and the framed message protocol spoken between
+// the coordinator and its workers.
 //
-// Record serialization deliberately reuses the spill layer's machinery: a
-// keyed shuffle encodes its records with the operator's registered PairCodec
-// in exactly the uvarint-framed [klen, key, vlen, val] layout spill files use
-// (appendFrame/decodeFrame), so every record type that can spill to disk can
-// also cross the network unchanged. Non-pair records (PartitionBy inputs,
-// Collect/GlobalReduce values) use the lighter ValueCodec registry below;
-// registering a PairCodec automatically derives the matching ValueCodec.
+// ValueCodec is the engine's one serialization contract. Packages register a
+// codec per record type; the codec of every Pair[K, V] is derived from the
+// codecs of K and V (pairCodec), never registered by hand. A cross-process
+// shuffle or gather carries records as blob lists of their encodings, and a
+// budgeted ReduceByKey spills the key and value bytes of the same derived
+// codec (spill.go). A decoder answers bytes it cannot accept with an error
+// wrapping ErrCorruptRecord, and the collective that received them fails the
+// job with it (dist.go).
 package dataflow
 
 import (
@@ -26,34 +27,49 @@ import (
 	"time"
 )
 
-// ValueCodec serializes single records of type T for the network. Append
-// follows the stdlib append-style contract; Decode receives exactly the bytes
-// one Append produced. Encodings need not be canonical (two encodings of one
-// value may differ byte-wise) — the wire layer never compares value bytes.
+// ValueCodec serializes single records of type T. AppendValue follows the
+// stdlib append-style contract. DecodeValue receives the bytes of one
+// AppendValue — or whatever arrived off the wire in their place, which it
+// rejects with an error wrapping ErrCorruptRecord. A codec of a type used as
+// a Pair key must encode equal keys equally and distinct keys distinctly:
+// keys route, and spilled keys merge, by their bytes.
 type ValueCodec[T any] interface {
 	AppendValue(dst []byte, v T) []byte
-	DecodeValue(src []byte) T
+	DecodeValue(src []byte) (T, error)
 }
 
-// ErrCorruptRecord is what a codec's owner reports (Context.Fail) for wire
-// bytes its decoder could not accept. The Decode methods cannot return it
-// themselves; a decoder answers such bytes with a value its consumer can
-// tell from every valid one, and the consumer fails the job.
+// ErrCorruptRecord is what every decode failure wraps — bytes a codec could
+// not accept, blob lists that do not parse — and what a record's consumer
+// reports (Context.Fail) for well-formed bytes no run produces, such as an id
+// beyond its table.
 var ErrCorruptRecord = errors.New("dataflow: corrupt wire record")
+
+// corrupt builds an error wrapping ErrCorruptRecord.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptRecord}, args...)...)
+}
 
 // valueCodecs maps reflect.TypeOf(T) to its registered ValueCodec[T].
 var valueCodecs sync.Map
 
 // RegisterValueCodec makes codec available to the distributed operators over
-// records of type T. Packages register their record types in init; the latest
+// records of type T, and to budgeted ReduceByKey over pairs with T as key or
+// value. Packages register their record types in init; the latest
 // registration for a type wins.
 func RegisterValueCodec[T any](codec ValueCodec[T]) {
 	valueCodecs.Store(reflect.TypeOf((*T)(nil)).Elem(), codec)
 }
 
-// valueCodecFor looks up the codec for T.
+// valueCodecFor looks up the codec for T, deriving it when T is a Pair.
 func valueCodecFor[T any]() (ValueCodec[T], bool) {
-	c, ok := valueCodecs.Load(reflect.TypeOf((*T)(nil)).Elem())
+	var zero T
+	var c any
+	var ok bool
+	if p, isPair := any(zero).(interface{ derivedCodec() (any, bool) }); isPair {
+		c, ok = p.derivedCodec()
+	} else {
+		c, ok = valueCodecs.Load(reflect.TypeOf((*T)(nil)).Elem())
+	}
 	if !ok {
 		return nil, false
 	}
@@ -61,91 +77,114 @@ func valueCodecFor[T any]() (ValueCodec[T], bool) {
 	return codec, ok
 }
 
-// pairValueCodec derives a ValueCodec[Pair[K, V]] from a PairCodec, encoding
-// each pair as one spill frame. Registered automatically by RegisterPairCodec.
-type pairValueCodec[K comparable, V any] struct{ pc PairCodec[K, V] }
-
-func (c pairValueCodec[K, V]) AppendValue(dst []byte, p Pair[K, V]) []byte {
-	var scratch []byte
-	return appendFrame(dst, c.pc, p.Key, p.Val, &scratch)
+// pairCodec is the codec of Pair[K, V], derived from the codecs of its
+// halves: the key's bytes behind their uvarint length, then the value's.
+type pairCodec[K comparable, V any] struct {
+	key ValueCodec[K]
+	val ValueCodec[V]
 }
 
-func (c pairValueCodec[K, V]) DecodeValue(src []byte) Pair[K, V] {
-	kb, vb, _, err := decodeFrame(src)
-	if err != nil {
-		panic(fmt.Sprintf("dataflow: corrupt pair frame on the wire: %v", err))
+// pairCodecFor derives the codec of Pair[K, V]; false when a half has none.
+func pairCodecFor[K comparable, V any]() (pairCodec[K, V], bool) {
+	k, okK := valueCodecFor[K]()
+	v, okV := valueCodecFor[V]()
+	return pairCodec[K, V]{key: k, val: v}, okK && okV
+}
+
+func (Pair[K, V]) derivedCodec() (any, bool) { return pairCodecFor[K, V]() }
+
+func (c pairCodec[K, V]) AppendValue(dst []byte, p Pair[K, V]) []byte {
+	at := len(dst)
+	dst = c.key.AppendValue(append(dst, 0), p.Key)
+	if n := len(dst) - at - 1; n < 0x80 {
+		dst[at] = byte(n) // a one-byte uvarint: the common case, no copy
+	} else {
+		kb := append([]byte(nil), dst[at+1:]...)
+		dst = append(binary.AppendUvarint(dst[:at], uint64(n)), kb...)
 	}
-	return Pair[K, V]{Key: c.pc.DecodeKey(kb), Val: c.pc.DecodeValue(vb)}
+	return c.val.AppendValue(dst, p.Val)
 }
 
-// Built-in codecs for the scalar record types the engine's own collectives
-// produce (partition counts, load sums).
+func (c pairCodec[K, V]) DecodeValue(src []byte) (Pair[K, V], error) {
+	kb, vb, err := nextBlob(src)
+	if err != nil {
+		return Pair[K, V]{}, err
+	}
+	return c.decodeHalves(kb, vb)
+}
+
+// decodeHalves decodes a pair from its key and value bytes.
+func (c pairCodec[K, V]) decodeHalves(kb, vb []byte) (Pair[K, V], error) {
+	k, err := c.key.DecodeValue(kb)
+	if err != nil {
+		return Pair[K, V]{}, err
+	}
+	v, err := c.val.DecodeValue(vb)
+	return Pair[K, V]{Key: k, Val: v}, err
+}
+
+// Built-in codecs for the scalar record types: the engine's own collectives
+// (partition counts, load sums), counts and capture ids. A uint32 takes four
+// big-endian bytes, so key bytes order as the integers do.
 type intValueCodec struct{}
 
 func (intValueCodec) AppendValue(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) }
-func (intValueCodec) DecodeValue(src []byte) int {
-	n, _ := binary.Varint(src)
-	return int(n)
+func (intValueCodec) DecodeValue(src []byte) (int, error) {
+	n, err := int64ValueCodec{}.DecodeValue(src)
+	return int(n), err
 }
 
 type int64ValueCodec struct{}
 
 func (int64ValueCodec) AppendValue(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
-func (int64ValueCodec) DecodeValue(src []byte) int64 {
-	n, _ := binary.Varint(src)
-	return n
+func (int64ValueCodec) DecodeValue(src []byte) (int64, error) {
+	n, w := binary.Varint(src)
+	if w <= 0 || w != len(src) {
+		return 0, corrupt("varint of %d bytes", len(src))
+	}
+	return n, nil
+}
+
+type uint32ValueCodec struct{}
+
+func (uint32ValueCodec) AppendValue(dst []byte, v uint32) []byte {
+	return binary.BigEndian.AppendUint32(dst, v)
+}
+func (uint32ValueCodec) DecodeValue(src []byte) (uint32, error) {
+	if len(src) != 4 {
+		return 0, corrupt("uint32 of %d bytes", len(src))
+	}
+	return binary.BigEndian.Uint32(src), nil
 }
 
 func init() {
 	RegisterValueCodec[int](intValueCodec{})
 	RegisterValueCodec[int64](int64ValueCodec{})
+	RegisterValueCodec[uint32](uint32ValueCodec{})
 }
 
-// uint64Codec carries an integer record type T, as a value and as the key of
-// a Pair[T, int] count: T in 8 big-endian bytes, whose byte order is T's
-// order, the count as a varint. Its decoders cannot fail. Bytes of another
-// length decode to the all-ones T and bytes that are no varint to a zero
-// count, so a record type keeps both out of its domain, and what consumes the
-// records fails the job with ErrCorruptRecord where it meets one.
+// uint64Codec carries an integer record type T in 8 big-endian bytes, whose
+// byte order is T's order.
 type uint64Codec[T ~uint64] struct{}
 
 func (uint64Codec[T]) AppendValue(dst []byte, v T) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(v))
 }
-func (uint64Codec[T]) DecodeValue(src []byte) T {
+func (uint64Codec[T]) DecodeValue(src []byte) (T, error) {
 	if len(src) != 8 {
-		return ^T(0)
+		return 0, corrupt("uint64 record of %d bytes", len(src))
 	}
-	return T(binary.BigEndian.Uint64(src))
+	return T(binary.BigEndian.Uint64(src)), nil
 }
 
-type uint64CountCodec[T ~uint64] struct{ uint64Codec[T] }
-
-func (c uint64CountCodec[T]) AppendKey(dst []byte, k T) []byte {
-	return c.uint64Codec.AppendValue(dst, k)
-}
-func (c uint64CountCodec[T]) DecodeKey(src []byte) T { return c.uint64Codec.DecodeValue(src) }
-func (uint64CountCodec[T]) AppendValue(dst []byte, n int) []byte {
-	return binary.AppendVarint(dst, int64(n))
-}
-func (uint64CountCodec[T]) DecodeValue(src []byte) int {
-	n, w := binary.Varint(src)
-	if w != len(src) {
-		return 0
-	}
-	return int(n)
-}
-
-// RegisterUint64Record registers the codecs of an integer record type: T as
-// a value (PartitionBy, Collect) and Pair[T, int] as a keyed count
-// (ReduceByKey, spilled or across processes). See uint64Codec for what their
-// decoders make of malformed bytes.
+// RegisterUint64Record registers the codec of an integer record type T: as a
+// value (PartitionBy, Collect) and, with the built-in int codec, as the key of
+// a Pair[T, int] count (ReduceByKey, spilled or across processes).
 func RegisterUint64Record[T interface {
 	~uint64
 	comparable
 }]() {
 	RegisterValueCodec[T](uint64Codec[T]{})
-	RegisterPairCodec[T, int](uint64CountCodec[T]{})
 }
 
 // MissingCodecError reports a distributed operator over a record type with no
@@ -304,16 +343,25 @@ func appendBlob(dst, blob []byte) []byte {
 	return append(dst, blob...)
 }
 
+// nextBlob splits the first length-prefixed blob off src. The blob and the
+// rest alias src.
+func nextBlob(src []byte) (blob, rest []byte, err error) {
+	n, w := binary.Uvarint(src)
+	if w <= 0 || uint64(len(src)-w) < n {
+		return nil, nil, corrupt("truncated blob")
+	}
+	return src[w : w+int(n)], src[w+int(n):], nil
+}
+
 // splitBlobs parses a blob list. The returned slices alias src.
 func splitBlobs(src []byte) ([][]byte, error) {
 	var out [][]byte
 	for len(src) > 0 {
-		n, w := binary.Uvarint(src)
-		if w <= 0 || uint64(len(src)-w) < n {
-			return nil, errors.New("dataflow: corrupt wire blob list")
+		blob, rest, err := nextBlob(src)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, src[w:w+int(n)])
-		src = src[w+int(n):]
+		out, src = append(out, blob), rest
 	}
 	return out, nil
 }

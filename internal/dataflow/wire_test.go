@@ -195,20 +195,29 @@ func TestWireMessageFraming(t *testing.T) {
 }
 
 func TestValueCodecRegistryDerivesPairCodecs(t *testing.T) {
-	// int/int was registered by spill tests via RegisterPairCodec; the value
-	// registry must auto-derive a ValueCodec for Pair[int, int].
+	// Pair[int, int] is registered by no one: the registry derives its codec
+	// from the built-in int codec, and a pair with a codec-less half has none.
 	vc, ok := valueCodecFor[Pair[int, int]]()
 	if !ok {
 		t.Fatal("no derived codec for Pair[int, int]")
 	}
 	p := Pair[int, int]{Key: -3, Val: 1 << 40}
-	if got := vc.DecodeValue(vc.AppendValue(nil, p)); got != p {
-		t.Errorf("pair round trip: got %+v, want %+v", got, p)
+	if got, err := vc.DecodeValue(vc.AppendValue(nil, p)); err != nil || got != p {
+		t.Errorf("pair round trip: got %+v, %v, want %+v", got, err, p)
+	}
+	// A key of 128 bytes or more takes a two-byte length.
+	long := Pair[string, int]{Key: string(bytes.Repeat([]byte("k"), 300)), Val: 7}
+	lc, _ := valueCodecFor[Pair[string, int]]()
+	if got, err := lc.DecodeValue(lc.AppendValue([]byte("prefix"), long)[6:]); err != nil || got != long {
+		t.Errorf("long-key pair round trip: %v", err)
 	}
 
 	type unregistered struct{ s string }
 	if _, ok := valueCodecFor[unregistered](); ok {
 		t.Error("registry invented a codec for an unregistered type")
+	}
+	if _, ok := valueCodecFor[Pair[int, unregistered]](); ok {
+		t.Error("registry derived a pair codec with a codec-less half")
 	}
 	mce := &MissingCodecError{Type: reflect.TypeOf(unregistered{})}
 	var target *MissingCodecError
@@ -223,8 +232,8 @@ func TestBuiltinIntCodecs(t *testing.T) {
 		t.Fatal("no built-in int codec")
 	}
 	for _, v := range []int{0, 1, -1, 1 << 30, -(1 << 30)} {
-		if got := vc.DecodeValue(vc.AppendValue(nil, v)); got != v {
-			t.Errorf("int codec: %d -> %d", v, got)
+		if got, err := vc.DecodeValue(vc.AppendValue(nil, v)); err != nil || got != v {
+			t.Errorf("int codec: %d -> %d, %v", v, got, err)
 		}
 	}
 	vc64, ok := valueCodecFor[int64]()
@@ -232,8 +241,27 @@ func TestBuiltinIntCodecs(t *testing.T) {
 		t.Fatal("no built-in int64 codec")
 	}
 	for _, v := range []int64{0, -9, 1 << 60} {
-		if got := vc64.DecodeValue(vc64.AppendValue(nil, v)); got != v {
-			t.Errorf("int64 codec: %d -> %d", v, got)
+		if got, err := vc64.DecodeValue(vc64.AppendValue(nil, v)); err != nil || got != v {
+			t.Errorf("int64 codec: %d -> %d, %v", v, got, err)
+		}
+	}
+	vc32, ok := valueCodecFor[uint32]()
+	if !ok {
+		t.Fatal("no built-in uint32 codec")
+	}
+	for _, v := range []uint32{0, 1, 1<<32 - 1} {
+		if got, err := vc32.DecodeValue(vc32.AppendValue(nil, v)); err != nil || got != v {
+			t.Errorf("uint32 codec: %d -> %d, %v", v, got, err)
+		}
+	}
+	for _, src := range [][]byte{nil, {0x80}, {2, 2}, {0, 0, 0}} {
+		_, err := vc.DecodeValue(src)
+		_, err64 := vc64.DecodeValue(src)
+		_, err32 := vc32.DecodeValue(src)
+		for _, err := range []error{err, err64, err32} {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("bytes %v: err = %v, want ErrCorruptRecord", src, err)
+			}
 		}
 	}
 }
@@ -254,25 +282,22 @@ func TestJSONHelpers(t *testing.T) {
 
 type packedRecord uint64
 
+func init() { RegisterUint64Record[packedRecord]() }
+
 // TestUint64RecordCodecs: integer records round-trip as values and as count
 // keys at the extremes, key bytes order as the integers do, and bytes that
-// are no record decode to the all-ones record and the zero count their users
-// keep out of their domains.
+// are no record or no count fail with ErrCorruptRecord — in a pair too.
 func TestUint64RecordCodecs(t *testing.T) {
-	RegisterUint64Record[packedRecord]()
 	vc, ok := valueCodecFor[packedRecord]()
-	pc, ok2 := pairCodecFor[packedRecord, int]()
+	pc, ok2 := valueCodecFor[Pair[packedRecord, int]]()
 	if !ok || !ok2 {
 		t.Fatal("codecs not registered")
 	}
 	var prev []byte
 	for i, r := range []packedRecord{0, 1, 1 << 31, 1<<62 | 5, 1<<64 - 2} {
-		if got := vc.DecodeValue(vc.AppendValue(nil, r)); got != r {
-			t.Errorf("value %#x decodes to %#x", uint64(r), uint64(got))
-		}
-		key := pc.AppendKey(nil, r)
-		if got := pc.DecodeKey(key); got != r {
-			t.Errorf("key %#x decodes to %#x", uint64(r), uint64(got))
+		key := vc.AppendValue(nil, r)
+		if got, err := vc.DecodeValue(key); err != nil || got != r {
+			t.Errorf("value %#x decodes to %#x, %v", uint64(r), uint64(got), err)
 		}
 		if i > 0 && string(prev) >= string(key) {
 			t.Errorf("key bytes of %#x do not sort after its predecessor's", uint64(r))
@@ -280,25 +305,24 @@ func TestUint64RecordCodecs(t *testing.T) {
 		prev = key
 	}
 	for _, n := range []int{1, 63, 64, 1 << 40} {
-		if got := pc.DecodeValue(pc.AppendValue(nil, n)); got != n {
-			t.Errorf("count %d decodes to %d", n, got)
+		p := Pair[packedRecord, int]{Key: 1<<62 | 9, Val: n}
+		if got, err := pc.DecodeValue(pc.AppendValue(nil, p)); err != nil || got != p {
+			t.Errorf("pair %v decodes to %v, %v", p, got, err)
 		}
 	}
 	for _, src := range [][]byte{nil, {1, 2, 3}, make([]byte, 9)} {
-		if vc.DecodeValue(src) != ^packedRecord(0) || pc.DecodeKey(src) != ^packedRecord(0) {
-			t.Errorf("bytes %v decode to a record", src)
+		if _, err := vc.DecodeValue(src); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("bytes %v: err = %v, want ErrCorruptRecord", src, err)
 		}
 	}
-	for _, src := range [][]byte{nil, {0x80}, {2, 2}} {
-		if n := pc.DecodeValue(src); n != 0 {
-			t.Errorf("count bytes %v decode to %d", src, n)
+	// A count whose last byte is a continuation byte once decoded to a zero
+	// count, so a keyed sum silently added 0.
+	bad := pc.AppendValue(nil, Pair[packedRecord, int]{Key: 7, Val: 12})
+	bad[len(bad)-1] = 0x80
+	for _, src := range [][]byte{nil, {0x80}, {8, 0, 0, 0, 0, 0, 0, 0, 7}, bad} {
+		if p, err := pc.DecodeValue(src); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("pair bytes %v decode to %v, %v", src, p, err)
 		}
-	}
-	// A pair crosses the wire as one frame.
-	pv, _ := valueCodecFor[Pair[packedRecord, int]]()
-	p := Pair[packedRecord, int]{Key: 1<<62 | 9, Val: 12}
-	if got := pv.DecodeValue(pv.AppendValue(nil, p)); got != p {
-		t.Errorf("pair %v decodes to %v", p, got)
 	}
 }
 
@@ -312,7 +336,10 @@ func frame(typ byte, payload []byte) []byte {
 // FuzzWireFrames: whatever bytes arrive on a connection, reading a frame and
 // decoding its payload as each message kind never panics, never yields a
 // negative sequence number or index, and whatever decodes re-encodes to
-// bytes that decode to the same values.
+// bytes that decode to the same values. The payload also goes through the
+// exchange's record decode, as a gathered blob list and as shuffle buckets
+// of Pair[packedRecord, int] records (fcd/binary-sum's shape): every failure
+// wraps ErrCorruptRecord, and the records that decode round-trip.
 func FuzzWireFrames(f *testing.F) {
 	f.Add(frame(msgContribute, encodeContribute(3, kindShuffle, "cgc/exchange", appendBlob(appendBlob(nil, []byte("ab")), nil))))
 	f.Add(frame(msgRelease, encodeRelease(7, releaseOK, appendBlob(nil, []byte("payload")))))
@@ -321,6 +348,8 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(frame(msgFaultFired, binary.AppendUvarint(nil, 1<<63)))
 	f.Add(frame(msgFailJob, encodeWireError(errors.New("disk full"))))
 	f.Add([]byte{msgContribute, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(frame(msgRelease, appendBlob(nil, []byte{0xff})))
+	pc, _ := valueCodecFor[Pair[packedRecord, int]]()
 	f.Fuzz(func(t *testing.T, src []byte) {
 		typ, payload, err := readMsg(bufio.NewReader(bytes.NewReader(src)))
 		if err != nil {
@@ -361,6 +390,26 @@ func FuzzWireFrames(f *testing.F) {
 				}
 			}
 		}
+		records := func(what string, lists [][]byte, err error) {
+			if err == nil {
+				var recs []Pair[packedRecord, int]
+				if recs, err = decodeLists(pc, lists); err == nil {
+					var enc []byte
+					for _, p := range recs {
+						enc = appendBlob(enc, pc.AppendValue(nil, p))
+					}
+					if again, err := decodeRecords(nil, pc, enc); err != nil || !reflect.DeepEqual(again, recs) {
+						t.Fatalf("%s: %v re-decode as %v, %v", what, recs, again, err)
+					}
+				}
+			}
+			if err != nil && !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("%s: untyped error %v", what, err)
+			}
+		}
+		records("blob list", [][]byte{payload}, nil)
+		buckets, err := splitBlobs(payload)
+		records("shuffle buckets", buckets, err)
 		se := decodeWireError(payload)
 		again := decodeWireError(encodeWireError(se))
 		if again.Stage != se.Stage || again.Worker != se.Worker || again.Attempt != se.Attempt ||

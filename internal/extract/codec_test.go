@@ -2,6 +2,7 @@ package extract
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -62,8 +63,8 @@ func TestCandSetCodecBitmapMapParity(t *testing.T) {
 	live := []uint32{0, 3, 4, 8, 1 << 20, math.MaxUint32}
 	codec := candSetCodec{}
 	enc := codec.AppendValue(nil, exactSet(live...))
-	dec := codec.DecodeValue(enc)
-	if dec == nil || !reflect.DeepEqual(mapSet(dec.refs...), mapSet(live...)) || !slices.Equal(dec.refs, live) {
+	dec := roundTrip(t, exactSet(live...))
+	if !reflect.DeepEqual(mapSet(dec.refs...), mapSet(live...)) || !slices.Equal(dec.refs, live) {
 		t.Fatalf("round-trip kept %+v, want %v", dec, live)
 	}
 	if dec.count != 1 || dec.lineage || dec.approx != nil {
@@ -75,16 +76,26 @@ func TestCandSetCodecBitmapMapParity(t *testing.T) {
 
 	// Every candidate refuted: an empty exact set, still told apart from a
 	// pure-Bloom set.
-	if empty := codec.DecodeValue(codec.AppendValue(nil, exactSet())); empty == nil || empty.refs == nil || len(empty.refs) != 0 {
+	if empty := roundTrip(t, exactSet()); empty.refs == nil || len(empty.refs) != 0 {
 		t.Errorf("empty exact set decoded to %+v", empty)
 	}
 
 	f := bloom.NewBytes(64, bloomHashes)
 	f.Add(7)
-	b := codec.DecodeValue(codec.AppendValue(nil, &candSet{approx: f, count: 3, lineage: true}))
-	if b == nil || b.refs != nil || !b.approx.Test(7) || b.count != 3 || !b.lineage {
+	b := roundTrip(t, &candSet{approx: f, count: 3, lineage: true})
+	if b.refs != nil || !b.approx.Test(7) || b.count != 3 || !b.lineage {
 		t.Errorf("Bloom set decoded to %+v", b)
 	}
+}
+
+// roundTrip encodes a candidate set and decodes it again.
+func roundTrip(t *testing.T, cs *candSet) *candSet {
+	t.Helper()
+	dec, err := candSetCodec{}.DecodeValue(candSetCodec{}.AppendValue(nil, cs))
+	if err != nil {
+		t.Fatalf("%+v does not decode: %v", cs, err)
+	}
+	return dec
 }
 
 // TestMergeCandSetsBitmap covers the exact arms of Algorithm 3's merge against
@@ -105,7 +116,7 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 
 	// exact ∩ a set that crossed the spill/wire codec, both orders.
 	decoded := func() *candSet {
-		return candSetCodec{}.DecodeValue(candSetCodec{}.AppendValue(nil, exactSet(2, 3, 4)))
+		return roundTrip(t, exactSet(2, 3, 4))
 	}
 	want(t, mergeCandSets(exactSet(1, 2, 4), decoded()), 2, false, 2, 4)
 	want(t, mergeCandSets(decoded(), exactSet(1, 2, 4)), 2, false, 2, 4)
@@ -350,12 +361,13 @@ func TestBloomUnitsMatchMapReference(t *testing.T) {
 }
 
 // FuzzDecodeRecords: whatever the bytes, no decoder of the extractor's
-// records panics, and what each decodes — src as every record's value, key as
-// a candidate set's key — is either rejected by the check its consumer runs,
+// records panics, and what each makes of src — as every record's value, with
+// key in four big-endian bytes as a candidate set's dependent — is an error
+// wrapping ErrCorruptRecord, a record the check its consumer runs rejects
 // with ErrCorruptRecord, or a record that round-trips, whose ids lie in the
 // table.
 func FuzzDecodeRecords(f *testing.F) {
-	key := idKey{}.AppendKey(nil, 5)
+	key := binary.BigEndian.AppendUint32(nil, 5)
 	f.Add(key, supportCodec{}.AppendValue(nil, supportColumn{3, 0, 1 << 31}))
 	f.Add(key, candSetCodec{}.AppendValue(nil, exactSet(0, 6, 63)))
 	bf := bloom.NewBytes(64, bloomHashes)
@@ -365,36 +377,44 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add([]byte{0, 0, 1}, idSetCodec{}.AppendValue(nil, []uint32{}))
 	f.Fuzz(func(t *testing.T, key, src []byte) {
 		const n = 64 // the table size the consumers check ids against
-		typed := func(what string, err error) bool {
-			if err != nil && !errors.Is(err, dataflow.ErrCorruptRecord) {
-				t.Fatalf("%s: untyped error %v", what, err)
+		typed := func(what string, errs ...error) bool {
+			for _, err := range errs {
+				if err != nil {
+					if !errors.Is(err, dataflow.ErrCorruptRecord) {
+						t.Fatalf("%s: untyped error %v", what, err)
+					}
+					return false
+				}
 			}
-			return err == nil
+			return true
 		}
-		if col := (supportCodec{}).DecodeValue(src); col != nil {
+		if col, err := (supportCodec{}).DecodeValue(src); typed("support column", err) {
 			if len(col) > len(src) {
 				t.Fatalf("%d counters from %d bytes", len(col), len(src))
 			}
-			if again := (supportCodec{}).DecodeValue(supportCodec{}.AppendValue(nil, col)); !slices.Equal(again, col) {
-				t.Fatalf("support column does not round-trip")
+			if again, err := (supportCodec{}).DecodeValue(supportCodec{}.AppendValue(nil, col)); err != nil || !slices.Equal(again, col) {
+				t.Fatalf("support column does not round-trip: %v", err)
 			}
 		}
-		dep := candSetCodec{}.DecodeKey(key)
-		if cs := (candSetCodec{}).DecodeValue(src); typed("candidate set", checkSet(dep, cs, n)) {
-			again := candSetCodec{}.DecodeValue(candSetCodec{}.AppendValue(nil, cs))
-			if again == nil || !slices.Equal(again.refs, cs.refs) || again.count != cs.count || again.lineage != cs.lineage ||
+		dep := uint32(0)
+		if len(key) == 4 {
+			dep = binary.BigEndian.Uint32(key)
+		}
+		if cs, err := (candSetCodec{}).DecodeValue(src); typed("candidate set", err, checkSet(dep, cs, n)) {
+			again, err := candSetCodec{}.DecodeValue(candSetCodec{}.AppendValue(nil, cs))
+			if err != nil || !slices.Equal(again.refs, cs.refs) || again.count != cs.count || again.lineage != cs.lineage ||
 				(cs.approx != nil) != (again.approx != nil) || cs.approx != nil && !bytes.Equal(cs.approx.AppendBinary(nil), again.approx.AppendBinary(nil)) {
-				t.Fatalf("candidate set %+v does not round-trip", cs)
+				t.Fatalf("candidate set %+v does not round-trip: %v", cs, err)
 			}
 		}
-		if ids := (idSetCodec{}).DecodeValue(src); typed("validation set", checkIDs(n, ids)) {
-			if !slices.Equal(idSetCodec{}.DecodeValue(idSetCodec{}.AppendValue(nil, ids)), ids) || !slices.IsSorted(ids) {
-				t.Fatalf("validation set %v does not round-trip", ids)
+		if ids, err := (idSetCodec{}).DecodeValue(src); typed("validation set", err, checkIDs(n, ids)) {
+			if again, err := (idSetCodec{}).DecodeValue(idSetCodec{}.AppendValue(nil, ids)); err != nil || !slices.Equal(again, ids) || !slices.IsSorted(ids) {
+				t.Fatalf("validation set %v does not round-trip: %v", ids, err)
 			}
 		}
-		if u := (workUnitCodec{}).DecodeValue(src); typed("work unit", checkIDs(n, u.Deps, u.All)) {
-			if !reflect.DeepEqual(workUnitCodec{}.DecodeValue(workUnitCodec{}.AppendValue(nil, u)), u) {
-				t.Fatalf("work unit %+v does not round-trip", u)
+		if u, err := (workUnitCodec{}).DecodeValue(src); typed("work unit", err, checkIDs(n, u.Deps, u.All)) {
+			if again, err := (workUnitCodec{}).DecodeValue(workUnitCodec{}.AppendValue(nil, u)); err != nil || !reflect.DeepEqual(again, u) {
+				t.Fatalf("work unit %+v does not round-trip: %v", u, err)
 			}
 		}
 	})

@@ -288,7 +288,7 @@ func checkGroup(g capture.Group, captures []cind.Capture) error {
 }
 
 // supportColumn counts, per capture id, the groups the capture occurs in.
-// add sums two into a; a nil column (bytes that decoded to none) poisons it.
+// add sums two into a; columns of two lengths poison the sum to nil.
 type supportColumn []uint32
 
 func (a supportColumn) add(b supportColumn) supportColumn {
@@ -428,8 +428,9 @@ func foldExact(gs []capture.Group, dominant func(n int64) bool, depOK, refOK []b
 // mergeCandSets is Algorithm 3: intersect two candidate sets — exact/exact,
 // Bloom/Bloom (bit-wise AND) or mixed, where the exact side keeps what the
 // filter admits — summing the group counts and propagating lineage. It is
-// associative and commutative, so reduction order does not matter. A nil set
-// (bytes that decoded to none) or filters of two geometries poison the result.
+// associative and commutative, so reduction order does not matter. Filters
+// of two geometries poison the result to nil, and a nil set every merge it
+// enters.
 func mergeCandSets(a, b *candSet) *candSet {
 	if a == nil || b == nil {
 		return nil
@@ -526,12 +527,7 @@ func validate(units *dataflow.Dataset[workUnit], uncertain map[uint32]*candSet, 
 				emit(dataflow.Pair[uint32, []uint32]{Key: dep, Val: refs})
 			}
 		})
-	final := dataflow.ReduceByKey(vsets, "ext/validate", func(a, b []uint32) []uint32 {
-		if a == nil || b == nil {
-			return nil // bytes that decoded to no set
-		}
-		return intersect(a, b)
-	})
+	final := dataflow.ReduceByKey(vsets, "ext/validate", intersect)
 	for _, p := range dataflow.Collect(final) {
 		cs := uncertain[p.Key]
 		if err := checkIDs(len(refOK), p.Val); cs == nil || err != nil {

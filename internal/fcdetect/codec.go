@@ -10,28 +10,26 @@ import (
 )
 
 // Codecs of the detector's records, registered at package load: the packed
-// binary counts of fcd/binary-sum take the engine's integer-record codecs,
-// the column codec carries the fcd/unary-sum partials between processes.
+// binary counts of fcd/binary-sum take the engine's integer-record codec,
+// the column codec carries the fcd/unary-sum partials between processes, and
+// the condition codec keys Pair[cind.Condition, int], the record of the
+// reference detector and of the benchmark's engine kernels. Their decoders
+// fail with dataflow.ErrCorruptRecord on bytes they cannot accept.
 
-// conditionCountCodec carries Pair[cind.Condition, int], the record of the
-// reference detector and of the benchmark's engine kernels.
-type conditionCountCodec struct{}
+// conditionCodec carries a cind.Condition in its fixed-width encoding.
+type conditionCodec struct{}
 
-func (conditionCountCodec) AppendKey(dst []byte, k cind.Condition) []byte {
-	return cind.AppendCondition(dst, k)
+func (conditionCodec) AppendValue(dst []byte, c cind.Condition) []byte {
+	return cind.AppendCondition(dst, c)
 }
-func (conditionCountCodec) DecodeKey(src []byte) cind.Condition { return cind.ConditionAt(src) }
-func (conditionCountCodec) AppendValue(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-func (conditionCountCodec) DecodeValue(src []byte) int {
-	v, _ := binary.Varint(src)
-	return int(v)
+func (conditionCodec) DecodeValue(src []byte) (cind.Condition, error) {
+	if len(src) != cind.ConditionWireSize {
+		return cind.Condition{}, fmt.Errorf("%w: condition of %d bytes", dataflow.ErrCorruptRecord, len(src))
+	}
+	return cind.ConditionAt(src), nil
 }
 
-// columnsCodec carries *columns as the uvarints of its counters. DecodeValue
-// cannot fail, so it hands bytes it cannot accept on as a value whose err is
-// set, and Detect fails the run on that.
+// columnsCodec carries *columns as the uvarints of its counters.
 type columnsCodec struct{}
 
 func (columnsCodec) AppendValue(dst []byte, c *columns) []byte {
@@ -41,17 +39,9 @@ func (columnsCodec) AppendValue(dst []byte, c *columns) []byte {
 	return dst
 }
 
-func (columnsCodec) DecodeValue(src []byte) *columns {
-	c, err := decodeColumns(src)
-	if err != nil {
-		return &columns{err: err}
-	}
-	return c
-}
-
-// decodeColumns allocates four bytes per byte of src: a counter takes at
-// least one byte, and nothing in the record declares a length.
-func decodeColumns(src []byte) (*columns, error) {
+// DecodeValue allocates four bytes per byte of src: a counter takes at least
+// one byte, and nothing in the record declares a length.
+func (columnsCodec) DecodeValue(src []byte) (*columns, error) {
 	c := &columns{n: make([]uint32, 0, len(src))}
 	for len(src) > 0 {
 		n, w := binary.Uvarint(src)
@@ -67,7 +57,7 @@ func decodeColumns(src []byte) (*columns, error) {
 }
 
 func init() {
-	dataflow.RegisterPairCodec[cind.Condition, int](conditionCountCodec{})
+	dataflow.RegisterValueCodec[cind.Condition](conditionCodec{})
 	dataflow.RegisterUint64Record[BinaryKey]()
 	dataflow.RegisterValueCodec[*columns](columnsCodec{})
 }

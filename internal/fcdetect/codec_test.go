@@ -15,7 +15,7 @@ func TestColumnsCodecRoundTrip(t *testing.T) {
 		{n: []uint32{1, 0, 3, 0, 0, ^uint32(0)}},
 		{n: append(make([]uint32, 300), 7, 1<<20, 1<<7)},
 	} {
-		got, err := decodeColumns(columnsCodec{}.AppendValue(nil, c))
+		got, err := (columnsCodec{}).DecodeValue(columnsCodec{}.AppendValue(nil, c))
 		if err != nil || !reflect.DeepEqual(got.n, c.n) {
 			t.Errorf("decode(encode(%v)) = %v, %v", c.n, got, err)
 		}
@@ -23,8 +23,7 @@ func TestColumnsCodecRoundTrip(t *testing.T) {
 }
 
 // TestColumnsCodecRejectsBadInput: truncated and oversized records fail with
-// ErrCorruptRecord, and through the engine's error-less DecodeValue as a
-// value that poisons the sum it enters, whichever side it enters on.
+// ErrCorruptRecord, which the engine's exchange turns into the job's failure.
 func TestColumnsCodecRejectsBadInput(t *testing.T) {
 	good := columnsCodec{}.AppendValue(nil, &columns{n: []uint32{1, 2, 3, 4, 5, 300}})
 	bad := map[string][]byte{
@@ -35,14 +34,8 @@ func TestColumnsCodecRejectsBadInput(t *testing.T) {
 		"unterminated":        {0x80},
 	}
 	for name, src := range bad {
-		if _, err := decodeColumns(src); !errors.Is(err, dataflow.ErrCorruptRecord) {
+		if _, err := (columnsCodec{}).DecodeValue(src); !errors.Is(err, dataflow.ErrCorruptRecord) {
 			t.Errorf("%s: err = %v, want ErrCorruptRecord", name, err)
-		}
-		healthy := func() *columns { return &columns{n: []uint32{1, 1, 1}} }
-		for _, sum := range []*columns{healthy().add(columnsCodec{}.DecodeValue(src)), columnsCodec{}.DecodeValue(src).add(healthy())} {
-			if !errors.Is(sum.err, dataflow.ErrCorruptRecord) {
-				t.Errorf("%s: the sum lost the decode failure", name)
-			}
 		}
 	}
 }
@@ -57,14 +50,14 @@ func TestColumnsAdd(t *testing.T) {
 	}
 }
 
-// FuzzDecodeColumns: whatever the bytes, decoding returns columns that
-// round-trip, or ErrCorruptRecord — and never holds more counters than the
-// record has bytes.
+// FuzzDecodeColumns: whatever the bytes, decoding fails with an error
+// wrapping ErrCorruptRecord or returns columns that round-trip — and never
+// holds more counters than the record has bytes.
 func FuzzDecodeColumns(f *testing.F) {
 	f.Add(columnsCodec{}.AppendValue(nil, &columns{n: []uint32{1, 2, 3, 4, 5, 6}}))
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, src []byte) {
-		c, err := decodeColumns(src)
+		c, err := (columnsCodec{}).DecodeValue(src)
 		if err != nil {
 			if !errors.Is(err, dataflow.ErrCorruptRecord) {
 				t.Fatalf("untyped error %v", err)
@@ -74,7 +67,7 @@ func FuzzDecodeColumns(f *testing.F) {
 		if cap(c.n) > len(src) || len(c.n)%3 != 0 {
 			t.Fatalf("%d counters (cap %d) from %d bytes", len(c.n), cap(c.n), len(src))
 		}
-		if again, err := decodeColumns(columnsCodec{}.AppendValue(nil, c)); err != nil || !reflect.DeepEqual(again.n, c.n) {
+		if again, err := (columnsCodec{}).DecodeValue(columnsCodec{}.AppendValue(nil, c)); err != nil || !reflect.DeepEqual(again.n, c.n) {
 			t.Fatalf("re-encoding does not round-trip: %v", err)
 		}
 	})

@@ -68,11 +68,9 @@ type rankedBits struct {
 // columns are the unary occurrence counters of one partition, or of the
 // whole input once summed: n[3v+a] triples have t.a == v, for every id v up
 // to the largest seen. A count fits uint32 for any input whose 12-byte
-// triples fit a process's memory. err marks the value a failed decode
-// returns (columnsCodec).
+// triples fit a process's memory.
 type columns struct {
-	n   []uint32
-	err error
+	n []uint32
 }
 
 // countColumns fills the columns of one partition. It is also where the id
@@ -96,12 +94,6 @@ func countColumns(ts []rdf.Triple) (*columns, error) {
 
 // add sums o into c, keeping the longer of the two as accumulator.
 func (c *columns) add(o *columns) *columns {
-	if c.err != nil {
-		return c
-	}
-	if o.err != nil {
-		return o
-	}
 	if len(c.n) < len(o.n) {
 		c, o = o, c
 	}
@@ -178,10 +170,6 @@ func Detect(triples *dataflow.Dataset[rdf.Triple], h int, opts Options) *Output 
 		})
 	cols, ok := dataflow.GlobalReduce(partial, "fcd/unary-sum", (*columns).add)
 	if !ok {
-		return out
-	}
-	if cols.err != nil {
-		ctx.Fail("fcd/unary-sum", cols.err)
 		return out
 	}
 	out.threshold(cols, h)
