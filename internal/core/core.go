@@ -102,8 +102,8 @@ type Config struct {
 	Cluster *dataflow.Cluster
 	// WorkerConn makes this run one worker rank of a multi-process job: the
 	// driver replays the same pipeline as the coordinator but executes only
-	// its rank's partition of every stage. Worker count, partitioning seed,
-	// and injected fault schedules come from the coordinator's welcome.
+	// its rank's partition of every stage. Worker count and injected fault
+	// schedules come from the coordinator's welcome.
 	WorkerConn *dataflow.WorkerConn
 }
 
@@ -180,8 +180,8 @@ type IngestStats struct {
 	// Files is the number of resolved input files.
 	Files int
 	// PerRank[r] is the number of triples worker rank r streamed from its
-	// assigned input files (cluster mode), or the number placed into
-	// logical partition r (single-process).
+	// assigned input files (cluster mode), or the length of logical
+	// partition r of the resident dataset (single-process).
 	PerRank []int64
 	// LocalTriples counts the triples this process materialized at the
 	// ingest root: the full input single-process, this rank's files on a
@@ -189,7 +189,7 @@ type IngestStats struct {
 	// the coordinator-never-holds-the-dataset guarantee.
 	LocalTriples int64
 	// ShuffleBytes is the placement shuffle's wire volume (cluster mode;
-	// 0 single-process, where placement happens as blocks arrive).
+	// 0 single-process, where the resident dataset is split in memory).
 	ShuffleBytes int64
 	// Skipped lists lenient-mode malformed lines with their files
 	// (single-process only); SkippedLines is the cluster-wide count and is
@@ -238,8 +238,9 @@ func DiscoverContext(ctx context.Context, ds *rdf.Dataset, cfg Config) (*cind.Re
 // harness is the shared run scaffolding of DiscoverContext and
 // DiscoverSource: the configured dataflow context and run statistics with
 // their collection closures. It exists so the two ingest roots — a resident
-// Dataset parallelized in memory, and a streamed Source placed
-// partition by partition — drive one and the same pipeline body.
+// Dataset parallelized in memory, and a streamed Source folded on one
+// process or across a cluster's ranks — drive one and the same pipeline
+// body.
 type harness struct {
 	ctx      context.Context
 	cfg      Config

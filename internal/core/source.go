@@ -13,27 +13,29 @@ import (
 	"repro/internal/source"
 )
 
-// This file roots the pipeline on the streaming source layer. Three roles
-// share one deterministic driver:
+// This file roots the pipeline on the streaming source layer. Every ingest
+// mode turns block-local ids into dataset ids the same way: by folding blocks
+// into an rdf.Dataset with Dataset.AppendBlock. Three roles share one
+// deterministic driver:
 //
-//   - Single-process: the files are streamed in canonical document order,
-//     the dictionary grows incrementally block by block, and each triple is
-//     placed into its hash partition as it arrives. Nothing
-//     but the encoded triples and the dictionary is ever resident.
+//   - Single-process: the files are folded in canonical document order into
+//     one resident Dataset (source.Resolved.ReadDataset), which roots the
+//     pipeline exactly as DiscoverContext does.
 //
-//   - Worker rank r of a cluster: r streams only the files assigned to it
-//     (file i goes to rank i mod workers), building a per-file term table
-//     and per-file triples encoded against it. The dictionary-merge
+//   - Worker rank r of a cluster: r folds only the files assigned to it
+//     (file i goes to rank i mod workers), each into a file-local Dataset
+//     whose dictionary is the file's term table. The dictionary-merge
 //     collective — one gather of every rank's per-file tables — lets every
-//     process replay the canonical document-order interning locally, so all
-//     ranks agree on the global dictionary without any process having read
-//     the whole input. The rank then remaps its triples to global IDs and a
-//     placement shuffle routes them to their hash partitions.
+//     process fold all tables into the global dictionary in document order,
+//     so all ranks agree on it without any process having read the whole
+//     input. Only the rank's own tables carry triples, so the fold leaves it
+//     holding exactly its files' triples in global ids, and a placement
+//     shuffle routes them to their hash partitions.
 //
-//   - Coordinator: contributes nothing, consumes the dictionary-merge
-//     gather (it needs the dictionary to canonicalize results), and passes
-//     all-nil partitions to the dataflow root — it never materializes a
-//     single triple, which IngestStats.LocalTriples asserts.
+//   - Coordinator: contributes nothing, folds the gathered tables (it needs
+//     the dictionary to canonicalize results), and passes all-nil partitions
+//     to the dataflow root — it never materializes a single triple, which
+//     IngestStats.LocalTriples asserts.
 //
 // Tables are gathered per file, not per rank: with files interleaved across
 // ranks, rank-level tables would intern terms in rank order, not document
@@ -117,43 +119,20 @@ func sum(ns []int64) int64 {
 	return t
 }
 
-// ingestLocal streams every file in document order, growing the dictionary
-// incrementally and placing each triple as its block arrives.
+// ingestLocal reads every file into one resident Dataset and roots the
+// pipeline on it as DiscoverContext does.
 func ingestLocal(h *harness, resolved *source.Resolved, ing *IngestStats) (*dataflow.Dataset[rdf.Triple], *rdf.Dictionary, error) {
-	workers := h.dfctx.Workers()
-	dict := rdf.NewDictionary()
-	parts := make([][]rdf.Triple, workers)
-	var remap []rdf.Value
-	for i := range resolved.Files {
-		path := resolved.Files[i].Path
-		err := resolved.StreamFile(i, func(blk *rdf.TermBlock) error {
-			remap = remap[:0]
-			for _, term := range blk.Terms {
-				remap = append(remap, dict.Encode(term))
-			}
-			for _, bt := range blk.Triples {
-				t := rdf.Triple{S: remap[bt.S], P: remap[bt.P], O: remap[bt.O]}
-				w := source.HashPartitioner{}.Place(t, workers)
-				parts[w] = append(parts[w], t)
-			}
-			for _, e := range blk.Errs {
-				ing.Skipped = append(ing.Skipped, source.Malformed{Path: path, Err: e})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, dict, err
-		}
+	ds, skipped, err := resolved.ReadDataset()
+	if err != nil {
+		return nil, nil, err
 	}
-	ing.PerRank = make([]int64, workers)
-	for w, p := range parts {
-		ing.PerRank[w] = int64(len(p))
-		ing.LocalTriples += int64(len(p))
+	triples := dataflow.Parallelize(h.dfctx, "input", ds.Triples)
+	for _, p := range triples.Partitions() {
+		ing.PerRank = append(ing.PerRank, int64(len(p)))
 	}
-	ing.SkippedLines = int64(len(ing.Skipped))
-	// The root span keeps the in-memory path's name so trace snapshots and
-	// bench baselines stay comparable across ingest modes.
-	return dataflow.FromPartitions(h.dfctx, "input", parts, nil), dict, nil
+	ing.LocalTriples = int64(ds.Size())
+	ing.Skipped, ing.SkippedLines = skipped, int64(len(skipped))
+	return triples, ds.Dict, nil
 }
 
 // fileTable is one input file's ingest summary: its term table in
@@ -162,7 +141,7 @@ func ingestLocal(h *harness, resolved *source.Resolved, ing *IngestStats) (*data
 type fileTable struct {
 	index   int
 	terms   []string
-	triples []rdf.BlockTriple // loading rank only; nil after decode
+	triples []rdf.Triple // loading rank only; nil after decode
 	ntrips  int64
 	skipped int64
 }
@@ -176,8 +155,9 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 	ing.Distributed, ing.Rank = true, rank
 
 	// A worker streams its assigned files (file i → rank i mod workers); the
-	// coordinator streams nothing and contributes an empty body.
-	var local []*fileTable
+	// coordinator streams nothing and contributes an empty body. Local tables
+	// keep their triples; decoding a gathered table would drop them.
+	tables := make([]*fileTable, len(resolved.Files))
 	var body []byte
 	if rank >= 0 {
 		for i := range resolved.Files {
@@ -188,20 +168,17 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 			if err != nil {
 				return nil, nil, err
 			}
-			local = append(local, ft)
+			tables[i] = ft
 			body = ft.append(body)
+			ing.LocalTriples += ft.ntrips
 		}
 	}
 
 	// Dictionary-merge collective: every process receives every rank's
-	// per-file tables and replays the canonical document-order interning.
+	// per-file tables and folds them into the global dictionary.
 	blobs, ok := dataflow.Gather(c, "source/dict", body)
 	if !ok {
 		return nil, nil, c.Err()
-	}
-	tables := make([]*fileTable, len(resolved.Files))
-	for _, ft := range local {
-		tables[ft.index] = ft // keep the local triples; decode would drop them
 	}
 	for r, blob := range blobs {
 		if r == rank {
@@ -218,43 +195,27 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 			tables[ft.index] = ft
 		}
 	}
-	dict := rdf.NewDictionary()
+	// The fold runs in document order. Other ranks' tables carry no
+	// triples, so global.Triples ends up holding exactly this rank's
+	// triples, already in global ids; everyone else roots empty partitions
+	// with the gathered counts so span accounting still covers the whole
+	// input.
+	global := &rdf.Dataset{Dict: rdf.NewDictionary(), Triples: make([]rdf.Triple, 0, ing.LocalTriples)}
 	counts := make([]int64, workers)
 	var skipped int64
+	var remap []rdf.Value
 	for i, ft := range tables {
 		if ft == nil {
 			return nil, nil, fmt.Errorf("core: dictionary merge: no table for file %d", i)
 		}
-		for _, term := range ft.terms {
-			dict.Encode(term)
-		}
+		remap = global.AppendBlock(&rdf.TermBlock{Terms: ft.terms, Triples: ft.triples}, remap)
+		ft.triples = nil
 		counts[i%workers] += ft.ntrips
 		skipped += ft.skipped
 	}
-
-	// The loading rank remaps its file-local triples to global IDs, walking
-	// its files in document order; everyone else roots empty partitions with
-	// the gathered counts so span accounting still covers the whole input.
 	parts := make([][]rdf.Triple, workers)
 	if rank >= 0 {
-		mine := make([]rdf.Triple, 0, counts[rank])
-		var remap []rdf.Value
-		for _, ft := range local {
-			remap = remap[:0]
-			for _, term := range ft.terms {
-				id, ok := dict.Lookup(term)
-				if !ok {
-					return nil, nil, fmt.Errorf("core: dictionary merge lost term %q", term)
-				}
-				remap = append(remap, id)
-			}
-			for _, bt := range ft.triples {
-				mine = append(mine, rdf.Triple{S: remap[bt.S], P: remap[bt.P], O: remap[bt.O]})
-			}
-			ft.triples = nil
-		}
-		parts[rank] = mine
-		ing.LocalTriples = int64(len(mine))
+		parts[rank] = global.Triples
 	}
 	ing.PerRank = counts
 	ing.SkippedLines = skipped
@@ -272,7 +233,7 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 	// dictionary never issued fails the job here rather than reaching
 	// FCDetector, which sizes its columns by the largest id. A single-process
 	// run's ids never leave the process and skip this.
-	n := rdf.Value(dict.Len())
+	n := rdf.Value(global.Dict.Len())
 	checked := dataflow.Filter(placed, "source/check-ids", func(t rdf.Triple) bool {
 		if max(t.S, t.P, t.O) < n {
 			return true
@@ -280,38 +241,22 @@ func ingestDistributed(h *harness, resolved *source.Resolved, ing *IngestStats) 
 		c.Fail("source/check-ids", fmt.Errorf("%w: triple ids beyond a dictionary of %d terms", dataflow.ErrCorruptRecord, n))
 		return false
 	})
-	return checked, dict, c.Err()
+	return checked, global.Dict, c.Err()
 }
 
-// loadFileTable streams one file into a file-local term table.
+// loadFileTable folds one file into a file-local Dataset, whose dictionary
+// is the file's term table.
 func loadFileTable(resolved *source.Resolved, i int) (*fileTable, error) {
-	ft := &fileTable{index: i}
-	byTerm := map[string]uint32{}
-	var remap []uint32
-	err := resolved.StreamFile(i, func(blk *rdf.TermBlock) error {
-		remap = remap[:0]
-		for _, term := range blk.Terms {
-			id, ok := byTerm[term]
-			if !ok {
-				id = uint32(len(ft.terms))
-				byTerm[term] = id
-				ft.terms = append(ft.terms, term)
-			}
-			remap = append(remap, id)
-		}
-		for _, bt := range blk.Triples {
-			ft.triples = append(ft.triples, rdf.BlockTriple{
-				S: remap[bt.S], P: remap[bt.P], O: remap[bt.O],
-			})
-		}
-		ft.skipped += int64(len(blk.Errs))
-		return nil
-	})
+	ds := rdf.NewDataset()
+	skipped, err := resolved.AppendFile(ds, i)
 	if err != nil {
 		return nil, err
 	}
-	ft.ntrips = int64(len(ft.triples))
-	return ft, nil
+	terms := make([]string, ds.Dict.Len())
+	for id := range terms {
+		terms[id] = ds.Dict.Decode(rdf.Value(id))
+	}
+	return &fileTable{index: i, terms: terms, triples: ds.Triples, ntrips: int64(ds.Size()), skipped: int64(len(skipped))}, nil
 }
 
 // append encodes the table (index, counts, and terms — not the triples,

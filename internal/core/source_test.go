@@ -239,9 +239,10 @@ func TestSourceClusterSurvivesWorkerKillDuringIngest(t *testing.T) {
 	}
 }
 
-// TestSourceLenientParity: streamed lenient ingest must skip exactly the
-// lines a lenient read of the concatenated files skips, and report them
-// attributed to their file.
+// TestSourceLenientParity: streamed lenient ingest, single-process and on a
+// two-worker cluster, must skip exactly the lines a lenient read of the
+// concatenated files skips; single-process reports them attributed to
+// their file.
 func TestSourceLenientParity(t *testing.T) {
 	ds := skewedDataset(200, 7)
 	dir := t.TempDir()
@@ -282,6 +283,18 @@ func TestSourceLenientParity(t *testing.T) {
 			len(got), len(want))
 	}
 	sameDict(t, "lenient", dict, wantDS.Dict)
+
+	// Cluster ingest counts each file's skipped lines on its loading rank
+	// and sums them in the dictionary merge.
+	res, dict, stats = runDistributedSource(t, spec, Config{Support: 2}, 2, nil)
+	if got := res.Format(dict); got != want {
+		t.Errorf("lenient cluster output diverged from the baseline (%d vs %d bytes)",
+			len(got), len(want))
+	}
+	sameDict(t, "lenient cluster", dict, wantDS.Dict)
+	if stats.Ingest.SkippedLines != 2 {
+		t.Errorf("cluster skipped %d lines, want 2", stats.Ingest.SkippedLines)
+	}
 }
 
 // FuzzDecodeFileTables: whatever the bytes, neither the dictionary-merge

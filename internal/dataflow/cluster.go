@@ -36,7 +36,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Cluster timing defaults; tests and the CLI override via ClusterConfig.
+// Cluster constants. The heartbeat and respawn defaults yield to the
+// matching ClusterConfig fields; the rest are fixed.
 const (
 	defaultHeartbeatInterval = 200 * time.Millisecond
 	defaultHeartbeatDeadline = 2 * time.Second
@@ -44,7 +45,7 @@ const (
 	defaultReconnectBase     = 25 * time.Millisecond
 	defaultMaxReconnects     = 5
 	defaultMaxRespawns       = 2
-	defaultDistSeed          = 0x9e3779b97f4a7c15 // fixed job seed when none is given
+	defaultDistSeed          = 0x9e3779b97f4a7c15 // job-wide key-partitioning hash seed
 	goodbyeWait              = 5 * time.Second
 )
 
@@ -54,9 +55,6 @@ type ClusterConfig struct {
 	Workers int
 	// Network and Addr are passed to net.Listen ("tcp" or "unix").
 	Network, Addr string
-	// Seed is the job-wide key-partitioning hash seed distributed to all
-	// processes; 0 selects a fixed default.
-	Seed uint64
 	// JobSpec is an opaque job description relayed to workers in the welcome
 	// message (the CLI ships its flag set through it).
 	JobSpec []byte
@@ -69,12 +67,6 @@ type ClusterConfig struct {
 	// directions; HeartbeatDeadline is how stale a worker's last heartbeat
 	// may grow before the coordinator declares the process lost.
 	HeartbeatInterval, HeartbeatDeadline time.Duration
-	// WriteTimeout bounds every message write (the per-RPC timeout).
-	WriteTimeout time.Duration
-	// ReconnectBase is the base of the workers' jittered exponential
-	// reconnect backoff; MaxReconnects bounds their attempts per drop.
-	ReconnectBase time.Duration
-	MaxReconnects int
 	// MaxRespawns bounds how many times one rank may be respawned before
 	// its loss is terminal; 0 selects the default, negative disables
 	// respawning (every loss is terminal).
@@ -91,23 +83,11 @@ func (cfg *ClusterConfig) withDefaults() {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = defaultDistSeed
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = defaultHeartbeatInterval
 	}
 	if cfg.HeartbeatDeadline <= 0 {
 		cfg.HeartbeatDeadline = defaultHeartbeatDeadline
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = defaultWriteTimeout
-	}
-	if cfg.ReconnectBase <= 0 {
-		cfg.ReconnectBase = defaultReconnectBase
-	}
-	if cfg.MaxReconnects <= 0 {
-		cfg.MaxReconnects = defaultMaxReconnects
 	}
 	if cfg.MaxRespawns == 0 {
 		cfg.MaxRespawns = defaultMaxRespawns
@@ -284,7 +264,7 @@ func (cl *Cluster) abortLocked(err error) {
 	go func() {
 		defer cl.wg.Done()
 		for _, cc := range ccs {
-			cc.send(cl.cfg.WriteTimeout, msgAbort, payload)
+			cc.send(defaultWriteTimeout, msgAbort, payload)
 		}
 		if ctx != nil {
 			ctx.fail(err)
@@ -394,17 +374,13 @@ func (cl *Cluster) serve(conn net.Conn) {
 	rs.cc = cc
 	rs.lastSeen = time.Now()
 	welcome := welcomeMsg{
-		Rank:            rank,
-		Workers:         cl.cfg.Workers,
-		Seed:            cl.cfg.Seed,
-		JobSpec:         cl.cfg.JobSpec,
-		HeartbeatMS:     cl.cfg.HeartbeatInterval.Milliseconds(),
-		DeadlineMS:      cl.cfg.HeartbeatDeadline.Milliseconds(),
-		WriteTimeoutMS:  cl.cfg.WriteTimeout.Milliseconds(),
-		ReconnectBaseMS: cl.cfg.ReconnectBase.Milliseconds(),
-		MaxReconnects:   cl.cfg.MaxReconnects,
-		Faults:          cl.cfg.Faults,
-		ProcFaults:      cl.cfg.ProcFaults,
+		Rank:        rank,
+		Workers:     cl.cfg.Workers,
+		JobSpec:     cl.cfg.JobSpec,
+		HeartbeatMS: cl.cfg.HeartbeatInterval.Milliseconds(),
+		DeadlineMS:  cl.cfg.HeartbeatDeadline.Milliseconds(),
+		Faults:      cl.cfg.Faults,
+		ProcFaults:  cl.cfg.ProcFaults,
 	}
 	for i, spent := range cl.spentFaults {
 		if spent {
@@ -413,7 +389,7 @@ func (cl *Cluster) serve(conn net.Conn) {
 	}
 	cl.mu.Unlock()
 
-	if err := cc.send(cl.cfg.WriteTimeout, msgWelcome, encodeJSON(welcome)); err != nil {
+	if err := cc.send(defaultWriteTimeout, msgWelcome, encodeJSON(welcome)); err != nil {
 		return
 	}
 
@@ -463,7 +439,7 @@ func (cl *Cluster) handleContribute(rank int, cc *coordConn, payload []byte) {
 	if cl.err != nil {
 		reply := encodeRelease(seq, releaseFailed, encodeWireError(cl.err))
 		cl.mu.Unlock()
-		cc.send(cl.cfg.WriteTimeout, msgRelease, reply)
+		cc.send(defaultWriteTimeout, msgRelease, reply)
 		return
 	}
 	coll, err := cl.collLocked(seq, kind, name)
@@ -483,7 +459,7 @@ func (cl *Cluster) handleContribute(rank int, cc *coordConn, payload []byte) {
 		cl.countLocked(metrics.ClusterReplayedReleases, 1)
 		reply := encodeRelease(seq, releaseOK, coll.releases[rank])
 		cl.mu.Unlock()
-		cc.send(cl.cfg.WriteTimeout, msgRelease, reply)
+		cc.send(defaultWriteTimeout, msgRelease, reply)
 		return
 	}
 	coll.contribs[rank] = body
@@ -515,7 +491,7 @@ func (cl *Cluster) handleContribute(rank int, cc *coordConn, payload []byte) {
 	}
 	cl.mu.Unlock()
 	for _, s := range sends {
-		s.cc.send(cl.cfg.WriteTimeout, msgRelease, s.payload)
+		s.cc.send(defaultWriteTimeout, msgRelease, s.payload)
 	}
 }
 
@@ -627,7 +603,7 @@ func (cl *Cluster) superviseLoop() {
 		}
 		cl.mu.Unlock()
 		for _, cc := range ccs {
-			cc.send(cl.cfg.WriteTimeout, msgHeartbeat, nil)
+			cc.send(defaultWriteTimeout, msgHeartbeat, nil)
 		}
 	}
 }

@@ -71,11 +71,10 @@ type Context struct {
 
 	// Distributed-mode state (cluster.go / worker.go / dist.go). At most one
 	// of cluster and worker is set; both nil means single-process.
-	cluster  *Cluster    // set on the coordinator driver
-	worker   *WorkerConn // set on a worker rank's driver replica
-	rank     int         // this process's worker rank (-1: coordinator or single-process)
-	distSeed uint64      // cluster-wide key-partitioning seed
-	distSeq  int         // next collective barrier number (deterministic counting)
+	cluster *Cluster    // set on the coordinator driver
+	worker  *WorkerConn // set on a worker rank's driver replica
+	rank    int         // this process's worker rank (-1: coordinator or single-process)
+	distSeq int         // next collective barrier number (deterministic counting)
 
 	mu  sync.Mutex
 	err error // first terminal failure; latches the whole pipeline

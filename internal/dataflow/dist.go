@@ -21,12 +21,11 @@ import (
 // driver. It executes no partitions itself — stages run on the worker
 // processes — but runs the full driver control flow and consumes every
 // collective's results, ending the run with the job's output. The cluster's
-// worker count and partitioning seed override the Context's.
+// worker count overrides the Context's.
 func WithCluster(cl *Cluster) Option {
 	return func(c *Context) {
 		c.cluster = cl
 		c.workers = cl.cfg.Workers
-		c.distSeed = cl.cfg.Seed
 		c.rank = -1
 		cl.attach(c)
 	}
@@ -34,14 +33,13 @@ func WithCluster(cl *Cluster) Option {
 
 // WithWorkerConn attaches a worker connection: this Context becomes rank r's
 // replica of the distributed driver, executing exactly partition r of every
-// stage. Worker count, partitioning seed, and the injected stage-fault
-// schedule all come from the coordinator's welcome.
+// stage. Worker count and the injected stage-fault schedule both come from
+// the coordinator's welcome.
 func WithWorkerConn(w *WorkerConn) Option {
 	return func(c *Context) {
 		c.worker = w
 		c.workers = w.workers
 		c.rank = w.rank
-		c.distSeed = w.seed
 		if len(w.faults) > 0 {
 			c.faults = NewFaultPlan(w.faults...)
 		}

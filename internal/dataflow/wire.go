@@ -200,8 +200,8 @@ func (e *MissingCodecError) Error() string {
 
 // distHash is a seeded FNV-1a over encoded key bytes. Cross-process shuffles
 // cannot use maphash (its seed is process-local and not serializable), so
-// keys are routed by their codec encoding under a job-wide seed the
-// coordinator distributes in the welcome message.
+// keys are routed by their codec encoding under one fixed seed
+// (defaultDistSeed) that every process of every job shares.
 func distHash(seed uint64, b []byte) uint64 {
 	h := seed ^ 0xcbf29ce484222325
 	for _, c := range b {
@@ -216,7 +216,7 @@ func (c *Context) distPartition(b []byte) int {
 	if c.workers <= 1 {
 		return 0
 	}
-	return int(distHash(c.distSeed, b) % uint64(c.workers))
+	return int(distHash(defaultDistSeed, b) % uint64(c.workers))
 }
 
 // Message types of the coordinator/worker protocol. Every message is framed
@@ -375,18 +375,14 @@ type helloMsg struct {
 // is re-sent on every hello, so reconnecting and respawned workers always
 // hold current spent-fault state.
 type welcomeMsg struct {
-	Rank            int         `json:"rank"`
-	Workers         int         `json:"workers"`
-	Seed            uint64      `json:"seed"`
-	JobSpec         []byte      `json:"jobSpec,omitempty"`
-	HeartbeatMS     int64       `json:"heartbeatMS"`
-	DeadlineMS      int64       `json:"deadlineMS"`
-	WriteTimeoutMS  int64       `json:"writeTimeoutMS"`
-	ReconnectBaseMS int64       `json:"reconnectBaseMS"`
-	MaxReconnects   int         `json:"maxReconnects"`
-	Faults          []Fault     `json:"faults,omitempty"`
-	ProcFaults      []ProcFault `json:"procFaults,omitempty"`
-	Spent           []int       `json:"spent,omitempty"`
+	Rank        int         `json:"rank"`
+	Workers     int         `json:"workers"`
+	JobSpec     []byte      `json:"jobSpec,omitempty"`
+	HeartbeatMS int64       `json:"heartbeatMS"`
+	DeadlineMS  int64       `json:"deadlineMS"`
+	Faults      []Fault     `json:"faults,omitempty"`
+	ProcFaults  []ProcFault `json:"procFaults,omitempty"`
+	Spent       []int       `json:"spent,omitempty"`
 }
 
 // wireError serializes a terminal failure across the process boundary,

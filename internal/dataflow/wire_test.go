@@ -125,7 +125,6 @@ func TestDistHashDeterministicAndSeedSensitive(t *testing.T) {
 	// Partitioning must cover all workers reasonably for small ints.
 	c := NewContext(1)
 	c.workers = 4
-	c.distSeed = 0x9e3779b97f4a7c15
 	seen := map[int]bool{}
 	for i := 0; i < 256; i++ {
 		seen[c.distPartition([]byte{byte(i), byte(i >> 4)})] = true

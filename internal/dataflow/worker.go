@@ -27,13 +27,9 @@ type WorkerConn struct {
 	rank          int
 	network, addr string
 	workers       int
-	seed          uint64
 	jobSpec       []byte
 	hbInterval    time.Duration
 	hbDeadline    time.Duration
-	writeTimeout  time.Duration
-	reconnectBase time.Duration
-	maxReconnects int
 	faults        []Fault
 	procFaults    []ProcFault
 	rng           *rand.Rand
@@ -83,13 +79,9 @@ func DialWorker(network, addr string, rank int) (*WorkerConn, error) {
 	}
 	w.conn = conn
 	w.workers = welcome.Workers
-	w.seed = welcome.Seed
 	w.jobSpec = welcome.JobSpec
 	w.hbInterval = time.Duration(welcome.HeartbeatMS) * time.Millisecond
 	w.hbDeadline = time.Duration(welcome.DeadlineMS) * time.Millisecond
-	w.writeTimeout = time.Duration(welcome.WriteTimeoutMS) * time.Millisecond
-	w.reconnectBase = time.Duration(welcome.ReconnectBaseMS) * time.Millisecond
-	w.maxReconnects = welcome.MaxReconnects
 	w.faults = welcome.Faults
 	w.procFaults = welcome.ProcFaults
 	w.spent = make([]bool, len(welcome.ProcFaults))
@@ -121,12 +113,10 @@ func (w *WorkerConn) handshake(conn net.Conn) (welcomeMsg, error) {
 	return welcome, nil
 }
 
-// Rank returns this process's worker rank; Workers the cluster width; Seed
-// the job-wide partitioning seed; JobSpec the coordinator's opaque job
-// description.
+// Rank returns this process's worker rank; Workers the cluster width;
+// JobSpec the coordinator's opaque job description.
 func (w *WorkerConn) Rank() int       { return w.rank }
 func (w *WorkerConn) Workers() int    { return w.workers }
-func (w *WorkerConn) Seed() uint64    { return w.seed }
 func (w *WorkerConn) JobSpec() []byte { return w.jobSpec }
 
 func (w *WorkerConn) mergeSpent(indexes []int) {
@@ -174,7 +164,7 @@ func (w *WorkerConn) send(typ byte, payload []byte) error {
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	err := sendMsg(conn, w.writeTimeout, typ, payload)
+	err := sendMsg(conn, defaultWriteTimeout, typ, payload)
 	if err != nil {
 		conn.Close() // unblock the read loop so it reconnects
 	}
@@ -232,7 +222,7 @@ func (w *WorkerConn) readLoop() {
 // reconnect re-establishes the coordinator connection, reporting success.
 // Exhausting the budget latches ErrCoordinatorLost.
 func (w *WorkerConn) reconnect() bool {
-	for attempt := 1; attempt <= w.maxReconnects; attempt++ {
+	for attempt := 1; attempt <= defaultMaxReconnects; attempt++ {
 		select {
 		case <-w.closed:
 			return false
@@ -241,7 +231,7 @@ func (w *WorkerConn) reconnect() bool {
 		w.mu.Lock()
 		jitter := 1 + 0.5*(2*w.rng.Float64()-1)
 		w.mu.Unlock()
-		d := time.Duration(float64(w.reconnectBase<<(attempt-1)) * jitter)
+		d := time.Duration(float64(defaultReconnectBase<<(attempt-1)) * jitter)
 		select {
 		case <-time.After(d):
 		case <-w.closed:
@@ -270,14 +260,14 @@ func (w *WorkerConn) reconnect() bool {
 		return true
 	}
 	w.fatal(fmt.Errorf("dataflow: worker %d: %w after %d reconnect attempts",
-		w.rank, ErrCoordinatorLost, w.maxReconnects))
+		w.rank, ErrCoordinatorLost, defaultMaxReconnects))
 	return false
 }
 
 // handshakeReconnect is handshake for the read loop's reconnect path: it
 // installs the new reader under the lock since other goroutines are live.
 func (w *WorkerConn) handshakeReconnect(conn net.Conn) (welcomeMsg, error) {
-	if err := sendMsg(conn, w.writeTimeout, msgHello, encodeJSON(helloMsg{Rank: w.rank})); err != nil {
+	if err := sendMsg(conn, defaultWriteTimeout, msgHello, encodeJSON(helloMsg{Rank: w.rank})); err != nil {
 		return welcomeMsg{}, err
 	}
 	conn.SetReadDeadline(time.Now().Add(w.hbDeadline))

@@ -14,6 +14,15 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{byStr: make(map[string]Value)}
 }
 
+// newBlockDictionary returns a dictionary presized for a block of about
+// lines triples: a line holds three terms but most repeat (predicates,
+// shared subjects), so one slot per line is a decent speculative size that
+// avoids most of the incremental map growth without tripling the footprint.
+func newBlockDictionary(lines int) *Dictionary {
+	lines = max(lines, 16)
+	return &Dictionary{byStr: make(map[string]Value, lines), byID: make([]string, 0, lines)}
+}
+
 // Encode interns s and returns its ID, assigning the next free ID on first
 // sight.
 func (d *Dictionary) Encode(s string) Value {
@@ -24,6 +33,16 @@ func (d *Dictionary) Encode(s string) Value {
 	d.byStr[s] = id
 	d.byID = append(d.byID, s)
 	return id
+}
+
+// encodeBytes is Encode for a term sliced from an input buffer: a string is
+// allocated only on first sight (a map lookup keyed by string(b) does not
+// allocate).
+func (d *Dictionary) encodeBytes(b []byte) Value {
+	if id, ok := d.byStr[string(b)]; ok {
+		return id
+	}
+	return d.Encode(string(b))
 }
 
 // Lookup returns the ID for s without interning it.

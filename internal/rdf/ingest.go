@@ -7,7 +7,7 @@ import (
 
 // This file holds the N-Triples scanning kernel that StreamNTriples
 // (stream.go) runs on every chunk: scanShard parses one chunk of complete
-// lines and dictionary-encodes it against a private per-chunk term table.
+// lines and dictionary-encodes it against a chunk-local Dictionary.
 // Chunks are scanned concurrently and merged in document order, interning
 // each chunk's terms in their first-occurrence order, so every term receives
 // exactly the ID a sequential line-by-line read would assign, at any shard
@@ -15,56 +15,12 @@ import (
 //
 // The scanner works directly on the input bytes: lines and terms are slices
 // of the chunk buffer, and a string is materialized only when a term is new
-// to the chunk's table (a map lookup keyed by string(b) does not allocate in
-// Go).
-
-// shardDict is a per-chunk term table: terms in first-occurrence order plus
-// the reverse index. IDs are chunk-local and remapped when the block is
-// appended to a Dataset.
-type shardDict struct {
-	byStr map[string]uint32
-	order []string
-}
-
-// newShardDict pre-sizes the term table for a chunk of about lines triples: a
-// line holds three terms but most repeat (predicates, shared subjects), so
-// one slot per line is a decent speculative size that avoids most of the
-// incremental map growth without tripling the footprint.
-func newShardDict(lines int) *shardDict {
-	if lines < 16 {
-		lines = 16
-	}
-	return &shardDict{
-		byStr: make(map[string]uint32, lines),
-		order: make([]string, 0, lines),
-	}
-}
-
-// encode interns a term given as a byte slice, allocating a string only on
-// first sight.
-func (d *shardDict) encode(b []byte) uint32 {
-	if id, ok := d.byStr[string(b)]; ok {
-		return id
-	}
-	s := string(b)
-	id := uint32(len(d.order))
-	d.byStr[s] = id
-	d.order = append(d.order, s)
-	return id
-}
-
-// BlockTriple is a triple encoded against a block-local (or shard-local)
-// term table: S, P, and O index the table's first-occurrence term order. It
-// is the unit the streaming ingest layer (stream.go) ships between the
-// scanner, the dictionary merge, and — in distributed ingest — the wire.
-type BlockTriple struct {
-	S, P, O uint32
-}
+// to the chunk's dictionary (Dictionary.encodeBytes).
 
 // shardResult is the outcome of scanning one chunk.
 type shardResult struct {
-	dict    *shardDict
-	triples []BlockTriple
+	dict    *Dictionary
+	triples []Triple
 	errs    []*SyntaxError // malformed lines, in chunk order
 }
 
@@ -72,16 +28,16 @@ type shardResult struct {
 // chunk-local triples. Lines are trimmed; blank and '#' comment lines are
 // skipped; every other line must be one statement.
 func scanShard(chunk []byte, startLine, lines int) shardResult {
-	res := shardResult{dict: newShardDict(lines)}
+	res := shardResult{dict: newBlockDictionary(lines)}
 	if lines > 0 {
-		res.triples = make([]BlockTriple, 0, lines+1)
+		res.triples = make([]Triple, 0, lines+1)
 	}
 	// N-Triples documents run on their subject (all statements about one
 	// entity in a row) and draw predicates from a small vocabulary, so a
 	// last-seen memo per position short-circuits the term-table lookup with a
 	// byte comparison for the common consecutive-repeat case.
 	var lastS, lastP []byte
-	var lastSID, lastPID uint32
+	var lastSID, lastPID Value
 	lineNo := startLine - 1
 	for len(chunk) > 0 {
 		var line []byte
@@ -107,15 +63,15 @@ func scanShard(chunk []byte, startLine, lines int) shardResult {
 			continue
 		}
 		if !bytes.Equal(s, lastS) {
-			lastS, lastSID = s, res.dict.encode(s)
+			lastS, lastSID = s, res.dict.encodeBytes(s)
 		}
 		if !bytes.Equal(p, lastP) {
-			lastP, lastPID = p, res.dict.encode(p)
+			lastP, lastPID = p, res.dict.encodeBytes(p)
 		}
-		res.triples = append(res.triples, BlockTriple{
+		res.triples = append(res.triples, Triple{
 			S: lastSID,
 			P: lastPID,
-			O: res.dict.encode(o),
+			O: res.dict.encodeBytes(o),
 		})
 	}
 	return res

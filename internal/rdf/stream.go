@@ -11,7 +11,7 @@ import (
 
 // This file implements block-streaming ingest: readers that decode an
 // arbitrarily large document through a bounded window and hand the caller a
-// sequence of TermBlocks — triples encoded against a block-local term table
+// sequence of TermBlocks — triples encoded against a block-local Dictionary
 // — in document order. Nothing proportional to the input is ever held in
 // memory by the reader itself; peak footprint is O(shards × block size).
 //
@@ -32,14 +32,15 @@ import (
 // parser and committed only when the statement completes, so retries never
 // duplicate triples.
 
-// TermBlock is one streamed block of parsed triples. Terms holds the
-// block-local term table in first-occurrence order; Triples index into it.
+// TermBlock is one streamed block of parsed triples. Terms holds the block
+// dictionary's terms in id (first-occurrence) order; Triples carry those
+// block-local ids.
 // Errs carries the block's malformed lines (lenient N-Triples mode only),
 // in document order. Bytes is the input byte count the block was decoded
 // from, for ingest accounting.
 type TermBlock struct {
 	Terms   []string
-	Triples []BlockTriple
+	Triples []Triple
 	Errs    []*SyntaxError
 	Bytes   int
 }
@@ -88,8 +89,8 @@ func (ds *Dataset) AppendBlock(blk *TermBlock, remap []Value) []Value {
 	for _, term := range blk.Terms {
 		remap = append(remap, ds.Dict.Encode(term))
 	}
-	for _, bt := range blk.Triples {
-		ds.Triples = append(ds.Triples, Triple{S: remap[bt.S], P: remap[bt.P], O: remap[bt.O]})
+	for _, t := range blk.Triples {
+		ds.Triples = append(ds.Triples, Triple{S: remap[t.S], P: remap[t.P], O: remap[t.O]})
 	}
 	return remap
 }
@@ -207,7 +208,7 @@ func StreamNTriples(r io.Reader, cfg StreamConfig, emit func(*TermBlock) error) 
 			nerrs += len(res.errs)
 		}
 		blk := &TermBlock{
-			Terms:   res.dict.order,
+			Terms:   res.dict.byID,
 			Triples: res.triples,
 			Errs:    res.errs,
 			Bytes:   len(j.chunk),
@@ -248,19 +249,6 @@ func readChunk(br *bufio.Reader, blockBytes int) ([]byte, error) {
 		return nil, rerr
 	}
 	return buf, nil
-}
-
-// encodeString is encode for terms already materialized as strings (the
-// Turtle path, whose surface forms are synthesized rather than sliced from
-// the input buffer).
-func (d *shardDict) encodeString(s string) uint32 {
-	if id, ok := d.byStr[s]; ok {
-		return id
-	}
-	id := uint32(len(d.order))
-	d.byStr[s] = id
-	d.order = append(d.order, s)
-	return id
 }
 
 // errTurtleWindow forces a refill-and-retry of a statement that parsed
@@ -310,18 +298,18 @@ func streamTurtle(r io.Reader, window, blockTriples int, emit func(*TermBlock) e
 		return nil
 	}
 
-	dict := newShardDict(blockTriples)
-	triples := make([]BlockTriple, 0, blockTriples)
+	dict := newBlockDictionary(blockTriples)
+	triples := make([]Triple, 0, blockTriples)
 	lastMark := 0 // total consumed bytes at the previous flush
 	flush := func() error {
 		if len(triples) == 0 {
 			return nil
 		}
 		mark := consumed + p.pos
-		blk := &TermBlock{Terms: dict.order, Triples: triples, Bytes: mark - lastMark}
+		blk := &TermBlock{Terms: dict.byID, Triples: triples, Bytes: mark - lastMark}
 		lastMark = mark
-		dict = newShardDict(blockTriples)
-		triples = make([]BlockTriple, 0, blockTriples)
+		dict = newBlockDictionary(blockTriples)
+		triples = make([]Triple, 0, blockTriples)
 		return emit(blk)
 	}
 
@@ -369,11 +357,7 @@ func streamTurtle(r io.Reader, window, blockTriples int, emit func(*TermBlock) e
 		}
 		// Statement complete: commit its triples to the current block.
 		for _, t := range p.pending {
-			triples = append(triples, BlockTriple{
-				S: dict.encodeString(t.s),
-				P: dict.encodeString(t.p),
-				O: dict.encodeString(t.o),
-			})
+			triples = append(triples, Triple{S: dict.Encode(t.s), P: dict.Encode(t.p), O: dict.Encode(t.o)})
 		}
 		p.pending = p.pending[:0]
 		if len(triples) >= blockTriples {

@@ -6,12 +6,13 @@ import (
 	"repro/internal/rdf"
 )
 
-// HashPartitioner decides which worker partition owns a triple as blocks
-// arrive from the stream. It spreads triples by an FNV-1a hash of the whole
-// encoded triple (uvarint subject, predicate, object IDs — the same byte form
-// the wire layer ships), optimizing for load balance. Place is a pure
-// function of the triple's global dictionary IDs and the worker count: every
-// process in a cluster places independently and the placements agree.
+// HashPartitioner decides which worker partition owns a triple in the
+// cluster's placement shuffle (source/place). It spreads triples by an
+// FNV-1a hash of the whole encoded triple (uvarint subject, predicate,
+// object IDs — the same byte form the wire layer ships), optimizing for
+// load balance. Place is a pure function of the triple's global dictionary
+// IDs and the worker count: every process in a cluster places independently
+// and the placements agree.
 // Placement never changes the pipeline's output, only how evenly ingest
 // spreads and how many bytes later shuffles move.
 type HashPartitioner struct{}

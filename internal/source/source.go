@@ -52,11 +52,9 @@ type Spec struct {
 	// Format is the declared input format: FormatAuto resolves per file
 	// from its extension (.ttl/.turtle → Turtle, after stripping .gz).
 	Format string
-	// Lenient skips malformed N-Triples lines instead of failing.
+	// Lenient skips malformed N-Triples lines instead of failing, up to
+	// rdf.DefaultMaxParseErrors per file.
 	Lenient bool
-	// MaxErrors caps lenient-mode skipped lines per file (<= 0 selects
-	// rdf.DefaultMaxParseErrors).
-	MaxErrors int
 	// Shards is the per-file parallel parse shard count.
 	Shards int
 	// BlockBytes overrides the N-Triples block granularity (tests).
@@ -179,7 +177,6 @@ func (r *Resolved) StreamFile(i int, emit func(*rdf.TermBlock) error) error {
 		Shards:     r.spec.Shards,
 		BlockBytes: r.spec.BlockBytes,
 		Lenient:    r.spec.Lenient,
-		MaxErrors:  r.spec.MaxErrors,
 	}
 	switch f.Format {
 	case FormatTurtle:
@@ -214,26 +211,35 @@ func maybeGunzip(r io.Reader) (io.Reader, error) {
 	return br, nil
 }
 
+// AppendFile streams file i into ds through Dataset.AppendBlock: its terms
+// join ds's dictionary in first-occurrence order and its triples are
+// appended in document order. Lenient-mode skipped lines come back
+// attributed to the file.
+func (r *Resolved) AppendFile(ds *rdf.Dataset, i int) ([]Malformed, error) {
+	var skipped []Malformed
+	var remap []rdf.Value
+	err := r.StreamFile(i, func(blk *rdf.TermBlock) error {
+		remap = ds.AppendBlock(blk, remap)
+		for _, e := range blk.Errs {
+			skipped = append(skipped, Malformed{Path: r.Files[i].Path, Err: e})
+		}
+		return nil
+	})
+	return skipped, err
+}
+
 // ReadDataset folds the whole resolved spec into one in-memory Dataset in
-// canonical document order, for serving and check modes, which need the
-// full dataset resident. Lenient-mode skipped lines come back attributed to
-// their files.
+// canonical document order. Lenient-mode skipped lines come back attributed
+// to their files.
 func (r *Resolved) ReadDataset() (*rdf.Dataset, []Malformed, error) {
 	ds := rdf.NewDataset()
 	var skipped []Malformed
-	var remap []rdf.Value
 	for i := range r.Files {
-		path := r.Files[i].Path
-		err := r.StreamFile(i, func(blk *rdf.TermBlock) error {
-			remap = ds.AppendBlock(blk, remap)
-			for _, e := range blk.Errs {
-				skipped = append(skipped, Malformed{Path: path, Err: e})
-			}
-			return nil
-		})
+		m, err := r.AppendFile(ds, i)
 		if err != nil {
 			return nil, nil, err
 		}
+		skipped = append(skipped, m...)
 	}
 	return ds, skipped, nil
 }

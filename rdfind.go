@@ -187,7 +187,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) { return dataflow.StartCl
 
 // DialWorker connects a worker process to its coordinator and performs the
 // rank handshake. Attach the connection via Config.WorkerConn; the job's
-// worker count, partitioning seed, and fault schedule arrive with it.
+// worker count and fault schedule arrive with it.
 func DialWorker(network, addr string, rank int) (*WorkerConn, error) {
 	return dataflow.DialWorker(network, addr, rank)
 }
