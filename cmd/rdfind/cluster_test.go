@@ -20,14 +20,13 @@ func TestMain(m *testing.M) {
 }
 
 func TestParseChaos(t *testing.T) {
-	faults, err := parseChaos("kill:1@3, drop:0@2,dup:1@5,delay:0@1:120ms,delay:1@2")
+	faults, err := parseChaos("kill:1@3, drop:0@2,delay:0@1:120ms,delay:1@2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []rdfind.ProcFault{
 		{Kind: rdfind.ProcKill, Rank: 1, Seq: 3},
 		{Kind: rdfind.ProcDisconnect, Rank: 0, Seq: 2},
-		{Kind: rdfind.ProcDuplicate, Rank: 1, Seq: 5},
 		{Kind: rdfind.ProcDelay, Rank: 0, Seq: 1, Delay: 120 * time.Millisecond},
 		{Kind: rdfind.ProcDelay, Rank: 1, Seq: 2, Delay: 50 * time.Millisecond},
 	}
@@ -42,7 +41,7 @@ func TestParseChaos(t *testing.T) {
 	if f, err := parseChaos(""); err != nil || f != nil {
 		t.Errorf("empty spec: %v, %v", f, err)
 	}
-	for _, bad := range []string{"boom:1@2", "kill:1", "kill:x@2", "kill:1@y", "kill:-1@2", "delay:0@1:xs"} {
+	for _, bad := range []string{"boom:1@2", "dup:1@5", "kill:1", "kill:x@2", "kill:1@y", "kill:-1@2", "delay:0@1:xs"} {
 		if _, err := parseChaos(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
@@ -58,6 +57,9 @@ func TestClusterFlagValidation(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-chaos", "kill:1@3", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("-chaos without -cluster exit %d, want %d", code, exitUsage)
+	}
+	if code, _, _ := runCLI(t, "-cluster", "2", "-chaos", "dup:1@3", "testdata/museums.nt"); code != exitUsage {
+		t.Errorf("-chaos with the removed dup kind exit %d, want %d", code, exitUsage)
 	}
 	if code, _, _ := runCLI(t, "-cluster", "2", "-cluster-network", "carrier-pigeon", "testdata/museums.nt"); code != exitUsage {
 		t.Errorf("bad -cluster-network exit %d, want %d", code, exitUsage)
@@ -118,7 +120,7 @@ func TestClusterChaosRecovery(t *testing.T) {
 	}{
 		{"kill", "kill:1@3"},
 		{"drop", "drop:0@2"},
-		{"dup+delay", "dup:1@3,delay:0@2:20ms"},
+		{"drop+delay", "drop:1@3,delay:0@2:20ms"},
 		{"kills-two-ranks", "kill:0@2,kill:1@4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,19 +137,21 @@ func TestClusterChaosRecovery(t *testing.T) {
 }
 
 // TestClusterStatsReportRecovery checks the -stats surface: an injected kill
-// shows up as a worker loss, a respawn, and a stage retry.
+// or drop shows up as a worker loss, a respawn, and a stage retry.
 func TestClusterStatsReportRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process integration test")
 	}
-	args := []string{"-cluster", "2", "-chaos", "kill:1@3", "-stats", "-support", "2", "testdata/museums.nt"}
-	code, _, errOut := runCLI(t, args...)
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	for _, want := range []string{"worker losses:       1 (1 respawned)", "stage retries:       1"} {
-		if !strings.Contains(errOut, want) {
-			t.Errorf("stats output lacks %q:\n%s", want, errOut)
+	for _, chaos := range []string{"kill:1@3", "drop:1@3"} {
+		args := []string{"-cluster", "2", "-chaos", chaos, "-stats", "-support", "2", "testdata/museums.nt"}
+		code, _, errOut := runCLI(t, args...)
+		if code != exitOK {
+			t.Fatalf("-chaos %s: exit %d: %s", chaos, code, errOut)
+		}
+		for _, want := range []string{"worker losses:       1 (1 respawned)", "stage retries:       1"} {
+			if !strings.Contains(errOut, want) {
+				t.Errorf("-chaos %s: stats output lacks %q:\n%s", chaos, want, errOut)
+			}
 		}
 	}
 }

@@ -48,15 +48,16 @@
 //
 // -cluster N runs discovery as a coordinator with N worker processes: the
 // process listens on a socket, spawns N copies of itself in worker mode, and
-// supervises them with heartbeats; a worker process that dies is respawned
-// and recovers through the engine's lineage replay, with output identical to
-// a single-process run. Ingest is worker-local: file i of the resolved input
-// goes to rank i mod N, each worker streams only its own files, and a
-// dictionary-merge collective reconstructs the canonical global dictionary —
-// the coordinator never materializes a single triple (-stats prints the
-// per-rank ingest counts and the coordinator's zero). -chaos injects
+// supervises them with heartbeats; a worker process that dies or whose
+// connection breaks is respawned and recovers through the engine's lineage
+// replay, with output identical to a single-process run. Ingest is
+// worker-local: file i of the resolved input goes to rank i mod N, each
+// worker streams only its own files, and a dictionary-merge collective
+// reconstructs the canonical global dictionary — the coordinator never
+// materializes a single triple (-stats prints the per-rank ingest counts and
+// the coordinator's zero). -chaos injects
 // deterministic process faults for robustness testing, as a comma-separated
-// list of kind:rank@seq entries (kinds kill, drop, dup, delay[:duration]),
+// list of kind:rank@seq entries (kinds kill, drop, delay[:duration]),
 // e.g. -chaos 'kill:1@4,drop:0@7'. The worker subcommand is spawned by the
 // coordinator and is not normally invoked by hand; the job's parameters
 // travel in the coordinator's welcome.
@@ -109,10 +110,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// maxWorkers bounds -workers and -cluster: every shuffle allocates w²
-// buckets, and -cluster spawns one process per worker.
-const maxWorkers = 1024
-
 // options are the rdfind flags, bound by newFlagSet.
 type options struct {
 	support, workers, queryReps, cluster              int
@@ -144,7 +141,7 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort discovery after this duration (0 = no limit), exit code 4")
 	fs.IntVar(&o.cluster, "cluster", 0, "run as coordinator of N worker processes, N in [0, 1024] (0 = single-process); overrides -workers")
 	fs.StringVar(&o.clusterNet, "cluster-network", "unix", "coordinator listen network: unix or tcp")
-	fs.StringVar(&o.chaos, "chaos", "", "inject process faults, comma-separated kind:rank@seq entries (kinds kill, drop, dup, delay:DUR), e.g. 'kill:1@4'")
+	fs.StringVar(&o.chaos, "chaos", "", "inject process faults, comma-separated kind:rank@seq entries (kinds kill, drop, delay:DUR), e.g. 'kill:1@4'")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of this process to `file`; samples carry a phase label (ingest, fcdetect, capture, extract, consolidate)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of this process to `file` when the run ends")
 	return fs, o
@@ -196,12 +193,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "rdfind: unknown format %q\n", o.format)
 		return exitUsage
 	}
-	if o.workers < 1 || o.workers > maxWorkers {
-		fmt.Fprintf(stderr, "rdfind: -workers %d outside [1, %d]\n", o.workers, maxWorkers)
+	if o.workers < 1 || o.workers > rdfind.MaxWorkers {
+		fmt.Fprintf(stderr, "rdfind: -workers %d outside [1, %d]\n", o.workers, rdfind.MaxWorkers)
 		return exitUsage
 	}
-	if o.cluster < 0 || o.cluster > maxWorkers {
-		fmt.Fprintf(stderr, "rdfind: -cluster %d outside [0, %d]\n", o.cluster, maxWorkers)
+	if o.cluster < 0 || o.cluster > rdfind.MaxWorkers {
+		fmt.Fprintf(stderr, "rdfind: -cluster %d outside [0, %d]\n", o.cluster, rdfind.MaxWorkers)
 		return exitUsage
 	}
 	if o.cluster > 0 {
@@ -566,7 +563,7 @@ func mustJSON(v any) []byte {
 }
 
 // parseChaos reads a -chaos schedule: comma-separated kind:rank@seq entries,
-// where kind is kill, drop, dup, or delay[:duration].
+// where kind is kill, drop, or delay[:duration].
 func parseChaos(s string) ([]rdfind.ProcFault, error) {
 	if s == "" {
 		return nil, nil
@@ -584,8 +581,6 @@ func parseChaos(s string) ([]rdfind.ProcFault, error) {
 			f.Kind = rdfind.ProcKill
 		case kindSpec == "drop":
 			f.Kind = rdfind.ProcDisconnect
-		case kindSpec == "dup":
-			f.Kind = rdfind.ProcDuplicate
 		case kindSpec == "delay":
 			f.Kind = rdfind.ProcDelay
 			f.Delay = 50 * time.Millisecond
@@ -667,8 +662,9 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		WorkerConn:                 w,
 	})
 	if err != nil {
-		// An injected kill simulates sudden process death: exit silently so
-		// the coordinator sees only the vanished heartbeat.
+		// An injected kill or drop ends this process as a sudden death
+		// would: exit silently, so the coordinator sees only the broken
+		// connection.
 		if !w.Killed() {
 			fmt.Fprintln(stderr, "rdfind worker:", err)
 		}
@@ -800,9 +796,6 @@ func printStats(w io.Writer, s *core.RunStats) {
 	}
 	if s.WorkerLosses > 0 || s.WorkerRespawns > 0 {
 		fmt.Fprintf(w, "worker losses:       %d (%d respawned)\n", s.WorkerLosses, s.WorkerRespawns)
-	}
-	if s.Reconnects > 0 {
-		fmt.Fprintf(w, "worker reconnects:   %d\n", s.Reconnects)
 	}
 	if s.Degraded {
 		fmt.Fprintf(w, "degraded:            extraction re-planned with Bloom work units (load %d)\n", s.ExtractionLoad)

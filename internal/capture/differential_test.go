@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
@@ -197,7 +196,6 @@ func onCluster(t *testing.T, workers int, driver func(c *dataflow.Context)) {
 	var wg sync.WaitGroup
 	cl, err := dataflow.StartCluster(dataflow.ClusterConfig{
 		Workers: workers, Network: "unix", Addr: addr,
-		HeartbeatInterval: 20 * time.Millisecond, HeartbeatDeadline: 5 * time.Second,
 		Spawn: func(rank int) error {
 			wg.Add(1)
 			go func() {

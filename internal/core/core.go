@@ -154,16 +154,14 @@ type RunStats struct {
 	// StageRetries is the total number of worker re-executions after
 	// transient faults, summed over all stages (see dataflow.Stats.Retries).
 	StageRetries int
-	// WorkerLosses, WorkerRespawns, and Reconnects report the distributed
-	// engine's fault handling: worker processes declared lost (heartbeat
-	// deadline or injected kill), replacement processes spawned, and worker
-	// connections re-established after transient drops. All zero in a
-	// single-process run. They are the typed view of the registry's
-	// metrics.Cluster* counters that rdfind -stats prints; RunSnapshot
-	// carries the counters themselves.
+	// WorkerLosses and WorkerRespawns report the distributed engine's fault
+	// handling: worker processes declared lost (broken connection, heartbeat
+	// deadline, or injected kill or drop) and replacement processes spawned.
+	// Both zero in a single-process run. They are the typed view of the
+	// registry's metrics.Cluster* counters that rdfind -stats prints;
+	// RunSnapshot carries the counters themselves.
 	WorkerLosses   int64
 	WorkerRespawns int64
-	Reconnects     int64
 	// Mallocs and AllocBytes are the process-wide allocation deltas
 	// (runtime.MemStats Mallocs and TotalAlloc) across the run — the
 	// whole-pipeline counterpart of the per-span deltas, letting the
@@ -297,7 +295,6 @@ func (h *harness) recordCounters() {
 	counters := h.dfctx.Stats().Metrics().Snapshot().Counters
 	h.stats.WorkerLosses = counters[metrics.ClusterLosses]
 	h.stats.WorkerRespawns = counters[metrics.ClusterRespawns]
-	h.stats.Reconnects = counters[metrics.ClusterReconnects]
 }
 
 // finish closes the stats out on an aborted run.

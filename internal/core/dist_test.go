@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
@@ -23,12 +22,10 @@ func runDistributed(t *testing.T, ds *rdf.Dataset, cfg Config, workers int, faul
 	addr := filepath.Join(t.TempDir(), "coord.sock")
 	var wg sync.WaitGroup
 	ccfg := dataflow.ClusterConfig{
-		Workers:           workers,
-		Network:           "unix",
-		Addr:              addr,
-		ProcFaults:        faults,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatDeadline: time.Second,
+		Workers:    workers,
+		Network:    "unix",
+		Addr:       addr,
+		ProcFaults: faults,
 		Spawn: func(rank int) error {
 			wg.Add(1)
 			go func() {

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cind"
 	"repro/internal/dataflow"
@@ -101,12 +100,10 @@ func runDistributedSource(t *testing.T, spec source.Spec, cfg Config, workers in
 	addr := filepath.Join(t.TempDir(), "coord.sock")
 	var wg sync.WaitGroup
 	ccfg := dataflow.ClusterConfig{
-		Workers:           workers,
-		Network:           "unix",
-		Addr:              addr,
-		ProcFaults:        faults,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatDeadline: time.Second,
+		Workers:    workers,
+		Network:    "unix",
+		Addr:       addr,
+		ProcFaults: faults,
 		Spawn: func(rank int) error {
 			wg.Add(1)
 			go func() {

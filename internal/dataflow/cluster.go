@@ -24,6 +24,9 @@
 // the replay fast-forwards to the frontier where the rest of the job is
 // waiting. This is the coarse-grained equivalent of Flink's
 // restart-from-consistent-inputs recovery that RDFind's evaluation relies on.
+// It is the only way a rank recovers: the rank is lost when its connection
+// breaks, when its heartbeat deadline passes, or when it reports an injected
+// kill or drop.
 package dataflow
 
 import (
@@ -36,14 +39,15 @@ import (
 	"repro/internal/metrics"
 )
 
-// Cluster constants. The heartbeat and respawn defaults yield to the
-// matching ClusterConfig fields; the rest are fixed.
+// Cluster constants. defaultHeartbeatInterval is the cadence of liveness
+// traffic in both directions; defaultHeartbeatDeadline is how long a
+// connection may stay silent before its process is declared lost;
+// defaultMaxRespawns bounds how often one rank is respawned before its loss
+// is terminal.
 const (
 	defaultHeartbeatInterval = 200 * time.Millisecond
 	defaultHeartbeatDeadline = 2 * time.Second
 	defaultWriteTimeout      = 10 * time.Second
-	defaultReconnectBase     = 25 * time.Millisecond
-	defaultMaxReconnects     = 5
 	defaultMaxRespawns       = 2
 	defaultDistSeed          = 0x9e3779b97f4a7c15 // job-wide key-partitioning hash seed
 	goodbyeWait              = 5 * time.Second
@@ -62,38 +66,8 @@ type ClusterConfig struct {
 	// rank at startup and again after every loss; it must return promptly
 	// (launch asynchronously or from a goroutine-friendly exec).
 	Spawn func(rank int) error
-
-	// HeartbeatInterval is the cadence of liveness traffic in both
-	// directions; HeartbeatDeadline is how stale a worker's last heartbeat
-	// may grow before the coordinator declares the process lost.
-	HeartbeatInterval, HeartbeatDeadline time.Duration
-	// MaxRespawns bounds how many times one rank may be respawned before
-	// its loss is terminal; 0 selects the default, negative disables
-	// respawning (every loss is terminal).
-	MaxRespawns int
-
-	// Faults is a stage-level fault schedule shipped to the workers (each
-	// fault fires on the process owning its worker index). ProcFaults are
-	// process-level faults fired at collective barriers.
-	Faults     []Fault
+	// ProcFaults are process-level faults fired at collective barriers.
 	ProcFaults []ProcFault
-}
-
-func (cfg *ClusterConfig) withDefaults() {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = defaultHeartbeatInterval
-	}
-	if cfg.HeartbeatDeadline <= 0 {
-		cfg.HeartbeatDeadline = defaultHeartbeatDeadline
-	}
-	if cfg.MaxRespawns == 0 {
-		cfg.MaxRespawns = defaultMaxRespawns
-	} else if cfg.MaxRespawns < 0 {
-		cfg.MaxRespawns = 0 // negative: disable respawns entirely
-	}
 }
 
 // coordConn wraps one accepted connection with write serialization, so
@@ -158,7 +132,7 @@ type Cluster struct {
 // StartCluster opens the coordinator listener, spawns every rank via
 // cfg.Spawn, and starts the accept, heartbeat, and loss-monitor loops.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	cfg.withDefaults()
+	cfg.Workers = max(cfg.Workers, 1)
 	ln, err := net.Listen(cfg.Network, cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: coordinator listen: %w", err)
@@ -175,7 +149,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	now := time.Now()
 	for r := range cl.ranks {
-		cl.ranks[r] = &rankState{lastSeen: now.Add(cfg.HeartbeatDeadline), lastLossSeq: -1}
+		cl.ranks[r] = &rankState{lastSeen: now.Add(defaultHeartbeatDeadline), lastLossSeq: -1}
 	}
 	cl.wg.Add(2)
 	go cl.acceptLoop()
@@ -336,13 +310,12 @@ func (cl *Cluster) acceptLoop() {
 }
 
 // serve handles one worker connection: hello/welcome handshake, then the
-// message loop. Read errors do not declare the worker lost — connection
-// drops are recoverable (the worker reconnects); only the heartbeat deadline
-// or an observed kill does.
+// message loop. A failed read — EOF, reset, or the heartbeat deadline — loses
+// the rank at once if this connection is still its current generation.
 func (cl *Cluster) serve(conn net.Conn) {
 	defer conn.Close()
 	r := newWireReader(conn)
-	conn.SetReadDeadline(time.Now().Add(cl.cfg.HeartbeatDeadline))
+	conn.SetReadDeadline(time.Now().Add(defaultHeartbeatDeadline))
 	typ, payload, err := readMsg(r)
 	if err != nil || typ != msgHello {
 		return
@@ -363,24 +336,15 @@ func (cl *Cluster) serve(conn net.Conn) {
 	if old := rs.cc; old != nil && old != cc {
 		old.conn.Close()
 	}
-	// A second hello from a rank that was never declared lost is a reconnect
-	// after a transient drop (a respawn's hello follows a loss, which marked
-	// the previous generation in lostGen).
-	if rs.gen > 0 && rs.lostGen != rs.gen {
-		cl.countLocked(metrics.ClusterReconnects, 1)
-	}
 	rs.gen++
 	gen := rs.gen
 	rs.cc = cc
 	rs.lastSeen = time.Now()
 	welcome := welcomeMsg{
-		Rank:        rank,
-		Workers:     cl.cfg.Workers,
-		JobSpec:     cl.cfg.JobSpec,
-		HeartbeatMS: cl.cfg.HeartbeatInterval.Milliseconds(),
-		DeadlineMS:  cl.cfg.HeartbeatDeadline.Milliseconds(),
-		Faults:      cl.cfg.Faults,
-		ProcFaults:  cl.cfg.ProcFaults,
+		Rank:       rank,
+		Workers:    cl.cfg.Workers,
+		JobSpec:    cl.cfg.JobSpec,
+		ProcFaults: cl.cfg.ProcFaults,
 	}
 	for i, spent := range cl.spentFaults {
 		if spent {
@@ -394,9 +358,14 @@ func (cl *Cluster) serve(conn net.Conn) {
 	}
 
 	for {
-		conn.SetReadDeadline(time.Now().Add(cl.cfg.HeartbeatDeadline))
+		conn.SetReadDeadline(time.Now().Add(defaultHeartbeatDeadline))
 		typ, payload, err := readMsg(r)
 		if err != nil {
+			cl.mu.Lock()
+			if rs.gen == gen {
+				cl.loseRankLocked(rank, fmt.Errorf("connection lost: %v", err), true)
+			}
+			cl.mu.Unlock()
 			return
 		}
 		switch typ {
@@ -449,8 +418,7 @@ func (cl *Cluster) handleContribute(rank int, cc *coordConn, payload []byte) {
 		return
 	}
 	if coll.contribs[rank] != nil {
-		// Duplicate (ProcDuplicate injection, a reconnect re-send racing its
-		// original, or a replaying respawned worker).
+		// Duplicate: a respawned worker replaying the program.
 		cl.countLocked(metrics.ClusterDupContribs, 1)
 		if coll.have < cl.cfg.Workers {
 			cl.mu.Unlock()
@@ -555,8 +523,8 @@ func (coll *collective) completeLocked(workers int) error {
 	return nil
 }
 
-// handleFaultFired marks an injected process fault spent, and fast-paths the
-// loss declaration for kills so recovery does not wait out the deadline.
+// handleFaultFired marks an injected process fault spent, and declares the
+// rank lost at once for a kill or a drop, before the broken connection is read.
 func (cl *Cluster) handleFaultFired(rank int, payload []byte) {
 	idx, _, ok := uvarintAt(payload)
 	if !ok || idx >= len(cl.cfg.ProcFaults) {
@@ -565,11 +533,11 @@ func (cl *Cluster) handleFaultFired(rank int, payload []byte) {
 	cl.mu.Lock()
 	cl.spentFaults[idx] = true
 	pf := cl.cfg.ProcFaults[idx]
-	if pf.Kind == ProcKill && pf.Rank == rank {
+	if pf.losesRank() && pf.Rank == rank {
 		// The notice names the fault, so no loss inference: inferring here
-		// would spend the NEXT kill scheduled for this rank too, silently
-		// disarming a repeated-kill schedule.
-		cl.loseRankLocked(rank, ErrWorkerKilled, false)
+		// would spend the NEXT kill or drop scheduled for this rank too,
+		// silently disarming a repeated-fault schedule.
+		cl.loseRankLocked(rank, fmt.Errorf("injected %v", pf.Kind), false)
 	}
 	cl.mu.Unlock()
 }
@@ -578,7 +546,7 @@ func (cl *Cluster) handleFaultFired(rank int, payload []byte) {
 // heartbeat deadline, declaring stale workers lost.
 func (cl *Cluster) superviseLoop() {
 	defer cl.wg.Done()
-	tick := time.NewTicker(cl.cfg.HeartbeatInterval)
+	tick := time.NewTicker(defaultHeartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -597,7 +565,7 @@ func (cl *Cluster) superviseLoop() {
 			if rs.cc != nil {
 				ccs = append(ccs, rs.cc)
 			}
-			if now.Sub(rs.lastSeen) > cl.cfg.HeartbeatDeadline {
+			if now.Sub(rs.lastSeen) > defaultHeartbeatDeadline {
 				cl.loseRankLocked(r, fmt.Errorf("heartbeat deadline exceeded (last seen %v ago)", now.Sub(rs.lastSeen).Round(time.Millisecond)), true)
 			}
 		}
@@ -627,9 +595,9 @@ func (cl *Cluster) frontierLocked() (int, string) {
 // Transient inside a StageError naming the frontier stage) unless the rank
 // died twice at the same barrier — then the loss is deterministic — or its
 // respawn budget is exhausted. inferSpent is set by detection paths that
-// carry no fault-fired notice (the heartbeat deadline): the killed worker may
-// have died before its notice got out, so the first unspent kill scheduled
-// for this rank is assumed to be the one that fired.
+// carry no fault-fired notice (a broken connection, the heartbeat deadline):
+// a killed or dropped worker may have lost its notice, so the first unspent
+// kill or drop scheduled for this rank is assumed to be the one that fired.
 func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 	rs := cl.ranks[rank]
 	if rs.lostGen == rs.gen || rs.goodbye || cl.err != nil || cl.closed() {
@@ -641,12 +609,11 @@ func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 	}
 	rs.losses++
 	cl.countLocked(metrics.ClusterLosses, 1)
-	// Loss inference: a killed worker may not have gotten its fault-fired
-	// notice out. Mark the first unspent kill scheduled for this rank spent,
-	// so the replayed replacement is not re-killed at the same barrier.
+	// Loss inference: mark the first unspent kill or drop scheduled for this
+	// rank spent, so the replayed replacement does not fire it again.
 	if inferSpent {
 		for i, pf := range cl.cfg.ProcFaults {
-			if pf.Kind == ProcKill && pf.Rank == rank && !cl.spentFaults[i] {
+			if pf.losesRank() && pf.Rank == rank && !cl.spentFaults[i] {
 				cl.spentFaults[i] = true
 				break
 			}
@@ -655,7 +622,7 @@ func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 	frontierSeq, frontierName := cl.frontierLocked()
 	deterministic := rs.lastLossSeq >= 0 && rs.lastLossSeq == frontierSeq
 	rs.lastLossSeq = frontierSeq
-	if deterministic || rs.losses > cl.cfg.MaxRespawns {
+	if deterministic || rs.losses > defaultMaxRespawns {
 		cl.abortLocked(&StageError{Stage: frontierName, Worker: rank, Attempt: rs.losses,
 			Deterministic: deterministic,
 			Cause:         Transient(fmt.Errorf("%w: rank %d (%v)", ErrProcessLoss, rank, cause))})
@@ -665,7 +632,7 @@ func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 		cl.ctx.stats.recordRetries(frontierName, 1)
 	}
 	cl.countLocked(metrics.ClusterRespawns, 1)
-	rs.lastSeen = time.Now().Add(cl.cfg.HeartbeatDeadline) // boot grace for the replacement
+	rs.lastSeen = time.Now().Add(defaultHeartbeatDeadline) // boot grace for the replacement
 	if cl.cfg.Spawn == nil {
 		cl.abortLocked(&StageError{Stage: frontierName, Worker: rank, Attempt: rs.losses,
 			Cause: fmt.Errorf("%w: rank %d (%v); no respawn hook configured", ErrProcessLoss, rank, cause)})

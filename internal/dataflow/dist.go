@@ -33,16 +33,12 @@ func WithCluster(cl *Cluster) Option {
 
 // WithWorkerConn attaches a worker connection: this Context becomes rank r's
 // replica of the distributed driver, executing exactly partition r of every
-// stage. Worker count and the injected stage-fault schedule both come from
-// the coordinator's welcome.
+// stage. The worker count comes from the coordinator's welcome.
 func WithWorkerConn(w *WorkerConn) Option {
 	return func(c *Context) {
 		c.worker = w
 		c.workers = w.workers
 		c.rank = w.rank
-		if len(w.faults) > 0 {
-			c.faults = NewFaultPlan(w.faults...)
-		}
 	}
 }
 

@@ -72,12 +72,6 @@ func runDistCluster(t *testing.T, n int, cfg ClusterConfig, driver func(c *Conte
 	t.Helper()
 	cfg.Network = "unix"
 	cfg.Addr = filepath.Join(t.TempDir(), "coord.sock")
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 20 * time.Millisecond
-	}
-	if cfg.HeartbeatDeadline == 0 {
-		cfg.HeartbeatDeadline = time.Second
-	}
 	var wg sync.WaitGroup
 	cfg.Spawn = func(rank int) error {
 		wg.Add(1)
@@ -217,14 +211,18 @@ func killSeqFor(t *testing.T, n int) int {
 	return trace[len(trace)/2].Seq
 }
 
-func TestDistWorkerKillRecoversViaLineage(t *testing.T) {
-	const n = 5000
+// runDistRecovery runs distProgram on a 2-worker cluster with faults and
+// requires the coordinator's output to equal the single-process oracle. The
+// driver hook runs on every process before the program.
+func runDistRecovery(t *testing.T, n int, faults []ProcFault, hook func(c *Context)) *Cluster {
+	t.Helper()
 	want := singleOracle(n)
-	seq := killSeqFor(t, n)
-
 	var mu sync.Mutex
 	var got distOutput
 	driver := func(c *Context) {
+		if hook != nil {
+			hook(c)
+		}
 		pairs, count, total := distProgram(c, n)
 		if c.cluster != nil && c.Err() == nil {
 			mu.Lock()
@@ -232,25 +230,34 @@ func TestDistWorkerKillRecoversViaLineage(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	cfg := ClusterConfig{
-		Workers:    2,
-		ProcFaults: []ProcFault{{Seq: seq, Rank: 1, Kind: ProcKill}},
-	}
-	cl, err := runDistCluster(t, n, cfg, driver)
+	cl, err := runDistCluster(t, n, ClusterConfig{Workers: 2, ProcFaults: faults}, driver)
 	if err != nil {
-		t.Fatalf("run with injected kill failed instead of recovering: %v", err)
+		t.Fatalf("run failed instead of recovering: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered run diverged from the single-process oracle")
 	}
+	return cl
+}
+
+// wantLosses checks the loss and respawn counters of a recovered run.
+func wantLosses(t *testing.T, cl *Cluster, n int64) {
+	t.Helper()
 	counters := cl.ctx.Stats().Metrics()
-	if v := counters.Counter(metrics.ClusterLosses).Value(); v != 1 {
-		t.Errorf("losses = %d, want 1", v)
+	if v := counters.Counter(metrics.ClusterLosses).Value(); v != n {
+		t.Errorf("losses = %d, want %d", v, n)
 	}
-	if v := counters.Counter(metrics.ClusterRespawns).Value(); v != 1 {
-		t.Errorf("respawns = %d, want 1", v)
+	if v := counters.Counter(metrics.ClusterRespawns).Value(); v != n {
+		t.Errorf("respawns = %d, want %d", v, n)
 	}
-	if v := counters.Counter(metrics.ClusterReplayedReleases).Value(); v == 0 {
+}
+
+func TestDistWorkerKillRecoversViaLineage(t *testing.T) {
+	const n = 5000
+	seq := killSeqFor(t, n)
+	cl := runDistRecovery(t, n, []ProcFault{{Seq: seq, Rank: 1, Kind: ProcKill}}, nil)
+	wantLosses(t, cl, 1)
+	if v := cl.ctx.Stats().Metrics().Counter(metrics.ClusterReplayedReleases).Value(); v == 0 {
 		t.Error("respawned worker fast-forwarded through no replayed releases")
 	}
 	// The loss is accounted as a stage retry at the collective frontier.
@@ -292,25 +299,28 @@ func TestDistRepeatedKillAtSameBarrierIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestDistKillWithRespawnsDisabledIsTerminalAndTransient(t *testing.T) {
+// TestDistRespawnBudgetExhaustionIsTerminalAndTransient: one rank killed at
+// defaultMaxRespawns+1 successive barriers outlives its respawn budget. The
+// kills sit at distinct barriers, so the loss is transient, not
+// deterministic.
+func TestDistRespawnBudgetExhaustionIsTerminalAndTransient(t *testing.T) {
 	const n = 2000
 	seq := killSeqFor(t, n)
 	driver := func(c *Context) { distProgram(c, n) }
-	cfg := ClusterConfig{
-		Workers:     2,
-		MaxRespawns: -1, // every loss terminal
-		ProcFaults:  []ProcFault{{Seq: seq, Rank: 0, Kind: ProcKill}},
+	cfg := ClusterConfig{Workers: 2}
+	for i := 0; i <= defaultMaxRespawns; i++ {
+		cfg.ProcFaults = append(cfg.ProcFaults, ProcFault{Seq: seq + i, Rank: 0, Kind: ProcKill})
 	}
 	_, err := runDistCluster(t, n, cfg, driver)
 	if err == nil {
-		t.Fatal("expected a terminal error with respawns disabled")
+		t.Fatal("expected a terminal error once the respawn budget is spent")
 	}
 	var se *StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("expected *StageError, got %T: %v", err, err)
 	}
 	if se.Deterministic {
-		t.Errorf("single loss misclassified deterministic: %+v", se)
+		t.Errorf("losses at distinct barriers misclassified deterministic: %+v", se)
 	}
 	if !IsTransient(se.Cause) {
 		t.Errorf("process loss not classified transient: %v", se.Cause)
@@ -318,79 +328,57 @@ func TestDistKillWithRespawnsDisabledIsTerminalAndTransient(t *testing.T) {
 	if !errors.Is(err, ErrProcessLoss) {
 		t.Errorf("error chain lacks the process-loss sentinel: %v", err)
 	}
-	if se.Worker != 0 || se.Attempt != 1 {
-		t.Errorf("unexpected loss site: %+v", se)
+	if se.Worker != 0 || se.Attempt != defaultMaxRespawns+1 {
+		t.Errorf("loss site %+v, want worker 0 at attempt %d", se, defaultMaxRespawns+1)
 	}
 }
 
-func TestDistDisconnectReconnectsWithoutLoss(t *testing.T) {
+// TestDistDropIsOneLossAndOneRespawn: a dropped connection is a lost rank,
+// recovered by one respawn and lineage replay.
+func TestDistDropIsOneLossAndOneRespawn(t *testing.T) {
 	const n = 5000
-	want := singleOracle(n)
 	seq := killSeqFor(t, n)
+	cl := runDistRecovery(t, n, []ProcFault{{Seq: seq, Rank: 0, Kind: ProcDisconnect}}, nil)
+	wantLosses(t, cl, 1)
+}
 
+// TestDistSilentDeathIsLostAtOnce: a worker whose connection closes with no
+// fault notice and no goodbye is lost on the broken connection, well inside
+// the heartbeat deadline.
+func TestDistSilentDeathIsLostAtOnce(t *testing.T) {
+	const n = 5000
 	var mu sync.Mutex
-	var got distOutput
-	driver := func(c *Context) {
-		pairs, count, total := distProgram(c, n)
-		if c.cluster != nil && c.Err() == nil {
-			mu.Lock()
-			got = distOutput{pairs, count, total}
-			mu.Unlock()
+	var diedAt, respawnedAt time.Time
+	hook := func(c *Context) {
+		if c.worker == nil || c.rank != 1 {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if diedAt.IsZero() {
+			diedAt = time.Now()
+			c.worker.conn.Close() // the first generation dies silently
+		} else if respawnedAt.IsZero() {
+			respawnedAt = time.Now()
 		}
 	}
-	cfg := ClusterConfig{
-		Workers:    2,
-		ProcFaults: []ProcFault{{Seq: seq, Rank: 0, Kind: ProcDisconnect}},
+	cl := runDistRecovery(t, n, nil, hook)
+	wantLosses(t, cl, 1)
+	if respawnedAt.IsZero() {
+		t.Fatal("rank 1 was never respawned")
 	}
-	cl, err := runDistCluster(t, n, cfg, driver)
-	if err != nil {
-		t.Fatalf("run with injected disconnect failed: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("post-reconnect run diverged from the single-process oracle")
-	}
-	counters := cl.ctx.Stats().Metrics()
-	if v := counters.Counter(metrics.ClusterReconnects).Value(); v == 0 {
-		t.Error("no reconnect recorded after the injected drop")
-	}
-	if v := counters.Counter(metrics.ClusterLosses).Value(); v != 0 {
-		t.Errorf("transient drop escalated to %d losses", v)
+	if took := respawnedAt.Sub(diedAt); took >= defaultHeartbeatDeadline/2 {
+		t.Errorf("replacement started %v after the death, want under %v", took, defaultHeartbeatDeadline/2)
 	}
 }
 
-func TestDistDuplicateAndDelayedContributions(t *testing.T) {
+// TestDistDelayedContribution: a stalled contribution holds its barrier
+// without a loss.
+func TestDistDelayedContribution(t *testing.T) {
 	const n = 5000
-	want := singleOracle(n)
 	seq := killSeqFor(t, n)
-
-	var mu sync.Mutex
-	var got distOutput
-	driver := func(c *Context) {
-		pairs, count, total := distProgram(c, n)
-		if c.cluster != nil && c.Err() == nil {
-			mu.Lock()
-			got = distOutput{pairs, count, total}
-			mu.Unlock()
-		}
-	}
-	cfg := ClusterConfig{
-		Workers: 2,
-		ProcFaults: []ProcFault{
-			{Seq: seq, Rank: 1, Kind: ProcDuplicate},
-			{Seq: seq, Rank: 0, Kind: ProcDelay, Delay: 50 * time.Millisecond},
-		},
-	}
-	cl, err := runDistCluster(t, n, cfg, driver)
-	if err != nil {
-		t.Fatalf("run with duplicated/delayed frames failed: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("run with duplicated/delayed frames diverged")
-	}
-	counters := cl.ctx.Stats().Metrics()
-	if v := counters.Counter(metrics.ClusterDupContribs).Value(); v == 0 {
-		t.Error("duplicated contribution not absorbed (no dup counted)")
-	}
+	cl := runDistRecovery(t, n, []ProcFault{{Seq: seq, Rank: 0, Kind: ProcDelay, Delay: 50 * time.Millisecond}}, nil)
+	wantLosses(t, cl, 0)
 }
 
 func TestDistDivergentDriversAreDetected(t *testing.T) {

@@ -260,23 +260,19 @@ func recoverWorker(r any) error {
 // is retried via respawn) as a Transient(ErrProcessLoss)-wrapped StageError.
 var (
 	// ErrProcessLoss marks a worker process declared dead by the coordinator
-	// (missed heartbeat deadline or observed kill).
+	// (broken connection, missed heartbeat deadline, or injected kill or drop).
 	ErrProcessLoss = errors.New("worker process lost")
 	// ErrWorkerKilled is the local error a worker's RunJob returns when an
 	// injected ProcKill terminates it (in-process harness mode; a real
 	// subprocess just exits).
 	ErrWorkerKilled = errors.New("worker process killed by injected fault")
-	// ErrCoordinatorLost is returned by a worker that exhausted its reconnect
-	// budget against an unreachable coordinator.
+	// ErrCoordinatorLost is returned by a worker whose coordinator
+	// connection broke; the worker does not re-dial.
 	ErrCoordinatorLost = errors.New("coordinator unreachable")
 	// ErrRemoteFailure wraps a terminal failure that originated on another
 	// process and was propagated over the wire.
 	ErrRemoteFailure = errors.New("remote failure")
 )
-
-// procKillPanic terminates a worker goroutine in the in-process harness; a
-// subprocess worker exits instead. RunJob recovers it into ErrWorkerKilled.
-type procKillPanic struct{}
 
 // ProcFaultKind selects how an injected process-level fault manifests.
 type ProcFaultKind uint8
@@ -287,12 +283,9 @@ const (
 	// partitions by lineage replay.
 	ProcKill ProcFaultKind = iota
 	// ProcDisconnect drops the worker's coordinator connection at the chosen
-	// collective; the worker reconnects with jittered backoff and re-sends
-	// its in-flight contribution.
+	// collective. The worker cannot re-dial, so the coordinator recovers the
+	// rank exactly as it does a killed one.
 	ProcDisconnect
-	// ProcDuplicate sends the worker's contribution twice; the coordinator's
-	// idempotent contribution protocol must absorb the duplicate.
-	ProcDuplicate
 	// ProcDelay stalls the worker's contribution by Delay before sending.
 	ProcDelay
 )
@@ -303,8 +296,6 @@ func (k ProcFaultKind) String() string {
 		return "kill"
 	case ProcDisconnect:
 		return "disconnect"
-	case ProcDuplicate:
-		return "duplicate"
 	default:
 		return "delay"
 	}
@@ -325,6 +316,10 @@ type ProcFault struct {
 	// Delay is the stall duration for ProcDelay (ignored otherwise).
 	Delay time.Duration `json:"delay,omitempty"`
 }
+
+// losesRank reports whether the fault ends its worker process's connection,
+// so that the coordinator loses and respawns the rank.
+func (f ProcFault) losesRank() bool { return f.Kind == ProcKill || f.Kind == ProcDisconnect }
 
 // CollectiveSite is one entry of the coordinator's collective trace: the
 // barrier's position in program order, the stage name it served, and its

@@ -366,23 +366,37 @@ func splitBlobs(src []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// helloMsg announces a (re)connecting worker's rank.
+// helloMsg announces a worker's rank.
 type helloMsg struct {
 	Rank int `json:"rank"`
 }
 
 // welcomeMsg carries the job parameters from the coordinator to a worker. It
-// is re-sent on every hello, so reconnecting and respawned workers always
-// hold current spent-fault state.
+// answers every hello, so a respawned worker holds current spent-fault state.
 type welcomeMsg struct {
-	Rank        int         `json:"rank"`
-	Workers     int         `json:"workers"`
-	JobSpec     []byte      `json:"jobSpec,omitempty"`
-	HeartbeatMS int64       `json:"heartbeatMS"`
-	DeadlineMS  int64       `json:"deadlineMS"`
-	Faults      []Fault     `json:"faults,omitempty"`
-	ProcFaults  []ProcFault `json:"procFaults,omitempty"`
-	Spent       []int       `json:"spent,omitempty"`
+	Rank       int         `json:"rank"`
+	Workers    int         `json:"workers"`
+	JobSpec    []byte      `json:"jobSpec,omitempty"`
+	ProcFaults []ProcFault `json:"procFaults,omitempty"`
+	Spent      []int       `json:"spent,omitempty"`
+}
+
+// MaxWorkers bounds the worker count of a job: every shuffle allocates
+// workers² buckets, and a cluster runs one process per worker.
+const MaxWorkers = 1024
+
+// decodeWelcome decodes the welcome answering rank's hello. It rejects a
+// document that assigns another rank, or a width outside [rank+1, MaxWorkers],
+// with an error wrapping ErrCorruptRecord.
+func decodeWelcome(payload []byte, rank int) (welcomeMsg, error) {
+	w, err := decodeJSON[welcomeMsg](payload)
+	if err != nil {
+		return welcomeMsg{}, corrupt("welcome: %v", err)
+	}
+	if w.Rank != rank || rank < 0 || rank >= w.Workers || w.Workers > MaxWorkers {
+		return welcomeMsg{}, corrupt("welcome assigns rank %d of %d workers to rank %d", w.Rank, w.Workers, rank)
+	}
+	return w, nil
 }
 
 // wireError serializes a terminal failure across the process boundary,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -193,6 +194,64 @@ func TestWireMessageFraming(t *testing.T) {
 	}
 }
 
+// TestWireMalformedWelcomeIsCorruptRecord: a worker dialing a coordinator
+// that answers its hello with a welcome it cannot serve fails DialWorker with
+// ErrCorruptRecord, instead of panicking later on the bad width or rank.
+func TestWireMalformedWelcomeIsCorruptRecord(t *testing.T) {
+	const rank = 1
+	for _, tc := range []struct {
+		name, welcome string
+		ok            bool
+	}{
+		{"valid", `{"rank":1,"workers":2}`, true},
+		{"workers-zero", `{"rank":1,"workers":0}`, false},
+		{"workers-negative", `{"rank":1,"workers":-3}`, false},
+		{"rank-beyond-width", `{"rank":3,"workers":2}`, false},
+		{"rank-mismatch", `{"rank":0,"workers":2}`, false},
+		{"workers-beyond-bound", `{"rank":1,"workers":1025}`, false},
+		{"not-json", `{`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "coord.sock"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				r := newWireReader(conn)
+				if typ, _, err := readMsg(r); err != nil || typ != msgHello {
+					return
+				}
+				writeMsg(conn, msgWelcome, []byte(tc.welcome))
+				readMsg(r) // hold the connection until the worker closes it
+			}()
+			w, err := DialWorker("unix", ln.Addr().String(), rank)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("valid welcome rejected: %v", err)
+				}
+				if w.Workers() != 2 {
+					t.Errorf("Workers() = %d, want 2", w.Workers())
+				}
+				w.Close()
+				return
+			}
+			if err == nil {
+				w.Close()
+				t.Fatalf("welcome %s accepted", tc.welcome)
+			}
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("welcome %s: err = %v, want ErrCorruptRecord", tc.welcome, err)
+			}
+		})
+	}
+}
+
 func TestValueCodecRegistryDerivesPairCodecs(t *testing.T) {
 	// Pair[int, int] is registered by no one: the registry derives its codec
 	// from the built-in int codec, and a pair with a codec-less half has none.
@@ -338,7 +397,8 @@ func frame(typ byte, payload []byte) []byte {
 // bytes that decode to the same values. The payload also goes through the
 // exchange's record decode, as a gathered blob list and as shuffle buckets
 // of Pair[packedRecord, int] records (fcd/binary-sum's shape): every failure
-// wraps ErrCorruptRecord, and the records that decode round-trip.
+// wraps ErrCorruptRecord, and the records that decode round-trip. As the
+// welcome of rank 1, it decodes only to a width that rank can serve.
 func FuzzWireFrames(f *testing.F) {
 	f.Add(frame(msgContribute, encodeContribute(3, kindShuffle, "cgc/exchange", appendBlob(appendBlob(nil, []byte("ab")), nil))))
 	f.Add(frame(msgRelease, encodeRelease(7, releaseOK, appendBlob(nil, []byte("payload")))))
@@ -348,6 +408,8 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(frame(msgFailJob, encodeWireError(errors.New("disk full"))))
 	f.Add([]byte{msgContribute, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add(frame(msgRelease, appendBlob(nil, []byte{0xff})))
+	f.Add(frame(msgWelcome, encodeJSON(welcomeMsg{Rank: 1, Workers: 3, JobSpec: []byte("{}"),
+		ProcFaults: []ProcFault{{Seq: 4, Rank: 1, Kind: ProcDisconnect}}, Spent: []int{0}})))
 	pc, _ := valueCodecFor[Pair[packedRecord, int]]()
 	f.Fuzz(func(t *testing.T, src []byte) {
 		typ, payload, err := readMsg(bufio.NewReader(bytes.NewReader(src)))
@@ -409,6 +471,15 @@ func FuzzWireFrames(f *testing.F) {
 		records("blob list", [][]byte{payload}, nil)
 		buckets, err := splitBlobs(payload)
 		records("shuffle buckets", buckets, err)
+		if w, err := decodeWelcome(payload, 1); err != nil {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("welcome: untyped error %v", err)
+			}
+		} else if w.Rank != 1 || w.Workers <= 1 || w.Workers > MaxWorkers {
+			t.Fatalf("welcome %+v accepted for rank 1", w)
+		} else if again, err := decodeWelcome(encodeJSON(w), 1); err != nil || !bytes.Equal(encodeJSON(again), encodeJSON(w)) {
+			t.Fatalf("welcome %+v re-decodes as %+v, %v", w, again, err)
+		}
 		se := decodeWireError(payload)
 		again := decodeWireError(encodeWireError(se))
 		if again.Stage != se.Stage || again.Worker != se.Worker || again.Attempt != se.Attempt ||

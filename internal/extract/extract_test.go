@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/capture"
@@ -470,7 +469,6 @@ func onCluster(t *testing.T, workers int, driver func(c *dataflow.Context)) {
 	var wg sync.WaitGroup
 	cl, err := dataflow.StartCluster(dataflow.ClusterConfig{
 		Workers: workers, Network: "unix", Addr: addr,
-		HeartbeatInterval: 20 * time.Millisecond, HeartbeatDeadline: 5 * time.Second,
 		Spawn: func(rank int) error {
 			wg.Add(1)
 			go func() {

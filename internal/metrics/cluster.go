@@ -5,15 +5,12 @@ package metrics
 // feeds them into the job's metric registry, and core reads the headline
 // ones into RunStats for `rdfind -stats`.
 const (
-	// ClusterLosses counts worker processes declared lost (missed heartbeat
-	// deadline or observed kill).
+	// ClusterLosses counts worker processes declared lost (broken
+	// connection, missed heartbeat deadline, or injected kill or drop).
 	ClusterLosses = "dataflow.cluster.losses"
 	// ClusterRespawns counts replacement worker processes launched after a
 	// loss.
 	ClusterRespawns = "dataflow.cluster.respawns"
-	// ClusterReconnects counts worker connections re-established after a
-	// drop (reported by the worker in its hello).
-	ClusterReconnects = "dataflow.cluster.reconnects"
 	// ClusterCollectives counts completed collective barriers.
 	ClusterCollectives = "dataflow.cluster.collectives"
 	// ClusterShuffleBytes totals the payload bytes workers contributed to
@@ -21,8 +18,8 @@ const (
 	ClusterShuffleBytes = "dataflow.cluster.shuffle_bytes"
 	// ClusterHeartbeats counts worker heartbeats received.
 	ClusterHeartbeats = "dataflow.cluster.heartbeats"
-	// ClusterDupContribs counts duplicated contributions absorbed by the
-	// idempotent collective protocol.
+	// ClusterDupContribs counts contributions a replaying respawned worker
+	// sent again, absorbed by the idempotent collective protocol.
 	ClusterDupContribs = "dataflow.cluster.duplicate_contributions"
 	// ClusterReplayedReleases counts releases re-sent to workers replaying
 	// the collective program after a respawn.

@@ -91,7 +91,7 @@ type (
 	// one via Config.WorkerConn.
 	WorkerConn = dataflow.WorkerConn
 	// ProcFault schedules one injected process-level fault (kill, connection
-	// drop, duplicated or delayed contribution) at a collective barrier.
+	// drop, or delayed contribution) at a collective barrier.
 	ProcFault = dataflow.ProcFault
 	// ProcFaultKind selects the process-level fault kind.
 	ProcFaultKind = dataflow.ProcFaultKind
@@ -172,13 +172,17 @@ const (
 const (
 	// ProcKill terminates the worker process at the scheduled barrier.
 	ProcKill = dataflow.ProcKill
-	// ProcDisconnect drops the worker's connection (it reconnects).
+	// ProcDisconnect drops the worker's connection; the coordinator loses
+	// the rank and respawns it, as after a kill.
 	ProcDisconnect = dataflow.ProcDisconnect
-	// ProcDuplicate sends the scheduled contribution twice.
-	ProcDuplicate = dataflow.ProcDuplicate
 	// ProcDelay stalls the scheduled contribution by ProcFault.Delay.
 	ProcDelay = dataflow.ProcDelay
 )
+
+// MaxWorkers is the largest worker count of a distributed job: a worker
+// rejects a welcome naming more. Every shuffle allocates workers² buckets,
+// and a cluster runs one process per worker.
+const MaxWorkers = dataflow.MaxWorkers
 
 // StartCluster opens a coordinator for a multi-process run: it listens for
 // worker connections, spawns every rank via cfg.Spawn, and supervises
