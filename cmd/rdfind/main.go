@@ -768,7 +768,7 @@ func runQuery(ctx context.Context, ds *rdfind.Dataset, res *rdfind.Result, runSt
 func printStats(w io.Writer, s *core.RunStats) {
 	fmt.Fprintf(w, "triples:             %d\n", s.Triples)
 	// Streamed-ingest accounting. New lines only — the fixed-format lines
-	// scripts grep for (triples, stage retries, worker losses) are untouched.
+	// scripts grep for (triples, worker losses) are untouched.
 	if ing := s.Ingest; ing != nil {
 		fmt.Fprintf(w, "ingest:              %d files\n", ing.Files)
 		if ing.Distributed {
@@ -791,9 +791,6 @@ func printStats(w io.Writer, s *core.RunStats) {
 	fmt.Fprintf(w, "broad CINDs:         %d\n", s.BroadCINDs)
 	fmt.Fprintf(w, "pertinent CINDs:     %d (+%d ARs)\n", s.Pertinent, s.ARs)
 	fmt.Fprintf(w, "duration:            %v\n", s.Duration)
-	if s.StageRetries > 0 {
-		fmt.Fprintf(w, "stage retries:       %d\n", s.StageRetries)
-	}
 	if s.WorkerLosses > 0 || s.WorkerRespawns > 0 {
 		fmt.Fprintf(w, "worker losses:       %d (%d respawned)\n", s.WorkerLosses, s.WorkerRespawns)
 	}

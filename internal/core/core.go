@@ -85,16 +85,6 @@ type Config struct {
 	// degrade: the paper defines direct extraction as exact-only, and its
 	// memory failures are the point of Fig. 13.
 	LoadLimit int64
-	// MaxStageAttempts bounds how often a dataflow stage is executed when
-	// workers fail with transient faults (1 disables retries); 0 selects 3.
-	MaxStageAttempts int
-	// RetryBackoff is the base of the exponential backoff between stage
-	// attempts; 0 selects 1ms.
-	RetryBackoff time.Duration
-	// FaultPlan injects deterministic faults into the dataflow engine, for
-	// robustness testing; nil injects nothing. An empty plan traces stage
-	// executions without injecting.
-	FaultPlan *dataflow.FaultPlan
 	// Cluster makes this run the coordinator of a multi-process job: stages
 	// execute on the cluster's worker processes and this driver consumes the
 	// collective results. Overrides Workers with the cluster's worker count.
@@ -113,12 +103,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.MaxStageAttempts < 1 {
-		c.MaxStageAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	// Distributed runs take their worker count from the cluster.
 	if c.Cluster != nil {
@@ -151,9 +135,6 @@ type RunStats struct {
 	// Degraded reports that a LoadLimit breach was absorbed by re-planning
 	// extraction with Bloom work-unit candidate sets instead of failing.
 	Degraded bool
-	// StageRetries is the total number of worker re-executions after
-	// transient faults, summed over all stages (see dataflow.Stats.Retries).
-	StageRetries int
 	// WorkerLosses and WorkerRespawns report the distributed engine's fault
 	// handling: worker processes declared lost (broken connection, heartbeat
 	// deadline, or injected kill or drop) and replacement processes spawned.
@@ -202,8 +183,8 @@ type IngestStats struct {
 
 // Discover runs the selected pipeline over the dataset and returns the
 // pertinent CINDs and association rules, plus run statistics. It panics on
-// any error (an exceeded LoadLimit, an exhausted stage-retry budget); use
-// TryDiscover or DiscoverContext to observe errors instead.
+// any error (an exceeded LoadLimit, a panic in a stage); use TryDiscover or
+// DiscoverContext to observe errors instead.
 func Discover(ds *rdf.Dataset, cfg Config) (*cind.Result, *RunStats) {
 	res, stats, err := TryDiscover(ds, cfg)
 	if err != nil {
@@ -221,10 +202,9 @@ func TryDiscover(ds *rdf.Dataset, cfg Config) (*cind.Result, *RunStats, error) {
 }
 
 // DiscoverContext is TryDiscover under a cancellation context: the pipeline
-// checks ctx between stage attempts and aborts promptly when it is cancelled
-// or times out, returning partial statistics and an error wrapping ctx.Err().
-// Transient worker faults (injected or signalled via dataflow.Transient
-// panics) are retried per Config.MaxStageAttempts before they become errors.
+// checks ctx before every stage and aborts promptly when it is cancelled or
+// times out, returning partial statistics and an error wrapping ctx.Err().
+// A panic in a stage fails the run at once with a *dataflow.StageError.
 func DiscoverContext(ctx context.Context, ds *rdf.Dataset, cfg Config) (*cind.Result, *RunStats, error) {
 	cfg = cfg.normalized()
 	h := newHarness(ctx, cfg)
@@ -257,12 +237,7 @@ func newHarness(ctx context.Context, cfg Config) *harness {
 	h := &harness{ctx: ctx, cfg: cfg}
 	runtime.ReadMemStats(&h.memStart)
 	h.start = time.Now()
-	dfOpts := []dataflow.Option{
-		dataflow.WithCancel(ctx),
-		dataflow.WithRetries(cfg.MaxStageAttempts - 1),
-		dataflow.WithBackoff(cfg.RetryBackoff),
-		dataflow.WithFaultPlan(cfg.FaultPlan),
-	}
+	dfOpts := []dataflow.Option{dataflow.WithCancel(ctx)}
 	if cfg.Cluster != nil {
 		dfOpts = append(dfOpts, dataflow.WithCluster(cfg.Cluster))
 	}
@@ -299,7 +274,6 @@ func (h *harness) recordCounters() {
 
 // finish closes the stats out on an aborted run.
 func (h *harness) finish(err error) (*cind.Result, *RunStats, error) {
-	h.stats.StageRetries = h.dfctx.Stats().TotalRetries()
 	h.stats.Duration = time.Since(h.start)
 	h.recordAllocs()
 	h.recordCounters()
@@ -380,7 +354,6 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 	res.Sort(dict)
 	stats.Pertinent = len(res.CINDs)
 	stats.ARs = len(res.ARs)
-	stats.StageRetries = dfctx.Stats().TotalRetries()
 	stats.Duration = time.Since(h.start)
 	h.recordAllocs()
 	h.recordCounters()

@@ -106,9 +106,6 @@ func TestDistributedDiscoverySurvivesWorkerKill(t *testing.T) {
 		t.Errorf("loss accounting: losses=%d respawns=%d, want 1/1",
 			stats.WorkerLosses, stats.WorkerRespawns)
 	}
-	if stats.StageRetries == 0 {
-		t.Error("worker loss not accounted as a stage retry")
-	}
 	c := stats.Snapshot().Metrics.Counters
 	if c[metrics.ClusterLosses] != 1 || c[metrics.ClusterRespawns] != 1 {
 		t.Errorf("snapshot dropped cluster accounting: %v", c)

@@ -3,161 +3,13 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/extract"
 	"repro/internal/fixtures"
-	"repro/internal/rdf"
 )
-
-// discoverFormatted runs discovery and canonicalizes the result to its sorted
-// textual form, so runs are compared byte for byte.
-func discoverFormatted(t *testing.T, ds *rdf.Dataset, cfg Config) string {
-	t.Helper()
-	res, _, err := TryDiscover(ds, cfg)
-	if err != nil {
-		t.Fatalf("discovery failed (%v w=%d): %v", cfg.Variant, cfg.Workers, err)
-	}
-	return res.Format(ds.Dict)
-}
-
-// TestFaultEverySingleFaultSchedule is the exhaustive differential test of
-// the recovery machinery: a fault-free run is traced, and then every single
-// traced site — every stage, worker, and occurrence of the whole pipeline —
-// is faulted in turn (alternating transient errors and panics). Each faulted
-// run must retry back to a byte-identical result, for every pipeline variant.
-func TestFaultEverySingleFaultSchedule(t *testing.T) {
-	ds := fixtures.University()
-	variants := []Variant{Standard, DirectExtraction, NoFrequentConditions, MinimalFirst}
-	if testing.Short() {
-		variants = []Variant{Standard, MinimalFirst}
-	}
-	for _, v := range variants {
-		t.Run(v.String(), func(t *testing.T) {
-			base := Config{Support: 2, Workers: 2, Variant: v, RetryBackoff: time.Nanosecond}
-
-			tracer := dataflow.NewFaultPlan()
-			cfg := base
-			cfg.FaultPlan = tracer
-			res, _, err := TryDiscover(ds, cfg)
-			if err != nil {
-				t.Fatalf("fault-free traced run failed: %v", err)
-			}
-			want := res.Format(ds.Dict)
-			sites := tracer.Trace()
-			if len(sites) < 20 {
-				t.Fatalf("suspiciously small trace (%d sites) — tracer broken?", len(sites))
-			}
-
-			for i, s := range sites {
-				kind := dataflow.FaultTransient
-				if i%2 == 1 {
-					kind = dataflow.FaultPanic
-				}
-				cfg := base
-				cfg.FaultPlan = dataflow.NewFaultPlan(dataflow.Fault{
-					Stage: s.Stage, Worker: s.Worker, Occurrence: s.Occurrence, Kind: kind,
-				})
-				res, stats, err := TryDiscover(ds, cfg)
-				if err != nil {
-					t.Fatalf("site %+v (%v): recoverable fault killed the run: %v", s, kind, err)
-				}
-				if got := res.Format(ds.Dict); got != want {
-					t.Errorf("site %+v (%v): output diverged from fault-free run\ngot:\n%s\nwant:\n%s", s, kind, got, want)
-				}
-				if fired := cfg.FaultPlan.Fired(); len(fired) != 1 {
-					t.Errorf("site %+v: fired %d faults, want exactly 1", s, len(fired))
-				}
-				if stats.StageRetries < 1 {
-					t.Errorf("site %+v: StageRetries = %d, want ≥ 1", s, stats.StageRetries)
-				}
-			}
-			t.Logf("%v: %d single-fault schedules, all byte-identical", v, len(sites))
-		})
-	}
-}
-
-// TestFaultQuickRandomSchedules drives randomized multi-fault schedules
-// through every variant under testing/quick: any recoverable schedule must
-// reproduce the fault-free output byte for byte.
-func TestFaultQuickRandomSchedules(t *testing.T) {
-	ds := randomDataset(150, 4, 11)
-	type combo struct {
-		v Variant
-		w int
-	}
-	combos := []combo{
-		{Standard, 3},
-		{DirectExtraction, 2},
-		{NoFrequentConditions, 2},
-		{MinimalFirst, 3},
-	}
-	const faults = 4
-	want := make(map[combo]string, len(combos))
-	sites := make(map[combo][]dataflow.Site, len(combos))
-	for _, cb := range combos {
-		tracer := dataflow.NewFaultPlan()
-		cfg := Config{Support: 2, Workers: cb.w, Variant: cb.v,
-			RetryBackoff: time.Nanosecond, FaultPlan: tracer}
-		want[cb] = discoverFormatted(t, ds, cfg)
-		sites[cb] = tracer.Trace()
-	}
-
-	prop := func(seed int64) bool {
-		ok := true
-		for _, cb := range combos {
-			plan := dataflow.RandomFaultPlan(seed, sites[cb], faults)
-			cfg := Config{Support: 2, Workers: cb.w, Variant: cb.v,
-				// Cascading same-site faults consume one attempt each, so the
-				// budget must exceed the fault count for guaranteed recovery.
-				MaxStageAttempts: faults + 2,
-				RetryBackoff:     time.Nanosecond,
-				FaultPlan:        plan,
-			}
-			res, _, err := TryDiscover(ds, cfg)
-			if err != nil {
-				t.Logf("seed %d %v w=%d: %v", seed, cb.v, cb.w, err)
-				ok = false
-				continue
-			}
-			if got := res.Format(ds.Dict); got != want[cb] {
-				t.Logf("seed %d %v w=%d: output diverged (faults fired: %+v)", seed, cb.v, cb.w, plan.Fired())
-				ok = false
-			}
-		}
-		return ok
-	}
-	max := 12
-	if testing.Short() {
-		max = 4
-	}
-	cfg := &quick.Config{MaxCount: max, Rand: rand.New(rand.NewSource(2016))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFaultWorkerCountInvarianceUnderFaults: a faulted run must agree with
-// the single-worker fault-free run at every parallelism.
-func TestFaultWorkerCountInvarianceUnderFaults(t *testing.T) {
-	ds := skewedDataset(300, 23)
-	want := discoverFormatted(t, ds, Config{Support: 2, Workers: 1})
-	for _, w := range []int{1, 3, 5} {
-		tracer := dataflow.NewFaultPlan()
-		discoverFormatted(t, ds, Config{Support: 2, Workers: w,
-			RetryBackoff: time.Nanosecond, FaultPlan: tracer})
-		plan := dataflow.RandomFaultPlan(int64(100+w), tracer.Trace(), 3)
-		cfg := Config{Support: 2, Workers: w, MaxStageAttempts: 6,
-			RetryBackoff: time.Nanosecond, FaultPlan: plan}
-		if got := discoverFormatted(t, ds, cfg); got != want {
-			t.Errorf("w=%d under faults %+v diverged from fault-free w=1", w, plan.Fired())
-		}
-	}
-}
 
 // TestFaultCancelledContextAborts: a cancelled context must abort discovery
 // with an error wrapping context.Canceled and a partial-stats report.
@@ -239,71 +91,38 @@ func TestFaultLoadLimitDegradation(t *testing.T) {
 	}
 
 	// Direct extraction is defined exact-only: it must fail, never degrade
-	// (the paper's Fig. 13 out-of-memory behavior).
+	// (the paper's Fig. 13 out-of-memory behavior). The failed run's partial
+	// stats keep the phases that completed before extraction.
 	_, deStats, err := TryDiscover(ds, Config{Support: 2, Workers: 2, Variant: DirectExtraction})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = TryDiscover(ds, Config{Support: 2, Workers: 2, Variant: DirectExtraction,
+	deRes, deStats, err := TryDiscover(ds, Config{Support: 2, Workers: 2, Variant: DirectExtraction,
 		LoadLimit: deStats.ExtractionLoad - 1})
 	if !errors.Is(err, extract.ErrLoadLimit) {
 		t.Errorf("RDFind-DE with a tight limit: err = %v, want ErrLoadLimit", err)
 	}
-}
-
-// TestFaultRetryBudgetExhaustionSurfacesStageError: more same-site faults
-// than attempts must end the run with a structured StageError, while the
-// partial stats keep what completed before the failure.
-func TestFaultRetryBudgetExhaustionSurfacesStageError(t *testing.T) {
-	ds := fixtures.University()
-	mk := func(occurrences int) *dataflow.FaultPlan {
-		fs := make([]dataflow.Fault, occurrences)
-		for i := range fs {
-			fs[i] = dataflow.Fault{Stage: "cgc/evidences", Worker: 0, Occurrence: i + 1, Kind: dataflow.FaultTransient}
-		}
-		return dataflow.NewFaultPlan(fs...)
+	if deRes != nil {
+		t.Error("failed RDFind-DE run returned a result")
 	}
-	// Two faults, three attempts: recovers.
-	cfg := Config{Support: 2, Workers: 2, MaxStageAttempts: 3,
-		RetryBackoff: time.Nanosecond, FaultPlan: mk(2)}
-	if _, _, err := TryDiscover(ds, cfg); err != nil {
-		t.Fatalf("two faults within a three-attempt budget failed: %v", err)
-	}
-	// Three faults, three attempts: exhausted.
-	cfg.FaultPlan = mk(3)
-	res, stats, err := TryDiscover(ds, cfg)
-	if err == nil {
-		t.Fatal("exhausted retry budget did not surface an error")
-	}
-	var se *dataflow.StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %T (%v), want *dataflow.StageError", err, err)
-	}
-	if se.Stage != "cgc/evidences" || se.Worker != 0 || se.Attempt != 3 {
-		t.Errorf("unexpected failure site: %+v", se)
-	}
-	if res != nil {
-		t.Error("failed run returned a result")
-	}
-	if stats == nil || stats.FrequentUnary == 0 {
-		t.Errorf("partial stats must keep the completed FC phase, got %+v", stats)
-	}
-	// Attempts 1 and 2 each retried worker 0 once; attempt 3 was terminal.
-	if stats.StageRetries != 2 {
-		t.Errorf("StageRetries = %d, want 2", stats.StageRetries)
+	if deStats == nil || deStats.FrequentUnary == 0 || deStats.CaptureGroups == 0 {
+		t.Errorf("partial stats must keep the completed FC and capture phases, got %+v", deStats)
 	}
 }
 
 // TestFaultDiscoverPanicsOnFailure pins Discover's contract: hard failures
 // panic (so silent garbage can never be mistaken for a result) while
-// TryDiscover reports the same condition as an error.
+// TryDiscover reports the same condition as an error. RDFind-DE never
+// degrades, so a load limit of 1 fails it.
 func TestFaultDiscoverPanicsOnFailure(t *testing.T) {
 	ds := fixtures.University()
-	plan := dataflow.NewFaultPlan(dataflow.Fault{Stage: "cgc/evidences", Worker: 0, Occurrence: 1, Kind: dataflow.FaultTransient})
-	cfg := Config{Support: 2, Workers: 2, MaxStageAttempts: 1, FaultPlan: plan}
+	cfg := Config{Support: 2, Workers: 2, Variant: DirectExtraction, LoadLimit: 1}
+	if _, _, err := TryDiscover(ds, cfg); !errors.Is(err, extract.ErrLoadLimit) {
+		t.Fatalf("TryDiscover: err = %v, want ErrLoadLimit", err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Discover did not panic on a terminal stage failure")
+			t.Error("Discover did not panic on a failed run")
 		}
 	}()
 	Discover(ds, cfg)

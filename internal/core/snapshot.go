@@ -18,11 +18,8 @@ type RunSnapshot struct {
 	WallMS         float64 `json:"wall_ms"`
 	TotalWork      int64   `json:"total_work"`
 	CriticalPath   int64   `json:"critical_path"`
-	// StageRetries stays beside the spans' retries: a stage that failed for
-	// good leaves no span to sum them from.
-	StageRetries   int   `json:"stage_retries,omitempty"`
-	ExtractionLoad int64 `json:"extraction_load,omitempty"`
-	Degraded       bool  `json:"degraded,omitempty"`
+	ExtractionLoad int64   `json:"extraction_load,omitempty"`
+	Degraded       bool    `json:"degraded,omitempty"`
 	// Mallocs/AllocBytes are the run's process-wide allocation deltas
 	// (RunStats.Mallocs/AllocBytes); zero on snapshots from before the
 	// counters existed, so readers treat zero as "not measured".
@@ -46,7 +43,6 @@ func (s *RunStats) Snapshot() *RunSnapshot {
 		Pertinent:      s.Pertinent,
 		ARs:            s.ARs,
 		WallMS:         float64(s.Duration.Nanoseconds()) / 1e6,
-		StageRetries:   s.StageRetries,
 		ExtractionLoad: s.ExtractionLoad,
 		Degraded:       s.Degraded,
 		Mallocs:        s.Mallocs,

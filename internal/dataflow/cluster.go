@@ -590,14 +590,15 @@ func (cl *Cluster) frontierLocked() (int, string) {
 }
 
 // loseRankLocked declares one worker process lost and decides between
-// respawn-and-replay and terminal failure. The classification mirrors the
-// in-process retry path: a loss is transient (ErrProcessLoss wrapped
-// Transient inside a StageError naming the frontier stage) unless the rank
-// died twice at the same barrier — then the loss is deterministic — or its
-// respawn budget is exhausted. inferSpent is set by detection paths that
-// carry no fault-fired notice (a broken connection, the heartbeat deadline):
-// a killed or dropped worker may have lost its notice, so the first unspent
-// kill or drop scheduled for this rank is assumed to be the one that fired.
+// respawn-and-replay and terminal failure. A loss is recovered unless the
+// rank died twice at the same barrier — then the loss is deterministic — or
+// its respawn budget is exhausted; either way the terminal StageError names
+// the frontier stage and its cause is a transient ErrProcessLoss. A
+// recovered loss counts as one retry of the frontier stage's span.
+// inferSpent is set by detection paths that carry no fault-fired notice (a
+// broken connection, the heartbeat deadline): a killed or dropped worker may
+// have lost its notice, so the first unspent kill or drop scheduled for this
+// rank is assumed to be the one that fired.
 func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 	rs := cl.ranks[rank]
 	if rs.lostGen == rs.gen || rs.goodbye || cl.err != nil || cl.closed() {
@@ -625,11 +626,11 @@ func (cl *Cluster) loseRankLocked(rank int, cause error, inferSpent bool) {
 	if deterministic || rs.losses > defaultMaxRespawns {
 		cl.abortLocked(&StageError{Stage: frontierName, Worker: rank, Attempt: rs.losses,
 			Deterministic: deterministic,
-			Cause:         Transient(fmt.Errorf("%w: rank %d (%v)", ErrProcessLoss, rank, cause))})
+			Cause:         transient(fmt.Errorf("%w: rank %d (%v)", ErrProcessLoss, rank, cause))})
 		return
 	}
 	if cl.ctx != nil {
-		cl.ctx.stats.recordRetries(frontierName, 1)
+		cl.ctx.stats.recordRetry(frontierName)
 	}
 	cl.countLocked(metrics.ClusterRespawns, 1)
 	rs.lastSeen = time.Now().Add(defaultHeartbeatDeadline) // boot grace for the replacement

@@ -17,15 +17,13 @@
 // forces materialization — the engine-level analogue of Flink's chained
 // operators. See plan.go for the plan layer.
 //
-// The engine is fault-tolerant in the way Flink's task recovery made RDFind
-// fault-tolerant (see fault.go): worker panics become StageErrors, stages
-// failing with transient faults are re-executed from their retained input
-// partitions with bounded exponential backoff, a context.Context attached
-// with WithCancel aborts the pipeline between stages, and a FaultPlan injects
-// deterministic faults for testing. Once a stage fails terminally, every
-// subsequent operator on the same Context short-circuits to an empty dataset,
-// so a broken pipeline drains in O(1) per operator and the first error is
-// reported by Context.Err.
+// Worker panics become StageErrors (see fault.go), and a context.Context
+// attached with WithCancel aborts the pipeline between stages. Once a stage
+// fails, every subsequent operator on the same Context short-circuits to an
+// empty dataset, so a broken pipeline drains in O(1) per operator and the
+// first error is reported by Context.Err. The one recovery path is the
+// cluster's: a lost rank is respawned and replays its collectives
+// (cluster.go).
 //
 // Because the reproduction runs on a single machine, the engine additionally
 // keeps per-worker work accounting (records processed per worker per stage).
@@ -40,34 +38,28 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
 
 // Context carries the worker count, the hash seed that fixes the
 // key-to-partition mapping for the lifetime of a job, the work accounting
-// shared by all stages, and the fault-tolerance configuration.
+// shared by all stages, and the cancellation and memory-budget settings.
 //
 // A Context is owned by a single job: the driver calls operators one after
-// another, and the recorded stage order, the fault-injection occurrence
-// counting, and the fail-fast error latch all assume that sequential
-// ownership. Concurrent jobs must use separate Contexts (all engine state is
-// internally synchronized, so even misuse cannot corrupt memory — but the
-// interleaved stage accounting of two jobs would be meaningless).
+// another, and the recorded stage order and the fail-fast error latch both
+// assume that sequential ownership. Concurrent jobs must use separate
+// Contexts (all engine state is internally synchronized, so even misuse
+// cannot corrupt memory — but the interleaved stage accounting of two jobs
+// would be meaningless).
 type Context struct {
-	workers     int
-	seed        maphash.Seed
-	stats       *Stats
-	epoch       time.Time       // job start, the zero point of span offsets
-	job         context.Context // nil: not cancellable
-	maxAttempts int             // per-stage executions, ≥ 1
-	backoff     time.Duration   // base of the exponential inter-attempt backoff
-	faults      *FaultPlan      // nil: no injection, no tracing
-	memBudget   int64           // bytes of keyed-operator state before spilling; 0: in-memory only
-	spillDir    string          // directory for spill files; "": the OS temp dir
-
-	sleepFn func(time.Duration) bool // inter-attempt wait; overridable for timing-free tests
+	workers   int
+	seed      maphash.Seed
+	stats     *Stats
+	epoch     time.Time       // job start, the zero point of span offsets
+	job       context.Context // nil: not cancellable
+	memBudget int64           // bytes of keyed-operator state before spilling; 0: in-memory only
+	spillDir  string          // directory for spill files; "": the OS temp dir
 
 	// Distributed-mode state (cluster.go / worker.go / dist.go). At most one
 	// of cluster and worker is set; both nil means single-process.
@@ -84,33 +76,10 @@ type Context struct {
 type Option func(*Context)
 
 // WithCancel attaches a cancellation context: every stage checks it before
-// each attempt, so a cancelled job aborts promptly between operators with
+// it runs, so a cancelled job aborts promptly between operators with
 // Context.Err wrapping the context's error.
 func WithCancel(ctx context.Context) Option {
 	return func(c *Context) { c.job = ctx }
-}
-
-// WithRetries allows each stage up to n re-executions after a transient
-// failure (n+1 attempts in total). Negative values are clamped to 0.
-func WithRetries(n int) Option {
-	return func(c *Context) {
-		if n < 0 {
-			n = 0
-		}
-		c.maxAttempts = n + 1
-	}
-}
-
-// WithBackoff sets the base of the exponential backoff between stage
-// attempts (base, 2·base, 4·base, …). Non-positive values disable waiting.
-func WithBackoff(base time.Duration) Option {
-	return func(c *Context) { c.backoff = base }
-}
-
-// WithFaultPlan attaches a deterministic fault-injection schedule. An empty
-// plan injects nothing but traces every worker execution.
-func WithFaultPlan(p *FaultPlan) Option {
-	return func(c *Context) { c.faults = p }
 }
 
 // WithMemoryBudget bounds the keyed-operator state (aggregation maps and
@@ -139,26 +108,20 @@ func WithSpillDir(dir string) Option {
 
 // NewContext returns a context with the given number of logical workers.
 // Worker counts below 1 are clamped to 1. Without options the context is not
-// cancellable, does not retry (one attempt per stage), and injects no faults.
+// cancellable and keeps all keyed-operator state in memory.
 func NewContext(workers int, opts ...Option) *Context {
 	if workers < 1 {
 		workers = 1
 	}
 	c := &Context{
-		workers:     workers,
-		seed:        maphash.MakeSeed(),
-		stats:       &Stats{},
-		epoch:       time.Now(),
-		maxAttempts: 1,
-		backoff:     time.Millisecond,
-		rank:        -1,
+		workers: workers,
+		seed:    maphash.MakeSeed(),
+		stats:   &Stats{},
+		epoch:   time.Now(),
+		rank:    -1,
 	}
-	c.sleepFn = c.sleep
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.maxAttempts < 1 {
-		c.maxAttempts = 1
 	}
 	return c
 }
@@ -222,26 +185,6 @@ func (c *Context) cancelErr() error {
 		return nil
 	}
 	return c.job.Err()
-}
-
-// sleep waits for the given duration unless the job is cancelled first; it
-// reports whether the wait completed.
-func (c *Context) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return c.cancelErr() == nil
-	}
-	if c.job == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-c.job.Done():
-		return false
-	}
 }
 
 // Dataset is a horizontally partitioned collection: one slice of records per
@@ -311,127 +254,54 @@ func empty[T any](c *Context) *Dataset[T] {
 	return &Dataset[T]{ctx: c, parts: make([][]T, c.workers)}
 }
 
-// workerFailure pairs a worker index with its recovered error.
-type workerFailure struct {
-	worker int
-	err    error
-}
-
-// runStage executes f(worker) once per worker, concurrently, with panic
-// isolation, fault injection, and bounded retries for transient failures.
-// Each retry re-executes only the failed workers; because operator inputs are
-// immutable retained partitions and outputs are written per worker, a re-run
-// worker deterministically reproduces its slot. runStage reports whether the
-// stage completed; on terminal failure the error is latched on the Context.
+// runStage executes f(worker) once for every worker this process runs,
+// concurrently, with panic isolation. It reports whether the stage
+// completed; on failure the error of the lowest-numbered failed worker is
+// latched on the Context.
 func (c *Context) runStage(name string, f func(worker int) error) bool {
 	if c.failed() {
 		return false
 	}
+	if err := c.cancelErr(); err != nil {
+		c.fail(&StageError{Stage: name, Worker: -1, Attempt: 1,
+			Cause: fmt.Errorf("cancelled: %w", err)})
+		return false
+	}
+	// On the coordinator pending is empty: partitions execute on the worker
+	// processes, and the stage is a no-op here beyond the cancel check.
 	pending := c.pendingWorkers()
-	if len(pending) == 0 {
-		// Coordinator driver: partitions execute on the worker processes;
-		// the stage is a control-flow no-op here beyond the cancel check.
-		if err := c.cancelErr(); err != nil {
-			c.fail(&StageError{Stage: name, Worker: -1, Attempt: 1,
-				Cause: fmt.Errorf("cancelled: %w", err)})
-			return false
+	errs := make([]error, len(pending))
+	if len(pending) == 1 {
+		// A single pending worker runs inline on the driver goroutine:
+		// there is nothing to overlap with, so the fan-out buys nothing.
+		errs[0] = runWorker(pending[0], f)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(pending))
+		for i, w := range pending {
+			go func() {
+				defer wg.Done()
+				errs[i] = runWorker(w, f)
+			}()
 		}
-		return true
+		wg.Wait()
 	}
-	// lastErr remembers each worker's failure message from the previous
-	// attempt. Inputs are immutable retained partitions, so a transient
-	// failure that reproduces byte-identically on replay is a deterministic
-	// logic fault mislabeled as transient — retrying it further would burn
-	// the whole retry budget reproducing the same failure.
-	lastErr := make(map[int]string)
-	for attempt := 1; ; attempt++ {
-		if err := c.cancelErr(); err != nil {
-			c.fail(&StageError{Stage: name, Worker: -1, Attempt: attempt,
-				Cause: fmt.Errorf("cancelled: %w", err)})
+	for i, err := range errs {
+		if err != nil {
+			c.fail(&StageError{Stage: name, Worker: pending[i], Attempt: 1, Cause: err})
 			return false
-		}
-		var failures []workerFailure
-		if len(pending) == 1 {
-			// A single pending worker runs inline on the driver goroutine:
-			// there is nothing to overlap with, so the fan-out buys nothing.
-			if err := c.runWorker(name, pending[0], f); err != nil {
-				failures = append(failures, workerFailure{worker: pending[0], err: err})
-			}
-		} else {
-			var (
-				mu sync.Mutex
-				wg sync.WaitGroup
-			)
-			wg.Add(len(pending))
-			for _, w := range pending {
-				go func(w int) {
-					defer wg.Done()
-					if err := c.runWorker(name, w, f); err != nil {
-						mu.Lock()
-						failures = append(failures, workerFailure{worker: w, err: err})
-						mu.Unlock()
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-		if len(failures) == 0 {
-			return true
-		}
-		sort.Slice(failures, func(i, j int) bool { return failures[i].worker < failures[j].worker })
-		first := failures[0]
-		retryable := attempt < c.maxAttempts
-		deterministic := false
-		for _, wf := range failures {
-			if !IsTransient(wf.err) {
-				// A genuine crash outranks every other classification.
-				retryable, deterministic = false, false
-				first = wf
-				break
-			}
-			if msg, seen := lastErr[wf.worker]; !deterministic && seen && msg == wf.err.Error() {
-				deterministic = true
-				first = wf
-			}
-		}
-		if deterministic {
-			retryable = false
-		}
-		if !retryable {
-			c.fail(&StageError{Stage: name, Worker: first.worker, Attempt: attempt,
-				Deterministic: deterministic, Cause: first.err})
-			return false
-		}
-		for _, wf := range failures {
-			lastErr[wf.worker] = wf.err.Error()
-		}
-		c.stats.recordRetries(name, len(failures))
-		if !c.sleepFn(c.backoff << (attempt - 1)) {
-			c.fail(&StageError{Stage: name, Worker: first.worker, Attempt: attempt,
-				Cause: fmt.Errorf("cancelled during retry backoff: %w", c.cancelErr())})
-			return false
-		}
-		pending = pending[:0]
-		for _, wf := range failures {
-			pending = append(pending, wf.worker)
 		}
 	}
+	return true
 }
 
-// runWorker runs f(w) with panic recovery and fault injection. Injected
-// faults fire before any user code, so a retried worker observes no partial
-// state from the faulted execution.
-func (c *Context) runWorker(name string, w int, f func(int) error) (err error) {
+// runWorker runs f(w), recovering a panic into a *PanicError.
+func runWorker(w int, f func(int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoverWorker(r)
 		}
 	}()
-	if c.faults != nil {
-		if ferr := c.faults.visit(name, w); ferr != nil {
-			return ferr
-		}
-	}
 	return f(w)
 }
 
@@ -552,40 +422,22 @@ func mapSizeHint(n int, distinct int64) int {
 // The scatter is allocation-lean: a classification pass records every
 // record's target in an int32 scratch slice while counting per destination,
 // then exact-capacity buckets are filled — no append regrowth, at the price
-// of reading the input twice. All scratch (target slice, bucket slices,
-// gathered partitions) is published only through per-worker slots, so a
-// retried worker finds its previous attempt's allocations, shrinks them with
-// [:0], and overwrites them deterministically — the same retained-partition
-// retry contract the append-based kernel had, with no allocations on re-runs.
+// of reading the input twice.
 func shuffleParts[T any](c *Context, name string, parts [][]T, target func(T) int) ([][]T, int64, bool) {
 	buckets := make([][][]T, c.workers)
-	targets := make([][]int32, c.workers)
 	crossing := make([]int64, c.workers)
 	if !c.runStage(name+"/scatter", func(w int) error {
 		in := parts[w]
-		tg := targets[w]
-		if cap(tg) < len(in) {
-			tg = make([]int32, len(in))
-		} else {
-			tg = tg[:len(in)]
-		}
+		tg := make([]int32, len(in))
 		cnt := make([]int32, c.workers)
 		for i, t := range in {
 			p := target(t)
 			tg[i] = int32(p)
 			cnt[p]++
 		}
-		targets[w] = tg
-		local := buckets[w]
-		if local == nil {
-			local = make([][]T, c.workers)
-		}
+		local := make([][]T, c.workers)
 		for p, n := range cnt {
-			if cap(local[p]) < int(n) {
-				local[p] = make([]T, 0, n)
-			} else {
-				local[p] = local[p][:0]
-			}
+			local[p] = make([]T, 0, n)
 		}
 		for i, t := range in {
 			p := tg[i]
@@ -603,12 +455,7 @@ func shuffleParts[T any](c *Context, name string, parts [][]T, target func(T) in
 		for w := 0; w < c.workers; w++ {
 			n += len(buckets[w][t])
 		}
-		part := out[t]
-		if cap(part) < n {
-			part = make([]T, 0, n)
-		} else {
-			part = part[:0]
-		}
+		part := make([]T, 0, n)
 		for w := 0; w < c.workers; w++ {
 			part = append(part, buckets[w][t]...)
 		}
@@ -668,12 +515,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, combi
 				agg[kv.Key] = kv.Val
 			}
 		}
-		local := pre[w] // a retried worker reuses its previous attempt's buffer
-		if cap(local) < len(agg) {
-			local = make([]Pair[K, V], 0, len(agg))
-		} else {
-			local = local[:0]
-		}
+		local := make([]Pair[K, V], 0, len(agg))
 		for k, v := range agg {
 			local = append(local, Pair[K, V]{k, v})
 		}
@@ -707,12 +549,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, combi
 				agg[kv.Key] = kv.Val
 			}
 		}
-		local := out[w]
-		if cap(local) < len(agg) {
-			local = make([]Pair[K, V], 0, len(agg))
-		} else {
-			local = local[:0]
-		}
+		local := make([]Pair[K, V], 0, len(agg))
 		for k, v := range agg {
 			local = append(local, Pair[K, V]{k, v})
 		}
@@ -829,13 +666,7 @@ func Union[T any](a, b *Dataset[T], name string) *Dataset[T] {
 	out := make([][]T, c.workers)
 	counts := make([]int64, c.workers)
 	if !c.runStage(name, func(w int) error {
-		n := len(a.parts[w]) + len(b.parts[w])
-		part := out[w] // a retried worker reuses its previous attempt's buffer
-		if cap(part) < n {
-			part = make([]T, 0, n)
-		} else {
-			part = part[:0]
-		}
+		part := make([]T, 0, len(a.parts[w])+len(b.parts[w]))
 		part = append(part, a.parts[w]...)
 		part = append(part, b.parts[w]...)
 		out[w] = part
@@ -929,7 +760,7 @@ func GlobalReduce[T any](d *Dataset[T], name string, f func(T, T) T) (T, bool) {
 	counts := partLens(d.parts)
 	partials := make([][]T, c.workers) // per worker its partition's fold, or none
 	if !c.runStage(name+"/partial", func(w int) error {
-		var acc []T // built afresh, so a retried worker restarts cleanly
+		var acc []T
 		for _, t := range d.parts[w] {
 			if acc == nil {
 				acc = []T{t}

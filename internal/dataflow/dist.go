@@ -161,16 +161,24 @@ func distShuffle[T any](c *Context, name string, parts [][]T, target func(rec T,
 		}
 		return make([][]T, c.workers), coll.rawBytes, true
 	}
-	buckets := make([][]byte, c.workers)
-	var enc []byte
-	for _, rec := range parts[c.rank] {
-		enc = codec.AppendValue(enc[:0], rec)
-		t := target(rec, enc)
-		buckets[t] = appendBlob(buckets[t], enc)
-	}
+	// Encoding and routing run operator code (the codec, a PartitionBy
+	// partitioner), so they run as a stage: a panic fails this rank's job
+	// with a StageError the coordinator receives, not the process.
 	var body []byte
-	for _, b := range buckets {
-		body = appendBlob(body, b)
+	if !c.runStage(name+"/scatter", func(w int) error {
+		buckets := make([][]byte, c.workers)
+		var enc []byte
+		for _, rec := range parts[w] {
+			enc = codec.AppendValue(enc[:0], rec)
+			t := target(rec, enc)
+			buckets[t] = appendBlob(buckets[t], enc)
+		}
+		for _, b := range buckets {
+			body = appendBlob(body, b)
+		}
+		return nil
+	}) {
+		return nil, 0, false
 	}
 	out := make([][]T, c.workers)
 	rel, err := c.worker.contribute(seq, kindShuffle, name, body, c.doneCh())

@@ -172,27 +172,42 @@ func TestDistMatchesSingleProcessAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestDistGlobalReducePanicIsMergeStageError: a panic in f while the
-// partials fold fails the job as name/merge, single-process and in a cluster
-// on the coordinator, instead of crashing the driver.
-func TestDistGlobalReducePanicIsMergeStageError(t *testing.T) {
-	driver := func(c *Context) {
-		// One record per partition: no partial fold calls f, the merge does.
-		d := Parallelize(c, "input", []int64{1, 2})
-		GlobalReduce(d, "total", func(a, b int64) int64 { panic("merge") })
+// TestDistOperatorPanicIsStageError: a panic in operator code that runs on
+// the driver rather than inside a partition's stage body fails the job as a
+// *StageError naming its stage, single-process and in a cluster, instead of
+// crashing a process. Rows: f while GlobalReduce's partials fold
+// (name/merge), and a PartitionBy partitioner, which a worker rank runs while
+// it encodes and routes its partition (name/scatter).
+func TestDistOperatorPanicIsStageError(t *testing.T) {
+	for _, tc := range []struct {
+		name, stage, panic string
+		driver             func(c *Context)
+	}{
+		{"global-reduce-merge", "total/merge", "merge", func(c *Context) {
+			// One record per partition: no partial fold calls f, the merge does.
+			d := Parallelize(c, "input", []int64{1, 2})
+			GlobalReduce(d, "total", func(a, b int64) int64 { panic("merge") })
+		}},
+		{"partition-by", "place/scatter", "part", func(c *Context) {
+			d := Parallelize(c, "input", ints(10))
+			PartitionBy(d, "place", func(int) int { panic("part") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(mode string, err error) {
+				var se *StageError
+				if !errors.As(err, &se) || se.Stage != tc.stage || !strings.Contains(err.Error(), "panic: "+tc.panic) {
+					t.Errorf("%s: err = %v, want a panic at %s", mode, err, tc.stage)
+				}
+			}
+			c := NewContext(2)
+			tc.driver(c)
+			check("single-process", c.Err())
+			// The coordinator's own failure or a worker's, whichever reports first.
+			_, err := runDistCluster(t, 2, ClusterConfig{Workers: 2}, tc.driver)
+			check("cluster", err)
+		})
 	}
-	check := func(mode string, err error) {
-		var se *StageError
-		if !errors.As(err, &se) || se.Stage != "total/merge" || !strings.Contains(err.Error(), "panic: merge") {
-			t.Errorf("%s: err = %v, want a panic at total/merge", mode, err)
-		}
-	}
-	c := NewContext(2)
-	driver(c)
-	check("single-process", c.Err())
-	// The coordinator's own fold or a worker's, whichever reports first.
-	_, err := runDistCluster(t, 2, ClusterConfig{Workers: 2}, driver)
-	check("cluster", err)
 }
 
 // killSeqFor traces a fault-free 2-worker run and returns a mid-program
@@ -260,9 +275,18 @@ func TestDistWorkerKillRecoversViaLineage(t *testing.T) {
 	if v := cl.ctx.Stats().Metrics().Counter(metrics.ClusterReplayedReleases).Value(); v == 0 {
 		t.Error("respawned worker fast-forwarded through no replayed releases")
 	}
-	// The loss is accounted as a stage retry at the collective frontier.
-	if cl.ctx.Stats().TotalRetries() == 0 {
-		t.Error("worker loss not accounted in stage retries")
+	// The respawn is accounted as one retry of the span that owns the
+	// collective frontier at the loss: the barrier rank 1 died at, or an
+	// earlier one rank 0 had not reached yet. Every barrier up to the kill
+	// belongs to an operator with a span (sum, mods, join).
+	var retried []string
+	for _, sp := range cl.ctx.Stats().Spans() {
+		for range sp.Retries {
+			retried = append(retried, sp.Name)
+		}
+	}
+	if len(retried) != 1 {
+		t.Errorf("spans account retries %v, want one on the frontier's span", retried)
 	}
 }
 
@@ -445,35 +469,6 @@ func TestDistMissingCodecIsTerminal(t *testing.T) {
 	var mce *MissingCodecError
 	if !errors.As(err, &mce) {
 		t.Fatalf("expected *MissingCodecError, got %v", err)
-	}
-}
-
-// --- satellite: retry backoff ---
-
-func TestRunStageRetriesWithJitteredBackoff(t *testing.T) {
-	plan := NewFaultPlan(
-		Fault{Stage: "work", Worker: 0, Occurrence: 1, Kind: FaultTransient},
-		Fault{Stage: "work", Worker: 0, Occurrence: 2, Kind: FaultTransient},
-	)
-	base := 8 * time.Millisecond
-	c := NewContext(2, WithFaultPlan(plan), WithRetries(3), WithBackoff(base))
-	var slept []time.Duration
-	c.sleepFn = func(d time.Duration) bool {
-		slept = append(slept, d)
-		return true
-	}
-	d := Parallelize(c, "input", ints(100))
-	Map(d, "work", func(v int) int { return v + 1 }).Materialize()
-	if err := c.Err(); err != nil {
-		t.Fatalf("retried pipeline failed: %v", err)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("recorded %d backoff sleeps, want 2", len(slept))
-	}
-	for i, want := range []time.Duration{base, 2 * base} {
-		if slept[i] != want {
-			t.Errorf("attempt %d slept %v, want %v", i+1, slept[i], want)
-		}
 	}
 }
 

@@ -21,11 +21,6 @@ import "strings"
 // each extend the same unforced dataset replay its pending prefix once per
 // consumer (like Spark's lineage recomputation). Call Materialize on a
 // dataset with several downstream consumers to compute the prefix once.
-//
-// Fault tolerance keeps the retained-input contract at chain granularity: the
-// fused stage's inputs are the chain's materialized root partitions, so a
-// retried worker replays the whole chain from them (and resets its per-op
-// tallies).
 
 // chain is a pending narrow-operator chain. T is the type the chain emits;
 // the materialized root partitions it reads are captured inside feed.
@@ -130,8 +125,8 @@ func chainMapPartitions[T, U any](parts [][]T, name string, f func(worker int, i
 }
 
 // fusedName names the fused stage of a chain. A single-op chain keeps
-// exactly its operator's name, so spans, retries, and fault-injection sites
-// are unchanged wherever nothing actually fused. Longer chains factor the
+// exactly its operator's name, so spans and stage errors are unchanged
+// wherever nothing actually fused. Longer chains factor the
 // ops' longest common '/'-terminated prefix and join the remaining segments
 // with '+': ["ext/prune-groups" "ext/drop-empty"] → "ext/prune-groups+drop-empty".
 func fusedName(ops []string) string {
@@ -194,21 +189,9 @@ func (d *Dataset[T]) force() {
 	out := make([][]T, c.workers)
 	tallies := make([][]int64, c.workers)
 	if !c.runStage(name, func(w int) error {
-		tally := tallies[w]
-		if tally == nil {
-			tally = make([]int64, len(p.ops))
-			tallies[w] = tally
-		} else {
-			for i := range tally { // a retried worker replays the chain from scratch
-				tally[i] = 0
-			}
-		}
-		res := out[w] // a retried worker reuses its previous attempt's buffer
-		if cap(res) < int(p.srcLens[w]) {
-			res = make([]T, 0, p.srcLens[w])
-		} else {
-			res = res[:0]
-		}
+		tally := make([]int64, len(p.ops))
+		tallies[w] = tally
+		res := make([]T, 0, p.srcLens[w])
 		p.feed(w, tally, func(t T) { res = append(res, t) })
 		out[w] = res
 		return nil

@@ -13,7 +13,7 @@ import (
 )
 
 // Tests for the lazy plan layer (plan.go): partition balance, forcing
-// semantics, fused-stage naming and accounting, fault retry on fused chains,
+// semantics, fused-stage naming and accounting, failure of fused chains,
 // and equivalence with an eager whole-slice interpreter kept here as the
 // reference.
 
@@ -224,54 +224,27 @@ func TestMapPartitionsIsInputBarrierOutputLazy(t *testing.T) {
 	}
 }
 
-func TestFusedChainFaultRetry(t *testing.T) {
-	// The fault site is the fused stage's composite name; the retried worker
-	// must replay the whole chain from the retained root partitions and the
-	// accounting must match a fault-free run.
-	plan := NewFaultPlan(Fault{Stage: "double+small", Worker: 1, Kind: FaultTransient})
-	c := NewContext(2, WithFaultPlan(plan), WithRetries(2))
-	d := Parallelize(c, "in", ints(10))
-	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
-	if err := c.Err(); err != nil {
-		t.Fatalf("fused chain did not recover from transient fault: %v", err)
-	}
-	sort.Ints(got)
-	if want := []int{0, 2, 4, 6, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("retried fused chain output %v, want %v", got, want)
-	}
-	if fired := plan.Fired(); len(fired) != 1 {
-		t.Fatalf("fault did not fire at the composite site: %+v", fired)
-	}
-	if r := c.Stats().Retries()["double+small"]; r != 1 {
-		t.Errorf("retries[double+small] = %d, want 1", r)
-	}
-	// Tallies reset on replay: per-op counts reflect one clean pass.
-	for _, sp := range c.Stats().Spans() {
-		if sp.Name != "double+small" {
-			continue
-		}
-		for _, op := range sp.FusedOps {
-			if op.RecordsIn != 10 {
-				t.Errorf("fused op %q counted %d records after retry, want 10", op.Name, op.RecordsIn)
-			}
-		}
-	}
-}
-
-func TestFusedChainExhaustedRetriesFailPipeline(t *testing.T) {
-	plan := NewFaultPlan(
-		Fault{Stage: "a+b", Worker: 0, Occurrence: 1, Kind: FaultTransient},
-		Fault{Stage: "a+b", Worker: 0, Occurrence: 2, Kind: FaultTransient},
-	)
-	c := NewContext(2, WithFaultPlan(plan), WithRetries(1))
+// A panic in any op of a fused chain fails the pipeline at the fused stage's
+// composite name.
+func TestFusedChainPanicFailsPipeline(t *testing.T) {
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
-	out := Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x })
+	out := Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int {
+		if x == 1 {
+			panic("bad record")
+		}
+		return x
+	})
 	if got := Collect(out); len(got) != 0 {
 		t.Fatalf("failed pipeline emitted %v", got)
 	}
 	var se *StageError
 	if err := c.Err(); !errors.As(err, &se) || se.Stage != "a+b" {
 		t.Fatalf("Err = %v, want StageError for stage a+b", c.Err())
+	}
+	var pe *PanicError
+	if !errors.As(c.Err(), &pe) || pe.Value != "bad record" {
+		t.Errorf("Err = %v, want it to wrap the op's panic", c.Err())
 	}
 }
 
@@ -394,8 +367,7 @@ func opTallies(c *Context) map[string]int64 {
 }
 
 // Property: any chain of narrow operators yields, partition by partition, the
-// records of the eager reference, with the reference's per-operator tallies —
-// also when every stage of the chain loses a worker once and replays it.
+// records of the eager reference, with the reference's per-operator tallies.
 func TestQuickFusedUnfusedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
@@ -407,8 +379,7 @@ func TestQuickFusedUnfusedEquivalence(t *testing.T) {
 		ops := randomChain(rng)
 		label := fmt.Sprintf("trial %d (w=%d, %d records, %d ops)", trial, w, len(data), len(ops))
 
-		tracer := NewFaultPlan()
-		c := NewContext(w, WithFaultPlan(tracer))
+		c := NewContext(w)
 		root := Parallelize(c, "in", data)
 		want, wantTally := eagerNarrow(root.Partitions(), ops)
 		got := applyNarrow(root, ops).Partitions()
@@ -421,43 +392,18 @@ func TestQuickFusedUnfusedEquivalence(t *testing.T) {
 			t.Fatalf("%s: per-op tallies %v, eager reference %v", label, tally, wantTally)
 		}
 
-		// Replay: the last worker of every stage fails its first execution.
-		var faults []Fault
-		for _, site := range tracer.Trace() {
-			if site.Worker == w-1 {
-				faults = append(faults, Fault{Stage: site.Stage, Worker: site.Worker, Kind: FaultTransient})
-			}
-		}
-		plan := NewFaultPlan(faults...)
-		c = NewContext(w, WithFaultPlan(plan), WithRetries(1), WithBackoff(0))
-		got = applyNarrow(Parallelize(c, "in", data), ops).Partitions()
-		if err := c.Err(); err != nil {
-			t.Fatalf("%s: replay failed: %v", label, err)
-		}
-		if len(plan.Fired()) != len(faults) || c.Stats().TotalRetries() != len(faults) {
-			t.Fatalf("%s: %d faults planned, %d fired, %d retries", label, len(faults), len(plan.Fired()), c.Stats().TotalRetries())
-		}
-		for i := range got {
-			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("%s: replayed partition %d = %v, eager reference %v", label, i, got[i], want[i])
-			}
-		}
-		if tally := opTallies(c); !reflect.DeepEqual(tally, wantTally) {
-			t.Fatalf("%s: replayed per-op tallies %v, eager reference %v", label, tally, wantTally)
-		}
 	}
 }
 
 // A fused chain feeding a wide operator agrees with the eager reference
-// feeding a plain fold, also when the wide stage's combiner is replayed.
+// feeding a plain fold.
 func TestFusedUnfusedAgreeThroughShuffle(t *testing.T) {
 	ops := []narrowOp{
 		{name: "triple", mapf: func(x int) int { return 3 * x }},
 		{name: "odd", pred: func(x int) bool { return x%2 != 0 }},
 	}
 	for _, w := range []int{1, 2, 4} {
-		plan := NewFaultPlan(Fault{Stage: "count/combine", Worker: 0, Kind: FaultTransient})
-		c := NewContext(w, WithFaultPlan(plan), WithRetries(2))
+		c := NewContext(w)
 		root := Parallelize(c, "in", ints(200))
 		eager, _ := eagerNarrow(root.Partitions(), ops)
 		want := map[int]int{}
@@ -466,8 +412,8 @@ func TestFusedUnfusedAgreeThroughShuffle(t *testing.T) {
 		}
 		pairs := Map(applyNarrow(root, ops), "pair", func(x int) Pair[int, int] { return Pair[int, int]{x % 7, 1} })
 		counts := ReduceByKey(pairs, "count", func(a, b int) int { return a + b })
-		if c.Err() != nil || len(plan.Fired()) != 1 {
-			t.Fatalf("w=%d: err %v, %d faults fired", w, c.Err(), len(plan.Fired()))
+		if err := c.Err(); err != nil {
+			t.Fatalf("w=%d: %v", w, err)
 		}
 		got := map[int]int{}
 		for _, kv := range Collect(counts) {
@@ -506,12 +452,14 @@ func TestCommonSlashPrefix(t *testing.T) {
 }
 
 func TestForceAfterFailureYieldsEmpty(t *testing.T) {
-	plan := NewFaultPlan(
-		Fault{Stage: "boom", Worker: 0, Occurrence: 1, Kind: FaultTransient},
-	)
-	c := NewContext(2, WithFaultPlan(plan), WithRetries(0))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
-	Map(d, "boom", func(x int) int { return x }).Materialize()
+	Map(d, "boom", func(x int) int {
+		if x == 0 {
+			panic("bad record")
+		}
+		return x
+	}).Materialize()
 	if c.Err() == nil {
 		t.Fatal("expected stage failure")
 	}

@@ -26,9 +26,7 @@
 // (already arbitrary) map-iteration output order differs.
 //
 // Temporary files are created with os.CreateTemp and unlinked immediately,
-// so closing the handle — or crashing — is the only cleanup needed. A worker
-// retried after a transient fault starts by discarding its previous
-// attempt's file and buffers, keeping the retained-partition retry contract.
+// so closing the handle — or crashing — is the only cleanup needed.
 package dataflow
 
 import (
@@ -484,12 +482,8 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 	crossing := make([]int64, c.workers) // encoded bytes routed off-worker
 	defer closeSpillFiles(files)
 	if !c.runStage(name+"/combine", func(w int) error {
-		// A retried worker discards the previous attempt's file and routes.
-		files[w].close()
-		files[w] = nil
 		cl := make([]chunkList, c.workers)
 		chunks[w] = cl
-		emitted[w], crossing[w] = 0, 0
 		in := d.parts[w]
 		counts[w] = int64(len(in))
 		hint := mapSizeHint(len(in), d.distinct)
@@ -540,8 +534,6 @@ func reduceByKeySpill[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 	runFiles := make([]*spillFile, c.workers) // per target worker, sorted runs
 	defer closeSpillFiles(runFiles)
 	if !c.runStage(name+"/reduce", func(t int) error {
-		runFiles[t].close()
-		runFiles[t] = nil
 		hint := params.maxEntries
 		if hint > 1024 {
 			hint = 1024 // let the map grow; pre-sizing to the cap wastes the budget

@@ -135,38 +135,6 @@ func TestSpillReduceMultiPassMerge(t *testing.T) {
 	}
 }
 
-// Transient faults during both spill phases must retry cleanly: a retried
-// worker discards its previous attempt's spill file and buffers.
-func TestSpillFaultRetryProducesSameResult(t *testing.T) {
-	input := spillPairs(8000, 1500)
-	oracle := map[int]int{}
-	for _, p := range input {
-		oracle[p.Key] += p.Val
-	}
-	plan := NewFaultPlan(
-		Fault{Stage: "sum/combine", Worker: 1, Occurrence: 1, Kind: FaultPanic},
-		Fault{Stage: "sum/reduce", Worker: 0, Occurrence: 1, Kind: FaultTransient},
-	)
-	c := NewContext(3, WithMemoryBudget(1<<10), WithSpillDir(t.TempDir()),
-		WithRetries(2), WithBackoff(0), WithFaultPlan(plan))
-	d := Parallelize(c, "input", input)
-	got := Collect(ReduceByKey(d, "sum", func(a, b int) int { return a + b }))
-	if err := c.Err(); err != nil {
-		t.Fatalf("pipeline failed despite retry budget: %v", err)
-	}
-	if len(got) != len(oracle) {
-		t.Fatalf("got %d keys, want %d", len(got), len(oracle))
-	}
-	for _, p := range got {
-		if oracle[p.Key] != p.Val {
-			t.Fatalf("key %d = %d, want %d", p.Key, p.Val, oracle[p.Key])
-		}
-	}
-	if fired := plan.Fired(); len(fired) != 2 {
-		t.Errorf("fired %d faults, want 2", len(fired))
-	}
-}
-
 // Without a registered codec the budget must be ignored, not crash: the
 // operator silently stays in memory.
 func TestSpillFallsBackWithoutCodec(t *testing.T) {

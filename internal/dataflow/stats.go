@@ -42,9 +42,9 @@ func (s *Stats) stageSeq() int {
 	return n
 }
 
-// retriesFor sums the worker re-executions attributed to one operator: the
-// operator's own stage name plus its '/'-suffixed sub-phases (combine,
-// scatter, gather, reduce, …).
+// retriesFor sums the respawns attributed to one operator: the operator's
+// own stage name plus its '/'-suffixed sub-phases (combine, scatter, gather,
+// reduce, …).
 func (s *Stats) retriesFor(name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,39 +89,15 @@ func (s *Stats) Metrics() *metrics.Registry {
 	return s.registry
 }
 
-// recordRetries accounts n worker re-executions of one stage after a
-// transient failure (see runStage).
-func (s *Stats) recordRetries(name string, n int) {
+// recordRetry attributes one re-execution to a stage: a lost cluster rank
+// respawned and replayed from the frontier stage (cluster.go).
+func (s *Stats) recordRetry(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.retries == nil {
 		s.retries = make(map[string]int)
 	}
-	s.retries[name] += n
-}
-
-// Retries returns the per-stage count of worker re-executions caused by
-// transient faults. Stage names carry the engine's phase suffixes (e.g.
-// "ext/merge-candidates/reduce").
-func (s *Stats) Retries() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.retries))
-	for k, v := range s.retries {
-		out[k] = v
-	}
-	return out
-}
-
-// TotalRetries is the total number of worker re-executions across all stages.
-func (s *Stats) TotalRetries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, v := range s.retries {
-		total += v
-	}
-	return total
+	s.retries[name]++
 }
 
 // TotalWork is the sum of all records processed by all workers in all stages.

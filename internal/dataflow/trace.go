@@ -11,9 +11,10 @@ import (
 // This file threads per-stage tracing through the engine. Every operator
 // opens an activeSpan when it starts and closes it with its work accounting,
 // producing one metrics.Span per logical operator execution (sub-phases like
-// "/combine" or "/scatter" fold into their operator's span; their retries
-// are attributed by name prefix). Stats.TotalWork and CriticalPath are sums
-// over these spans, so the trace and the work accounting cannot disagree.
+// "/combine" or "/scatter" fold into their operator's span; a cluster
+// respawn at one of them counts as a retry of that span, by name prefix).
+// Stats.TotalWork and CriticalPath are sums over these spans, so the trace
+// and the work accounting cannot disagree.
 
 // memSampleEvery bounds how often a stage pays for runtime.ReadMemStats (a
 // stop-the-world sample, taken once at begin and once at finish so the span

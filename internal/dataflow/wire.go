@@ -432,7 +432,7 @@ func decodeWireError(payload []byte) *StageError {
 	}
 	cause := fmt.Errorf("%w: %s", ErrRemoteFailure, we.Msg)
 	if we.Transient {
-		cause = Transient(cause)
+		cause = transient(cause)
 	}
 	return &StageError{Stage: we.Stage, Worker: we.Worker, Attempt: we.Attempt,
 		Deterministic: we.Deterministic, Cause: cause}

@@ -90,7 +90,7 @@ func TestWireErrorPreservesClassification(t *testing.T) {
 		{"deterministic", &StageError{Stage: "fcd/binary-sum", Worker: 3, Attempt: 2,
 			Deterministic: true, Cause: errors.New("divide by zero")}},
 		{"transient", &StageError{Stage: "ext/validate", Worker: 1, Attempt: 4,
-			Cause: Transient(errors.New("socket reset"))}},
+			Cause: transient(errors.New("socket reset"))}},
 		{"bare", errors.New("not a stage error")},
 	}
 	for _, tc := range cases {
@@ -403,7 +403,7 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(frame(msgContribute, encodeContribute(3, kindShuffle, "cgc/exchange", appendBlob(appendBlob(nil, []byte("ab")), nil))))
 	f.Add(frame(msgRelease, encodeRelease(7, releaseOK, appendBlob(nil, []byte("payload")))))
 	f.Add(frame(msgRelease, encodeRelease(8, releaseFailed, encodeWireError(&StageError{Stage: "fcd/binary-sum",
-		Worker: 1, Attempt: 2, Cause: Transient(errors.New("socket reset"))}))))
+		Worker: 1, Attempt: 2, Cause: transient(errors.New("socket reset"))}))))
 	f.Add(frame(msgFaultFired, binary.AppendUvarint(nil, 1<<63)))
 	f.Add(frame(msgFailJob, encodeWireError(errors.New("disk full"))))
 	f.Add([]byte{msgContribute, 0xff, 0xff, 0xff, 0xff, 0x0f})

@@ -58,8 +58,9 @@ type Span struct {
 	SpilledBytes int64 `json:"spilled_bytes,omitempty"`
 	SpilledRuns  int64 `json:"spilled_runs,omitempty"`
 	MergePasses  int64 `json:"merge_passes,omitempty"`
-	// Retries counts worker re-executions after transient faults across the
-	// stage's phases.
+	// Retries counts the cluster ranks lost and respawned while this stage
+	// (any of its phases) was the collective frontier; each replacement
+	// replays the stage.
 	Retries int `json:"retries,omitempty"`
 
 	// Goroutines and HeapAllocBytes sample the runtime when the stage ended

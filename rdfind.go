@@ -74,13 +74,6 @@ type (
 	StageError = dataflow.StageError
 	// PanicError is a panic recovered from a worker goroutine.
 	PanicError = dataflow.PanicError
-	// FaultPlan is a deterministic fault-injection schedule for robustness
-	// testing; attach one via Config.FaultPlan.
-	FaultPlan = dataflow.FaultPlan
-	// Fault schedules one injected fault at a stage/worker/occurrence site.
-	Fault = dataflow.Fault
-	// FaultSite identifies one worker execution of one stage.
-	FaultSite = dataflow.Site
 
 	// Cluster is the coordinator of a multi-process distributed run; attach
 	// one via Config.Cluster.
@@ -160,14 +153,6 @@ func ReadSource(src Source) (*Dataset, []Malformed, error) {
 	return resolved.ReadDataset()
 }
 
-// Injected fault kinds.
-const (
-	// FaultTransient makes a worker fail with a retryable error.
-	FaultTransient = dataflow.FaultTransient
-	// FaultPanic makes a worker goroutine panic (recovered and retried).
-	FaultPanic = dataflow.FaultPanic
-)
-
 // Injected process-level fault kinds (ProcFault.Kind).
 const (
 	// ProcKill terminates the worker process at the scheduled barrier.
@@ -224,8 +209,8 @@ const (
 
 // Discover runs CIND discovery over a dataset and returns the pertinent
 // CINDs and association rules together with run statistics. It panics on any
-// error (an exceeded Config.LoadLimit, an exhausted retry budget); use
-// TryDiscover or DiscoverContext to observe errors instead.
+// error (an exceeded Config.LoadLimit, a panic in a stage); use TryDiscover
+// or DiscoverContext to observe errors instead.
 func Discover(ds *Dataset, cfg Config) (*Result, *Stats) {
 	return core.Discover(ds, cfg)
 }
@@ -238,25 +223,15 @@ func TryDiscover(ds *Dataset, cfg Config) (*Result, *Stats, error) {
 
 // DiscoverContext runs discovery under a cancellation context: cancelling
 // (or timing out) ctx aborts the pipeline promptly between stages with an
-// error wrapping ctx.Err() and a partial-stats report. Worker panics are
-// recovered into StageErrors, and transient faults are retried per
-// Config.MaxStageAttempts before surfacing.
+// error wrapping ctx.Err() and a partial-stats report. A worker panic is
+// recovered into a StageError and fails the run at once.
 func DiscoverContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, *Stats, error) {
 	return core.DiscoverContext(ctx, ds, cfg)
 }
 
-// NewFaultPlan builds a deterministic fault-injection schedule for
-// Config.FaultPlan; an empty plan injects nothing but traces execution.
-func NewFaultPlan(faults ...Fault) *FaultPlan { return dataflow.NewFaultPlan(faults...) }
-
-// RandomFaultPlan samples n faults from a traced fault-free run, seeded for
-// reproducibility. See dataflow.RandomFaultPlan.
-func RandomFaultPlan(seed int64, sites []FaultSite, n int) *FaultPlan {
-	return dataflow.RandomFaultPlan(seed, sites, n)
-}
-
-// IsTransient reports whether an error (anywhere in its chain) is marked as
-// a transient, retryable fault.
+// IsTransient reports whether an error (anywhere in its chain) is marked
+// transient: a cluster run ended because a worker rank was lost and respawn
+// could not recover it.
 func IsTransient(err error) bool { return dataflow.IsTransient(err) }
 
 // NewDataset returns an empty dataset for programmatic construction.
